@@ -29,6 +29,7 @@ from .errors import (
     PoleError,
     RankError,
     RatApproxError,
+    SampleError,
     StagnationError,
     SymmetryError,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "ProjectedPoints",
     "RankError",
     "RatApproxError",
+    "SampleError",
     "SampleSet",
     "StagnationError",
     "StateSpaceModel",

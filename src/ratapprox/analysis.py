@@ -33,9 +33,7 @@ class ErrorReport:
     order: int = 0
 
     def grid_points(self) -> np.ndarray:
-        xs = np.linspace(self.domain.x_min, self.domain.x_max, self.nx)
-        ys = np.linspace(self.domain.y_min, self.domain.y_max, self.ny)
-        return (xs[None, :] + 1j * ys[:, None]).ravel()
+        return _grid_points(self.domain, self.nx, self.ny)
 
     def to_csv(self, path, meta: str | None = None) -> None:
         pts = self.grid_points()
@@ -55,8 +53,33 @@ def _call_evaluator(model, pts: np.ndarray) -> np.ndarray:
     return np.asarray(evaluate(pts), dtype=complex)
 
 
-def _oracle_with_exclusions(oracle, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the oracle, masking points where it reports a pole."""
+def _grid_points(domain: Domain, nx: int, ny: int) -> np.ndarray:
+    xs = np.linspace(domain.x_min, domain.x_max, nx)
+    ys = np.linspace(domain.y_min, domain.y_max, ny)
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
+
+
+@dataclass
+class OracleGrid:
+    """Oracle values on an nx * ny equispaced grid, row-major as in :class:`ErrorReport`.
+
+    Points where the oracle reports a pole are NaN in ``values`` and marked
+    in ``excluded``.
+    """
+
+    domain: Domain
+    nx: int
+    ny: int
+    points: np.ndarray
+    values: np.ndarray
+    excluded: np.ndarray
+
+
+def oracle_grid(oracle, domain: Domain, nx: int = 500, ny: int = 500) -> OracleGrid:
+    """Evaluate the oracle on the grid once, masking points where it reports a pole."""
+    if nx < 2 or ny < 2:
+        raise ValueError("need nx >= 2 and ny >= 2")
+    pts = _grid_points(domain, nx, ny)
     values = np.empty(pts.size, dtype=complex)
     excluded = np.zeros(pts.size, dtype=bool)
     for lo in range(0, pts.size, _EVAL_CHUNK):
@@ -71,7 +94,31 @@ def _oracle_with_exclusions(oracle, pts: np.ndarray) -> tuple[np.ndarray, np.nda
                 except PoleError:
                     values[lo + k] = np.nan
                     excluded[lo + k] = True
-    return values, excluded
+    return OracleGrid(domain=domain, nx=nx, ny=ny, points=pts, values=values, excluded=excluded)
+
+
+def model_error(model, truth: OracleGrid, method_tag: str = "", order: int = 0) -> ErrorReport:
+    """Error surface of ``model`` against oracle values already on a grid.
+
+    ``model`` is anything with an ``eval`` method or a plain callable.
+    """
+    pts = truth.points
+    approx = _call_evaluator(model, pts)
+    err = np.abs(approx - truth.values)
+    err[truth.excluded] = np.nan
+    finite = np.where(truth.excluded, -np.inf, err)
+    argmax = int(np.argmax(finite))
+    return ErrorReport(
+        domain=truth.domain,
+        nx=truth.nx,
+        ny=truth.ny,
+        max_error=float(err[argmax]),
+        argmax_point=complex(pts[argmax]),
+        errors=err,
+        n_excluded=int(truth.excluded.sum()),
+        method_tag=method_tag,
+        order=order,
+    )
 
 
 def error_grid(
@@ -88,28 +135,7 @@ def error_grid(
     ``model`` is anything with an ``eval`` method or a plain callable.
     Oracle poles hit by the grid are excluded from the surface and counted.
     """
-    if nx < 2 or ny < 2:
-        raise ValueError("need nx >= 2 and ny >= 2")
-    xs = np.linspace(domain.x_min, domain.x_max, nx)
-    ys = np.linspace(domain.y_min, domain.y_max, ny)
-    pts = (xs[None, :] + 1j * ys[:, None]).ravel()
-    truth, excluded = _oracle_with_exclusions(oracle, pts)
-    approx = _call_evaluator(model, pts)
-    err = np.abs(approx - truth)
-    err[excluded] = np.nan
-    finite = np.where(excluded, -np.inf, err)
-    argmax = int(np.argmax(finite))
-    return ErrorReport(
-        domain=domain,
-        nx=nx,
-        ny=ny,
-        max_error=float(err[argmax]),
-        argmax_point=complex(pts[argmax]),
-        errors=err,
-        n_excluded=int(excluded.sum()),
-        method_tag=method_tag,
-        order=order,
-    )
+    return model_error(model, oracle_grid(oracle, domain, nx, ny), method_tag, order)
 
 
 @dataclass
@@ -249,6 +275,10 @@ def compare_methods(samples: SampleSet, oracle, config: CompareConfig | None = N
         model, _ = vectorfit.fit_vf(samples, order=cfg.vf_order, n_iter=cfg.vf_iterations)
         return model, model.poles
 
+    # the oracle surface is shared by all methods; computed at the first
+    # successful fit, so a table of failed fits costs no oracle sweep
+    truth: OracleGrid | None = None
+
     rows: list[MethodRow] = []
     for name, runner in (
         ("loewner", run_loewner),
@@ -259,7 +289,9 @@ def compare_methods(samples: SampleSet, oracle, config: CompareConfig | None = N
         started = time.perf_counter()
         try:
             model, poles = runner()
-            report = error_grid(model, oracle, cfg.domain, cfg.grid_nx, cfg.grid_ny, method_tag=name)
+            if truth is None:
+                truth = oracle_grid(oracle, cfg.domain, cfg.grid_nx, cfg.grid_ny)
+            report = model_error(model, truth, method_tag=name)
             order = getattr(model, "order", 0)
             rows.append(
                 MethodRow(

@@ -155,8 +155,10 @@ def _cmd_fit(args) -> int:
         save_model(red.model, args.out, meta=meta | {"order": red.model.order})
         sv_path = _side_path(args.out, "singular_values.csv")
         sigma = red.singular_values
+        q, k = pencil.shape
         with open(sv_path, "w") as fh:
             fh.write(f"# {_meta_line(args, args.seed)}\n")
+            fh.write(f"# leading {sigma.size} of {min(q, 2 * k)} singular values of [L, Ls]\n")
             fh.write("index,sigma,sigma_normalized\n")
             for i, s in enumerate(sigma):
                 fh.write(f"{i + 1},{s:.17g},{s / sigma[0]:.17g}\n")
@@ -437,17 +439,25 @@ _COMMANDS = {
 
 
 def _apply_thread_cap() -> None:
+    """Cap the BLAS thread pools at ``RATAPPROX_THREADS`` through threadpoolctl.
+
+    numpy has loaded its BLAS before the CLI runs, so setting the
+    ``*_NUM_THREADS`` variables here would no longer take effect.  When the
+    cap cannot be applied, a one-line warning on stderr says so.
+    """
     cap = os.environ.get("RATAPPROX_THREADS")
     if not cap:
         return
-    # best effort: constrain the BLAS pools numpy/scipy are already using
     try:
+        limit = int(cap)
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=int(cap))
-    except Exception:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+    except (ValueError, ImportError) as exc:
+        reason = "not an integer" if isinstance(exc, ValueError) else "threadpoolctl is not installed"
+        print(f"ratapprox: warning: RATAPPROX_THREADS={cap} not applied ({reason}); "
+              "set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS "
+              "before starting instead", file=sys.stderr)
+        return
+    threadpool_limits(limits=limit)
 
 
 def main(argv=None) -> int:

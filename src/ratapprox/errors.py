@@ -20,6 +20,10 @@ class PoleError(RatApproxError, ArithmeticError):
         self.point = point
 
 
+class SampleError(RatApproxError, ValueError):
+    """Sample data is unusable: no points, or a point or value that is not finite."""
+
+
 class SymmetryError(RatApproxError, ValueError):
     """Conjugate closure is violated or cannot be enforced."""
 

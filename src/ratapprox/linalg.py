@@ -53,6 +53,42 @@ def svd(a) -> SvdResult:
     return SvdResult(U=u, singular_values=s, V=vh.conj().T)
 
 
+#: Power (subspace) iterations of the randomized range finder in
+#: :func:`leading_svd`; each sharpens the sketch's spectral gap by another
+#: factor sigma_{w+1}/sigma_j squared.
+_POWER_STEPS = 2
+
+
+def leading_svd(a, width: int, rng: np.random.Generator) -> SvdResult:
+    """The leading ``width`` singular triplets of ``a`` by randomized subspace iteration.
+
+    The range finder with power iterations of Halko, Martinsson and Tropp
+    (SIAM Review 53, 2011, Alg. 4.4): a complex Gaussian sketch of ``width``
+    columns drawn from ``rng``, re-orthonormalised after every product with
+    ``a`` or its adjoint, then the exact SVD of the projected ``width x n``
+    matrix.  The trailing triplets of the sketch are the least accurate, so
+    callers oversample beyond the triplets they use.
+
+    When ``width >= min(m, n) // 2`` the sketch would cost about as much as
+    the full decomposition, so the full thin SVD is returned instead (all
+    ``min(m, n)`` triplets) and ``rng`` is not touched.
+    """
+    a = np.asarray(a)
+    if width < 1:
+        raise ValueError(f"sketch width must be positive, got {width}")
+    m, n = a.shape
+    if width >= min(m, n) // 2:
+        return svd(a)
+    omega = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    q, _ = np.linalg.qr(a @ omega)
+    for _ in range(_POWER_STEPS):
+        # a^H q as (q^H a)^H: no conjugated copy of the large matrix
+        z, _ = np.linalg.qr((q.conj().T @ a).conj().T)
+        q, _ = np.linalg.qr(a @ z)
+    small = svd(q.conj().T @ a)
+    return SvdResult(U=q @ small.U, singular_values=small.singular_values, V=small.V)
+
+
 def least_squares(a, b) -> np.ndarray:
     """Minimum-norm least-squares solution of ``a @ x = b``.
 

@@ -31,6 +31,13 @@ PARTITION_SCHEMES = ("alternating", "half_split", "epsilon_paired")
 #: produce garbage poles.
 RANK_GUARD = 1e-13
 
+#: truncate() sketches this many singular directions beyond the ones it
+#: keeps, so the kept ones are accurate (see linalg.leading_svd), and seeds
+#: every sketch afresh from a fixed seed, so outputs are a pure function of
+#: the pencil.
+_OVERSAMPLE = 20
+_SKETCH_SEED = 0
+
 _EVAL_CHUNK = 20000
 
 
@@ -159,7 +166,10 @@ class LoewnerReduction:
     """Everything produced by :func:`truncate`.
 
     ``singular_values`` belong to the row concatenation [L, Ls] used for
-    order selection; ``singular_values_stacked`` to the column stack.
+    order selection; ``singular_values_stacked`` to the column stack.  Both
+    hold only the leading values that truncation computed, the width of
+    its sketch (``order + 20`` of them with ``order=``), or all of them
+    when the pencil is small enough for a full SVD.
     Y and X are the retained left/right singular-vector blocks, kept so
     projected interpolation points can be formed later.  ``e_condition``
     reports cond(E); it is legitimately huge when the data carries a
@@ -265,26 +275,37 @@ def truncate(
     The projectors are Y, the leading left singular vectors of [L, Ls], and
     X, the leading right singular vectors of [L; Ls]; the realization is
     E = -Y* L X, A = -Y* Ls X, B = Y* V, C = W X.
+
+    Only the leading singular subspaces are computed, by randomized
+    subspace iteration (:func:`linalg.leading_svd`) seeded afresh on every
+    call, so equal pencils give equal bytes.  With ``order=`` both sketches
+    are ``order + 20`` wide.  With ``tol=`` the [L, Ls] sketch starts 21
+    wide and doubles until its last singular value has dropped to ``tol``
+    (or the full SVD is taken); the [L; Ls] sketch is then ``order + 20``
+    wide.
     """
     if (order is None) == (tol is None):
         raise ValueError("specify exactly one of order= and tol=")
+    q, k = pencil.shape
+    if tol is not None and not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    if order is not None and not 1 <= order <= min(q, k):
+        raise RankError(f"order {order} not in [1, min(q, k) = {min(q, k)}]")
+    rng = np.random.default_rng(_SKETCH_SEED)
     row_concat = np.hstack([pencil.L, pencil.Ls])
-    col_stack = np.vstack([pencil.L, pencil.Ls])
-    svd_rows = linalg.svd(row_concat)
-    svd_cols = linalg.svd(col_stack)
-    sigma = svd_rows.singular_values
+    width = (order if tol is None else 1) + _OVERSAMPLE
+    while True:
+        svd_rows = linalg.leading_svd(row_concat, width, rng)
+        sigma = svd_rows.singular_values
+        if tol is None or sigma[-1] <= tol * sigma[0] or sigma.size == min(row_concat.shape):
+            break
+        width *= 2
     if sigma[0] == 0.0:
         raise RankError("pencil has rank zero: all samples identical?")
-    q, k = pencil.shape
     if tol is not None:
-        if not 0.0 < tol < 1.0:
-            raise ValueError("tol must lie in (0, 1)")
         below = np.nonzero(sigma / sigma[0] <= tol)[0]
         order = int(below[0]) if below.size else min(q, k)
         order = max(1, min(order, min(q, k)))
-    else:
-        if not 1 <= order <= min(q, k):
-            raise RankError(f"order {order} not in [1, min(q, k) = {min(q, k)}]")
     if sigma[order - 1] / sigma[0] < RANK_GUARD:
         numerical_rank = int(np.sum(sigma / sigma[0] >= RANK_GUARD))
         raise RankError(
@@ -292,8 +313,11 @@ def truncate(
             f"data (sigma_{order}/sigma_1 = {sigma[order - 1] / sigma[0]:.2e}); "
             "reduce the order"
         )
+    # right vectors of [L; Ls] are the left vectors of its adjoint [L*, Ls*]
+    col_adjoint = np.hstack([pencil.L.conj().T, pencil.Ls.conj().T])
+    svd_cols = linalg.leading_svd(col_adjoint, order + _OVERSAMPLE, rng)
     Y = svd_rows.U[:, :order]
-    X = svd_cols.V[:, :order]
+    X = svd_cols.U[:, :order]
     E = -Y.conj().T @ pencil.L @ X
     A = -Y.conj().T @ pencil.Ls @ X
     B = Y.conj().T @ pencil.V

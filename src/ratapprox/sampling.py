@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PoleError, SymmetryError
+from .errors import PoleError, SampleError, SymmetryError
 
 CSV_HEADER = "re_s,im_s,re_f,im_f"
 
@@ -53,7 +53,8 @@ class SampleSet:
     """Ordered sample points with optional function values.
 
     ``symmetric`` records that the point multiset is closed under complex
-    conjugation; generators below guarantee it by construction.
+    conjugation; generators below guarantee it by construction.  An empty
+    set, or a point or value that is NaN or infinite, raises ``SampleError``.
     """
 
     points: np.ndarray
@@ -63,10 +64,14 @@ class SampleSet:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
+        if self.points.size == 0:
+            raise SampleError("sample set has no points")
+        _require_finite(self.points, "point(s)")
         if self.values is not None:
             self.values = np.asarray(self.values, dtype=complex)
             if self.values.shape != self.points.shape:
                 raise ValueError("values shape differs from points shape")
+            _require_finite(self.values, "value(s)")
         if len(np.unique(self.points)) != self.points.size:
             raise ValueError("duplicate sample points")
 
@@ -91,7 +96,7 @@ class SampleSet:
         rows = []
         seed = None
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
@@ -102,12 +107,28 @@ class SampleSet:
                     continue
                 if line.lower().startswith("re_s"):
                     continue
-                rows.append([float(t) for t in line.split(",")])
+                try:
+                    row = [float(t) for t in line.split(",")]
+                except ValueError:
+                    row = []
+                if len(row) != 4:
+                    raise SampleError(f"{path}:{lineno}: expected four numbers {CSV_HEADER}, got {line!r}")
+                rows.append(row)
+        if not rows:
+            raise SampleError(f"{path}: no sample rows")
         data = np.asarray(rows)
         points = data[:, 0] + 1j * data[:, 1]
         values = data[:, 2] + 1j * data[:, 3]
         symmetric = _is_conjugate_closed(points)
         return cls(points=points, values=values, symmetric=symmetric, seed=seed)
+
+
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise SampleError(
+            f"{bad.size} sample {what} not finite, the first at index {bad[0]}: {arr[bad[0]]}"
+        )
 
 
 def _is_conjugate_closed(points: np.ndarray) -> bool:

@@ -9,11 +9,14 @@ from ratapprox import (
     CompareConfig,
     PoleError,
     SampleSet,
+    build_pencil,
     compare_methods,
     detect_cancellations,
     error_grid,
     h_of_s,
     match_known_zeros,
+    partition,
+    truncate,
 )
 
 
@@ -115,6 +118,26 @@ class TestCompareMethods:
         table.to_csv(tmp_path / "cmp.csv", meta="x")
         header = (tmp_path / "cmp.csv").read_text().splitlines()[1]
         assert header == "method,order,max_error,argmax_re,argmax_im,poles_in_domain,status"
+
+    def test_oracle_evaluated_once_per_grid(self, small_bessel_samples):
+        evaluated = []
+
+        def oracle(s):
+            evaluated.append(np.size(s))
+            return h_of_s(s)
+
+        cfg = CompareConfig(
+            loewner_order=8, rloewner_order=7, aaa_max_order=12, vf_order=8,
+            aaa_tol=1e-11, vf_iterations=10, grid_nx=40, grid_ny=15,
+        )
+        table = compare_methods(small_bessel_samples, oracle, cfg)
+        assert all(r.status == "ok" for r in table.rows)
+        assert sum(evaluated) == 40 * 15
+        # each row is the error surface error_grid reports for that method
+        loewner_model = truncate(build_pencil(partition(small_bessel_samples)), order=8).model
+        report = error_grid(loewner_model, h_of_s, OMEGA, 40, 15)
+        assert table.rows[0].max_error == report.max_error
+        assert table.rows[0].argmax_point == report.argmax_point
 
     def test_small_benchmark_all_methods_succeed(self, small_bessel_samples):
         cfg = CompareConfig(

@@ -1,4 +1,6 @@
 import json
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -49,6 +51,11 @@ class TestFitEvalPolesProject:
         assert (tmp_path / "m.singular_values.csv").exists()
         model = load_model(model_path)
         assert model.order == 8
+        sv_lines = (tmp_path / "m.singular_values.csv").read_text().splitlines()
+        # the 105 samples split into a 52 x 53 pencil; small enough for a full SVD
+        assert sv_lines[1] == "# leading 52 of 52 singular values of [L, Ls]"
+        assert sv_lines[2] == "index,sigma,sigma_normalized"
+        assert len(sv_lines) == 3 + 52
 
         assert run("eval", "--model", str(model_path), "--nx", "50", "--ny", "21",
                    "--out-prefix", str(tmp_path / "m")) == 0
@@ -123,7 +130,39 @@ class TestCompare:
         assert "loewner" in out and "rloewner" in out and "aaa" in out and "vf" in out
 
 
+class TestThreadCap:
+    def run_sample(self, tmp_path):
+        return run("sample", "--grid", "structured", "--nx", "5", "--ny", "3",
+                   "--out", str(tmp_path / "s.csv"))
+
+    def test_warns_when_threadpoolctl_missing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RATAPPROX_THREADS", "1")
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
+        assert self.run_sample(tmp_path) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ratapprox: warning: RATAPPROX_THREADS=1 not applied")
+
+    def test_applies_limit_through_threadpoolctl(self, tmp_path, monkeypatch, capsys):
+        seen = []
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_limits = lambda limits=None: seen.append(limits)
+        monkeypatch.setenv("RATAPPROX_THREADS", "2")
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        assert self.run_sample(tmp_path) == 0
+        assert seen == [2]
+        assert capsys.readouterr().err == ""
+
+
 class TestErrors:
+    def test_nan_sample_reports_sample_error(self, tmp_path, capsys):
+        sample = tmp_path / "s.csv"
+        sample.write_text("re_s,im_s,re_f,im_f\n1,0,1,0\n2,0,nan,0\n3,0,1,0\n4,0,1,0\n")
+        assert run("fit", "--method", "loewner", "--in", str(sample),
+                   "--order", "1", "--out", str(tmp_path / "x.json")) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "SampleError"
+
     def test_missing_file_reports_json(self, capsys):
         assert run("fit", "--method", "loewner", "--in", "no_such.csv",
                    "--order", "3", "--out", "x.json") == 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ratapprox import PencilError
 from ratapprox.linalg import (
     finite_generalized_eigenvalues,
+    leading_svd,
     least_squares,
     smallest_singular_vector,
     svd,
@@ -50,6 +51,45 @@ class TestSvd:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             svd(np.zeros((0, 3)))
+
+
+class TestLeadingSvd:
+    @staticmethod
+    def decaying(rng, rows, cols):
+        """A matrix with singular values 2^0, 2^-1, ... and random singular vectors."""
+        k = min(rows, cols)
+        u, _ = np.linalg.qr(random_complex(rng, rows, k))
+        v, _ = np.linalg.qr(random_complex(rng, cols, k))
+        return (u * 2.0 ** -np.arange(k)) @ v.conj().T, u, v
+
+    @pytest.mark.parametrize("shape", [(120, 300), (300, 120)])
+    def test_leading_triplets_match_full_svd(self, shape):
+        rng = np.random.default_rng(5)
+        a, u, v = self.decaying(rng, *shape)
+        res = leading_svd(a, 30, np.random.default_rng(0))
+        assert res.U.shape == (shape[0], 30) and res.V.shape == (shape[1], 30)
+        full = svd(a).singular_values
+        assert np.abs(res.singular_values[:10] - full[:10]).max() <= 1e-14
+        # leading singular vectors agree up to a unit phase
+        assert np.allclose(np.abs(np.sum(res.U[:, :10].conj() * u[:, :10], axis=0)), 1.0, atol=1e-12)
+        assert np.allclose(np.abs(np.sum(res.V[:, :10].conj() * v[:, :10], axis=0)), 1.0, atol=1e-12)
+        k = res.U.shape[1]
+        assert np.linalg.norm(res.U.conj().T @ res.U - np.eye(k)) <= 1e-12
+        assert np.linalg.norm(res.V.conj().T @ res.V - np.eye(k)) <= 1e-12
+
+    def test_wide_sketch_falls_back_to_full_svd(self):
+        a = random_complex(np.random.default_rng(6), 40, 90)
+        rng = np.random.default_rng(0)
+        res = leading_svd(a, 20, rng)
+        full = svd(a)
+        assert np.array_equal(res.singular_values, full.singular_values)
+        assert np.array_equal(res.U, full.U)
+        # the fallback draws nothing
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_nonpositive_width_rejected(self):
+        with pytest.raises(ValueError):
+            leading_svd(np.eye(4), 0, np.random.default_rng(0))
 
 
 class TestLeastSquares:

@@ -23,7 +23,8 @@ from ratapprox import (
     truncate,
     zeros,
 )
-from ratapprox.loewner import DataPartition
+from ratapprox import linalg
+from ratapprox.loewner import DataPartition, StateSpaceModel
 
 
 def real_samples(values_fn, pts):
@@ -177,6 +178,84 @@ class TestTruncate:
         assert np.all(np.abs(vals.imag) <= 1e-8 * np.abs(vals))
         assert conjugate_closed(poles(red.model))
         assert conjugate_closed(zeros(red.model))
+
+
+@pytest.fixture(scope="module")
+def structured_pencil():
+    return build_pencil(partition(sample_oracle(structured_grid(OMEGA, 101, 21), h_of_s)))
+
+
+@pytest.fixture(scope="module")
+def structured_11(structured_pencil):
+    return truncate(structured_pencil, order=11)
+
+
+@pytest.fixture(scope="module")
+def full_svds(structured_pencil):
+    """The two full thin SVDs that truncation used to take: of [L, Ls] and [L; Ls]."""
+    return (
+        linalg.svd(np.hstack([structured_pencil.L, structured_pencil.Ls])),
+        linalg.svd(np.vstack([structured_pencil.L, structured_pencil.Ls])),
+    )
+
+
+class TestSketchedTruncation:
+    """truncate() computes only the leading singular subspaces (randomized sketch)."""
+
+    def test_sketch_width_is_order_plus_oversampling(self, structured_pencil, structured_11):
+        assert structured_pencil.shape == (1060, 1061)
+        assert structured_11.singular_values.size == 31
+        assert structured_11.singular_values_stacked.size == 31
+
+    def test_leading_singular_values_match_full_svd(self, structured_11, full_svds):
+        full_rows, full_cols = (res.singular_values for res in full_svds)
+        rows = structured_11.singular_values
+        cols = structured_11.singular_values_stacked
+        assert np.abs(rows[:12] - full_rows[:12]).max() <= 1e-13 * full_rows[0]
+        assert np.abs(cols[:12] - full_cols[:12]).max() <= 1e-13 * full_cols[0]
+
+    def test_in_domain_poles_match_full_svd_model(self, structured_pencil, structured_11, full_svds):
+        # the realization of truncate() with projectors from the full SVDs
+        Y = full_svds[0].U[:, :11]
+        X = full_svds[1].V[:, :11]
+        reference = poles(StateSpaceModel(
+            E=-Y.conj().T @ structured_pencil.L @ X,
+            A=-Y.conj().T @ structured_pencil.Ls @ X,
+            B=Y.conj().T @ structured_pencil.V,
+            C=structured_pencil.W @ X,
+        ))
+        reference = reference[OMEGA.contains(reference)]
+        got = poles(structured_11.model)
+        got = got[OMEGA.contains(got)]
+        assert got.size == reference.size == 3
+        assert match_distance(got, reference) <= 1e-12
+        assert match_distance(reference, got) <= 1e-12
+
+    def test_repeated_calls_are_byte_identical(self, structured_pencil, structured_11):
+        again = truncate(structured_pencil, order=11).model
+        for name in ("E", "A", "B", "C"):
+            assert getattr(again, name).tobytes() == getattr(structured_11.model, name).tobytes()
+
+    def test_tolerance_mode_doubles_the_sketch_past_twenty(self):
+        samples, *_ = rational_samples(26, 0, n_pairs=150)
+        pencil = build_pencil(partition(samples))
+        full = linalg.svd(np.hstack([pencil.L, pencil.Ls])).singular_values
+        expected = int(np.nonzero(full / full[0] <= 1e-10)[0][0])
+        red = truncate(pencil, tol=1e-10)
+        assert red.model.order == expected > 20
+        # one doubling (21 -> 42), short of the full 150 values
+        assert red.singular_values.size == 42
+
+    def test_global_random_state_untouched(self):
+        samples, *_ = rational_samples(3, 4, n_pairs=60)
+        pencil = build_pencil(partition(samples))
+        np.random.seed(1)
+        before = np.random.get_state()
+        red = truncate(pencil, order=3)
+        after = np.random.get_state()
+        # the sketch path was taken: fewer values than the full SVD's 60
+        assert red.singular_values.size == 23
+        assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
 
 
 class TestPolesZeros:

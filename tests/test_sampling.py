@@ -7,6 +7,7 @@ from ratapprox import (
     OMEGA,
     Domain,
     PoleError,
+    SampleError,
     SampleSet,
     SymmetryError,
     h_of_s,
@@ -117,6 +118,33 @@ class TestSampleSet:
         assert np.array_equal(loaded.values, samples.values)
         assert loaded.symmetric
         assert loaded.seed == 9
+
+    def test_empty_sets_rejected(self, tmp_path):
+        with pytest.raises(SampleError):
+            SampleSet(points=np.array([], dtype=complex))
+        path = tmp_path / "empty.csv"
+        path.write_text("# only a comment\nre_s,im_s,re_f,im_f\n")
+        with pytest.raises(SampleError):
+            SampleSet.from_csv(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_and_values_rejected(self, bad):
+        pts = np.array([1.0 + 0j, 2.0 + 0j])
+        with pytest.raises(SampleError):
+            SampleSet(points=pts, values=np.array([1.0, complex(0.0, bad)]))
+        with pytest.raises(SampleError):
+            SampleSet(points=np.array([1.0, complex(bad, 0.0)]))
+        with pytest.raises(SampleError):
+            SampleSet(points=pts).with_values(np.array([bad, 1.0]))
+
+    def test_csv_with_nan_value_or_short_row_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("re_s,im_s,re_f,im_f\n1,0,0.5,0\n2,0,nan,0\n")
+        with pytest.raises(SampleError):
+            SampleSet.from_csv(path)
+        path.write_text("re_s,im_s,re_f,im_f\n1,0,0.5,0\n2,0,0.5\n")
+        with pytest.raises(SampleError, match=":3:"):
+            SampleSet.from_csv(path)
 
     def test_csv_requires_values(self, tmp_path):
         with pytest.raises(ValueError):

@@ -76,6 +76,15 @@ def test_j0_rejects_points_outside_validity_radius():
         bessel_j0(51.0)
     with pytest.raises(EvaluationDomainError):
         bessel_j0(np.array([1.0, 30.0 + 45.0j]))
+    # the series is already wrong in the 9th digit here
+    with pytest.raises(EvaluationDomainError):
+        bessel_j0(25.0)
+
+
+@pytest.mark.parametrize("s", [10.0, 15.0, 20.0])
+def test_j0_matches_mpmath_up_to_validity_radius(s):
+    ref = complex(mp.besselj(0, s))
+    assert abs(bessel_j0(s) - ref) <= 1e-11 * abs(ref)
 
 
 def test_j0_array_and_scalar_paths_agree():
