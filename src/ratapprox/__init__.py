@@ -41,7 +41,6 @@ from .loewner import (
     ProjectedPoints,
     StateSpaceModel,
     build_pencil,
-    eval_state_space,
     partition,
     poles,
     projected_points,
@@ -101,7 +100,6 @@ __all__ = [
     "error_grid",
     "eval_barycentric",
     "eval_pole_residue",
-    "eval_state_space",
     "fit_aaa",
     "fit_greedy",
     "fit_vf",

@@ -19,8 +19,6 @@ from . import linalg
 from .errors import StagnationError
 from .sampling import SampleSet
 
-_EVAL_CHUNK = 50000
-
 
 @dataclass
 class BarycentricModel:
@@ -52,6 +50,10 @@ class BarycentricModel:
 
     __call__ = eval
 
+    def poles_zeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """Poles and zeros by :func:`barycentric_poles_zeros`."""
+        return barycentric_poles_zeros(self)
+
 
 @dataclass
 class AaaStep:
@@ -66,27 +68,21 @@ def eval_barycentric(model: BarycentricModel, s):
     value.  Where the denominator vanishes exactly away from support points
     the result is complex infinity.
     """
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    pts = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
-    out = np.empty(pts.size, dtype=complex)
     zj = model.support_points
     wf = model.weights * model.support_values
-    for lo in range(0, pts.size, _EVAL_CHUNK):
-        chunk = pts[lo : lo + _EVAL_CHUNK]
+
+    def quotient(chunk):
         with np.errstate(divide="ignore", invalid="ignore"):
             cauchy = 1.0 / (chunk[:, None] - zj[None, :])
             vals = (cauchy @ wf) / (cauchy @ model.weights)
-        out[lo : lo + _EVAL_CHUNK] = vals
-    for j, z in enumerate(zj):
-        hit = pts == z
-        if np.any(hit):
-            out[hit] = model.support_values[j]
-    bad = np.isnan(out)
-    if np.any(bad):
-        out[bad] = np.inf
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(s))
+        for j, z in enumerate(zj):
+            hit = chunk == z
+            if np.any(hit):
+                vals[hit] = model.support_values[j]
+        vals[np.isnan(vals)] = np.inf
+        return vals
+
+    return linalg.eval_chunked(quotient, s)
 
 
 def _solve_weights(row_points, row_values, support_points, support_values, real_mode):
@@ -98,7 +94,7 @@ def _solve_weights(row_points, row_values, support_points, support_values, real_
     cauchy = 1.0 / (row_points[:, None] - support_points[None, :])
     loewner_rows = (row_values[:, None] - support_values[None, :]) * cauchy
     if not real_mode:
-        return linalg.smallest_singular_vector(loewner_rows), loewner_rows.shape
+        return linalg.smallest_singular_vector(loewner_rows)
 
     # Constrain w(conj s_j) = conj(w_j): one complex free weight per
     # conjugate pair, one real weight per real support point.  Assemble a
@@ -140,7 +136,7 @@ def _solve_weights(row_points, row_values, support_points, support_values, real_
     norm = np.linalg.norm(weights)
     if norm > 0:
         weights = weights / norm
-    return weights, stacked.shape
+    return weights
 
 
 def fit_aaa(
@@ -196,7 +192,7 @@ def fit_aaa(
                 f"residual matrix has {int(mask.sum())} rows for {len(support_idx)} "
                 f"columns; tolerance {tol:g} unreachable on this data"
             )
-        weights, _ = _solve_weights(points[mask], values[mask], zs, fs, real_mode)
+        weights = _solve_weights(points[mask], values[mask], zs, fs, real_mode)
         model = BarycentricModel(support_points=zs, support_values=fs, weights=weights)
         resid = np.abs(eval_barycentric(model, points[mask]) - values[mask])
         worst = int(np.argmax(resid))
@@ -292,5 +288,5 @@ def cleanup(
     zs = model.support_points[keep]
     fs = model.support_values[keep]
     rows = ~np.isin(samples.points, zs)
-    weights, _ = _solve_weights(samples.points[rows], samples.values[rows], zs, fs, real_mode=False)
+    weights = _solve_weights(samples.points[rows], samples.values[rows], zs, fs, real_mode=False)
     return BarycentricModel(support_points=zs, support_values=fs, weights=weights)

@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .errors import PoleError, RatApproxError
-from .sampling import Domain, SampleSet
-
-_EVAL_CHUNK = 50000
+from .sampling import Domain, SampleSet, write_csv
 
 
 @dataclass
@@ -36,13 +35,9 @@ class ErrorReport:
         return _grid_points(self.domain, self.nx, self.ny)
 
     def to_csv(self, path, meta: str | None = None) -> None:
-        pts = self.grid_points()
-        with open(path, "w") as fh:
-            if meta:
-                fh.write(f"# {meta}\n")
-            fh.write("re_s,im_s,abs_error\n")
-            for p, e in zip(pts, self.errors):
-                fh.write(f"{p.real:.17g},{p.imag:.17g},{e:.17g}\n")
+        write_csv(path, meta, "re_s,im_s,abs_error", (
+            f"{p.real:.17g},{p.imag:.17g},{e:.17g}" for p, e in zip(self.grid_points(), self.errors)
+        ))
 
     def to_svg(self, path, max_cells: tuple[int, int] = (250, 100)) -> None:
         write_heatmap_svg(self, path, max_cells=max_cells)
@@ -80,21 +75,27 @@ def oracle_grid(oracle, domain: Domain, nx: int = 500, ny: int = 500) -> OracleG
     if nx < 2 or ny < 2:
         raise ValueError("need nx >= 2 and ny >= 2")
     pts = _grid_points(domain, nx, ny)
-    values = np.empty(pts.size, dtype=complex)
-    excluded = np.zeros(pts.size, dtype=bool)
-    for lo in range(0, pts.size, _EVAL_CHUNK):
-        chunk = pts[lo : lo + _EVAL_CHUNK]
+    excluded = []  # one mask per chunk, in evaluation order
+
+    def sweep(chunk):
+        mask = np.zeros(chunk.size, dtype=bool)
         try:
-            values[lo : lo + _EVAL_CHUNK] = np.asarray(oracle(chunk), dtype=complex)
+            vals = np.asarray(oracle(chunk), dtype=complex)
         except PoleError:
             # rare path: pin down the offending points one by one
+            vals = np.empty(chunk.size, dtype=complex)
             for k, s in enumerate(chunk):
                 try:
-                    values[lo + k] = complex(oracle(s))
+                    vals[k] = complex(oracle(s))
                 except PoleError:
-                    values[lo + k] = np.nan
-                    excluded[lo + k] = True
-    return OracleGrid(domain=domain, nx=nx, ny=ny, points=pts, values=values, excluded=excluded)
+                    vals[k] = np.nan
+                    mask[k] = True
+        excluded.append(mask)
+        return vals
+
+    values = linalg.eval_chunked(sweep, pts)
+    return OracleGrid(domain=domain, nx=nx, ny=ny, points=pts, values=values,
+                      excluded=np.concatenate(excluded))
 
 
 def model_error(model, truth: OracleGrid, method_tag: str = "", order: int = 0) -> ErrorReport:
@@ -223,16 +224,12 @@ class ComparisonTable:
 
     def to_csv(self, path, meta: str | None = None) -> None:
         # timings are excluded here so identical runs produce identical bytes
-        with open(path, "w") as fh:
-            if meta:
-                fh.write(f"# {meta}\n")
-            fh.write("method,order,max_error,argmax_re,argmax_im,poles_in_domain,status\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.method},{r.order},{r.max_error:.17g},"
-                    f"{r.argmax_point.real:.17g},{r.argmax_point.imag:.17g},"
-                    f"{r.poles_in_domain},{r.status}\n"
-                )
+        write_csv(path, meta, "method,order,max_error,argmax_re,argmax_im,poles_in_domain,status", (
+            f"{r.method},{r.order},{r.max_error:.17g},"
+            f"{r.argmax_point.real:.17g},{r.argmax_point.imag:.17g},"
+            f"{r.poles_in_domain},{r.status}"
+            for r in self.rows
+        ))
 
     def to_text(self) -> str:
         header = f"{'method':<10} {'order':>5} {'max error':>12} {'poles in domain':>16} {'time [s]':>9}  status"
@@ -259,21 +256,16 @@ def compare_methods(samples: SampleSet, oracle, config: CompareConfig | None = N
 
     def run_loewner():
         pencil = loewner.build_pencil(loewner.partition(samples, cfg.partition_scheme))
-        red = loewner.truncate(pencil, order=cfg.loewner_order)
-        return red.model, loewner.poles(red.model)
+        return loewner.truncate(pencil, order=cfg.loewner_order).model
 
     def run_rloewner():
-        res = greedy.fit_greedy(samples, order_target=cfg.rloewner_order, seed=cfg.seed)
-        return res.model, loewner.poles(res.model)
+        return greedy.fit_greedy(samples, order_target=cfg.rloewner_order, seed=cfg.seed).model
 
     def run_aaa():
-        model, _ = aaa_mod.fit_aaa(samples, tol=cfg.aaa_tol, max_order=cfg.aaa_max_order)
-        poles, _ = aaa_mod.barycentric_poles_zeros(model)
-        return model, poles
+        return aaa_mod.fit_aaa(samples, tol=cfg.aaa_tol, max_order=cfg.aaa_max_order)[0]
 
     def run_vf():
-        model, _ = vectorfit.fit_vf(samples, order=cfg.vf_order, n_iter=cfg.vf_iterations)
-        return model, model.poles
+        return vectorfit.fit_vf(samples, order=cfg.vf_order, n_iter=cfg.vf_iterations)[0]
 
     # the oracle surface is shared by all methods; computed at the first
     # successful fit, so a table of failed fits costs no oracle sweep
@@ -288,15 +280,15 @@ def compare_methods(samples: SampleSet, oracle, config: CompareConfig | None = N
     ):
         started = time.perf_counter()
         try:
-            model, poles = runner()
+            model = runner()
             if truth is None:
                 truth = oracle_grid(oracle, cfg.domain, cfg.grid_nx, cfg.grid_ny)
             report = model_error(model, truth, method_tag=name)
-            order = getattr(model, "order", 0)
+            poles = model.poles_zeros()[0]
             rows.append(
                 MethodRow(
                     method=name,
-                    order=order,
+                    order=model.order,
                     max_error=report.max_error,
                     argmax_point=report.argmax_point,
                     elapsed_s=time.perf_counter() - started,

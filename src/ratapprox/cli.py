@@ -139,10 +139,11 @@ def _side_path(out: str, suffix: str) -> str:
 def _cmd_fit(args) -> int:
     from . import aaa as aaa_mod
     from . import greedy, loewner, vectorfit
-    from .sampling import SampleSet
+    from .sampling import SampleSet, write_csv
     from .serialize import save_model
 
     samples = SampleSet.from_csv(args.infile)
+    meta_line = _meta_line(args, args.seed)
     meta = {"version": __version__, "seed": args.seed,
             "command": " ".join(getattr(args, "_argv", sys.argv[1:])),
             "method": args.method, "source": args.infile}
@@ -156,12 +157,9 @@ def _cmd_fit(args) -> int:
         sv_path = _side_path(args.out, "singular_values.csv")
         sigma = red.singular_values
         q, k = pencil.shape
-        with open(sv_path, "w") as fh:
-            fh.write(f"# {_meta_line(args, args.seed)}\n")
-            fh.write(f"# leading {sigma.size} of {min(q, 2 * k)} singular values of [L, Ls]\n")
-            fh.write("index,sigma,sigma_normalized\n")
-            for i, s in enumerate(sigma):
-                fh.write(f"{i + 1},{s:.17g},{s / sigma[0]:.17g}\n")
+        write_csv(sv_path, meta_line, "index,sigma,sigma_normalized",
+                  (f"{i + 1},{s:.17g},{s / sigma[0]:.17g}" for i, s in enumerate(sigma)),
+                  comments=[f"leading {sigma.size} of {min(q, 2 * k)} singular values of [L, Ls]"])
         print(f"loewner order {red.model.order}; model -> {args.out}, "
               f"singular values -> {sv_path}")
         return 0
@@ -171,13 +169,11 @@ def _cmd_fit(args) -> int:
         result = greedy.fit_greedy(samples, order_target=order, seed=args.seed)
         save_model(result.model, args.out, meta=meta | {"order": result.model.order})
         hist_path = _side_path(args.out, "history.csv")
-        with open(hist_path, "w") as fh:
-            fh.write(f"# {_meta_line(args, args.seed)}\n")
-            fh.write("step,n_left,n_right,max_error,chosen_re,chosen_im\n")
-            for step in result.history:
-                for point in step.chosen:
-                    fh.write(f"{step.step},{step.n_left},{step.n_right},"
-                             f"{step.max_error:.17g},{point.real:.17g},{point.imag:.17g}\n")
+        write_csv(hist_path, meta_line, "step,n_left,n_right,max_error,chosen_re,chosen_im", (
+            f"{step.step},{step.n_left},{step.n_right},"
+            f"{step.max_error:.17g},{point.real:.17g},{point.imag:.17g}"
+            for step in result.history for point in step.chosen
+        ))
         print(f"rloewner order {result.model.order} in {len(result.history)} steps; "
               f"model -> {args.out}, history -> {hist_path}")
         return 0
@@ -194,17 +190,11 @@ def _cmd_fit(args) -> int:
             model = aaa_mod.cleanup(model, samples)
         save_model(model, args.out, meta=meta | {"order": model.order})
         hist_path = _side_path(args.out, "history.csv")
-        with open(hist_path, "w") as fh:
-            fh.write(f"# {_meta_line(args, args.seed)}\n")
-            fh.write("order,max_error\n")
-            for step in history:
-                fh.write(f"{step.order},{step.max_error:.17g}\n")
+        write_csv(hist_path, meta_line, "order,max_error",
+                  (f"{step.order},{step.max_error:.17g}" for step in history))
         support_path = _side_path(args.out, "support.csv")
-        with open(support_path, "w") as fh:
-            fh.write(f"# {_meta_line(args, args.seed)}\n")
-            fh.write("re_s,im_s\n")
-            for z in model.support_points:
-                fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+        write_csv(support_path, meta_line, "re_s,im_s",
+                  (f"{z.real:.17g},{z.imag:.17g}" for z in model.support_points))
         print(f"aaa order {model.order}; model -> {args.out}, history -> {hist_path}, "
               f"support points -> {support_path}")
         return 0
@@ -214,11 +204,9 @@ def _cmd_fit(args) -> int:
     model, history = vectorfit.fit_vf(samples, order=order, n_iter=args.iters)
     save_model(model, args.out, meta=meta | {"order": model.order})
     hist_path = _side_path(args.out, "history.csv")
-    with open(hist_path, "w") as fh:
-        fh.write(f"# {_meta_line(args, args.seed)}\n")
-        fh.write("iter,max_pole_move,linearized_residual\n")
-        for it in history:
-            fh.write(f"{it.iteration},{it.max_pole_move:.17g},{it.linearized_residual:.17g}\n")
+    write_csv(hist_path, meta_line, "iter,max_pole_move,linearized_residual", (
+        f"{it.iteration},{it.max_pole_move:.17g},{it.linearized_residual:.17g}" for it in history
+    ))
     flagged = sum(it.ill_conditioned for it in history)
     note = f" ({flagged} ill-conditioned iterations)" if flagged else ""
     print(f"vf order {model.order} in {len(history)} iterations{note}; "
@@ -235,7 +223,7 @@ def _cmd_eval(args) -> int:
     model = load_model(args.model)
     domain = args.domain or OMEGA
     report = error_grid(model, h_of_s, domain, args.nx, args.ny,
-                        method_tag=Path(args.model).stem, order=getattr(model, "order", 0))
+                        method_tag=Path(args.model).stem, order=model.order)
     csv_path = f"{args.out_prefix}.errors.csv"
     svg_path = f"{args.out_prefix}.heatmap.svg"
     summary_path = f"{args.out_prefix}.summary.json"
@@ -268,22 +256,6 @@ def _fmt_value(z: complex) -> str:
     return f"{z.real:.15g} {sign} {abs(z.imag):.5g}i"
 
 
-def _model_poles_zeros(model):
-    from .aaa import BarycentricModel, barycentric_poles_zeros
-    from .loewner import StateSpaceModel
-    from .loewner import poles as ss_poles
-    from .loewner import zeros as ss_zeros
-    from .vectorfit import PoleResidueModel, pr_poles_zeros
-
-    if isinstance(model, StateSpaceModel):
-        return ss_poles(model), ss_zeros(model)
-    if isinstance(model, BarycentricModel):
-        return barycentric_poles_zeros(model)
-    if isinstance(model, PoleResidueModel):
-        return pr_poles_zeros(model)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
 def _cmd_poles(args) -> int:
     import numpy as np
 
@@ -292,7 +264,7 @@ def _cmd_poles(args) -> int:
     from .special import BESSEL_J0_ZEROS
 
     model = load_model(args.model)
-    poles, zeros = _model_poles_zeros(model)
+    poles, zeros = model.poles_zeros()
     poles = np.sort_complex(poles)
     zeros = np.sort_complex(zeros)
     print(f"poles ({poles.size}):")
@@ -321,7 +293,7 @@ def _cmd_project(args) -> int:
     import numpy as np
 
     from .loewner import build_pencil, partition, projected_points, truncate
-    from .sampling import SampleSet
+    from .sampling import SampleSet, write_csv
 
     samples = SampleSet.from_csv(args.infile)
     pencil = build_pencil(partition(samples, args.scheme))
@@ -334,37 +306,38 @@ def _cmd_project(args) -> int:
     for z in np.sort_complex(proj.mu_hat):
         print(f"  {_fmt_value(z)}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(f"# {_meta_line(args)}\n")
-            fh.write("side,re,im\n")
-            for z in proj.lambda_hat:
-                fh.write(f"right,{z.real:.17g},{z.imag:.17g}\n")
-            for z in proj.mu_hat:
-                fh.write(f"left,{z.real:.17g},{z.imag:.17g}\n")
+        write_csv(args.out, _meta_line(args), "side,re,im", (
+            f"{side},{z.real:.17g},{z.imag:.17g}"
+            for side, zs in (("right", proj.lambda_hat), ("left", proj.mu_hat)) for z in zs
+        ))
     total = proj.lambda_hat.size + proj.mu_hat.size
     print(f"compression: {len(samples)} -> {total} interpolation points")
     return 0
 
 
 def _cmd_trajectories(args) -> int:
+    import numpy as np
+
     from .loewner import trajectory_study
-    from .sampling import OMEGA
+    from .sampling import OMEGA, write_csv
     from .special import h_of_s
 
     domain = args.domain or OMEGA
     steps = trajectory_study(h_of_s, domain, a=args.a, n_steps=args.steps,
                              order=args.order, scheme=args.scheme)
     path = f"{args.out_prefix}.trajectories.csv"
-    with open(path, "w") as fh:
-        fh.write(f"# {_meta_line(args)}\n")
-        fh.write("step,nx,ny,n_points,side,re,im\n")
-        for i, step in enumerate(steps, start=1):
-            for z in step.projected.lambda_hat:
-                fh.write(f"{i},{step.nx},{step.ny},{step.n_points},right,"
-                         f"{z.real:.17g},{z.imag:.17g}\n")
-            for z in step.projected.mu_hat:
-                fh.write(f"{i},{step.nx},{step.ny},{step.n_points},left,"
-                         f"{z.real:.17g},{z.imag:.17g}\n")
+    write_csv(path, _meta_line(args), "step,nx,ny,n_points,side,re,im", (
+        f"{i},{step.nx},{step.ny},{step.n_points},{side},{z.real:.17g},{z.imag:.17g}"
+        for i, step in enumerate(steps, start=1)
+        for side, zs in (("right", step.projected.lambda_hat), ("left", step.projected.mu_hat))
+        for z in zs
+    ))
+    for i, step in enumerate(steps, start=1):
+        # distance from the worst-placed right point to its nearest left point;
+        # it contracts as the grids densify
+        gap = max(float(np.min(np.abs(step.projected.mu_hat - lam))) for lam in step.projected.lambda_hat)
+        print(f"step {i}: {step.nx}x{step.ny} grid ({step.n_points} points), "
+              f"worst left/right pairing gap {gap:.3e}")
     print(f"wrote {len(steps)} densification steps to {path}")
     return 0
 
@@ -391,13 +364,19 @@ def _cmd_compare(args) -> int:
     table = compare_methods(samples, h_of_s, cfg)
     print(table.to_text())
     if args.out_prefix:
-        csv_path = f"{args.out_prefix}.compare.csv"
-        txt_path = f"{args.out_prefix}.compare.txt"
-        table.to_csv(csv_path, meta=_meta_line(args, args.seed))
-        with open(txt_path, "w") as fh:
-            fh.write(table.to_text() + "\n")
+        csv_path, txt_path = _write_compare(table, args.out_prefix, _meta_line(args, args.seed))
         print(f"wrote {csv_path} and {txt_path}")
     return 0
+
+
+def _write_compare(table, prefix, meta: str) -> tuple[str, str]:
+    """Write ``<prefix>.compare.csv`` and ``<prefix>.compare.txt``; return both paths."""
+    csv_path = f"{prefix}.compare.csv"
+    txt_path = f"{prefix}.compare.txt"
+    table.to_csv(csv_path, meta=meta)
+    with open(txt_path, "w") as fh:
+        fh.write(table.to_text() + "\n")
+    return csv_path, txt_path
 
 
 def _cmd_repro(args) -> int:
@@ -416,9 +395,7 @@ def _cmd_repro(args) -> int:
         samples.to_csv(sample_path, meta=_meta_line(args, seed))
         cfg = CompareConfig(grid_nx=args.nx, grid_ny=args.ny, seed=args.seed)
         table = compare_methods(samples, h_of_s, cfg)
-        table.to_csv(out / f"{name}.compare.csv", meta=_meta_line(args, seed))
-        with open(out / f"{name}.compare.txt", "w") as fh:
-            fh.write(table.to_text() + "\n")
+        _write_compare(table, out / name, _meta_line(args, seed))
         print(f"== {name} ({len(samples)} samples) ==")
         print(table.to_text())
         print()

@@ -24,6 +24,10 @@ INFINITY_CUTOFF = 1e8
 #: Finite eigenvalue candidates with a larger backward residual are discarded.
 RESIDUAL_TOL = 1e-6
 
+#: Points per batch in :func:`eval_chunked`.  A state-space batch holds
+#: chunk * r * r complex numbers per work array (about 39 MB at r = 11).
+_EVAL_CHUNK = 20000
+
 
 @dataclass
 class SvdResult:
@@ -87,6 +91,21 @@ def leading_svd(a, width: int, rng: np.random.Generator) -> SvdResult:
         q, _ = np.linalg.qr(a @ z)
     small = svd(q.conj().T @ a)
     return SvdResult(U=q @ small.U, singular_values=small.singular_values, V=small.V)
+
+
+def eval_chunked(kernel, s):
+    """Evaluate ``kernel`` at the points ``s`` in batches of ``_EVAL_CHUNK``.
+
+    ``kernel`` maps a 1-D complex array of points to their values.  Scalar
+    ``s`` gives a complex scalar, array ``s`` a complex array of its shape.
+    """
+    pts = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    out = np.empty(pts.size, dtype=complex)
+    for lo in range(0, pts.size, _EVAL_CHUNK):
+        out[lo : lo + _EVAL_CHUNK] = kernel(pts[lo : lo + _EVAL_CHUNK])
+    if np.ndim(s) == 0:
+        return complex(out[0])
+    return out.reshape(np.shape(s))
 
 
 def least_squares(a, b) -> np.ndarray:

@@ -38,8 +38,6 @@ RANK_GUARD = 1e-13
 _OVERSAMPLE = 20
 _SKETCH_SEED = 0
 
-_EVAL_CHUNK = 20000
-
 
 @dataclass
 class DataPartition:
@@ -119,25 +117,24 @@ class StateSpaceModel:
         Never forms an explicit inverse; array input is solved in batches.
         Raises ``PoleError`` when sE - A is singular at some requested point.
         """
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        pts = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
-        out = np.empty(pts.size, dtype=complex)
-        r = self.order
         b = self.B[:, None]
-        for lo in range(0, pts.size, _EVAL_CHUNK):
-            chunk = pts[lo : lo + _EVAL_CHUNK]
+
+        def solve(chunk):
             mats = chunk[:, None, None] * self.E[None] - self.A[None]
             try:
-                xs = np.linalg.solve(mats, np.broadcast_to(b, (chunk.size, r, 1)))
+                xs = np.linalg.solve(mats, np.broadcast_to(b, (chunk.size, self.order, 1)))
             except np.linalg.LinAlgError:
                 bad = _first_singular_point(self, chunk)
                 raise PoleError(f"sE - A is singular at s = {bad}", point=bad) from None
-            out[lo : lo + _EVAL_CHUNK] = (self.C[None, None, :] @ xs)[:, 0, 0]
-        if scalar:
-            return complex(out[0])
-        return out.reshape(np.shape(s))
+            return (self.C[None, None, :] @ xs)[:, 0, 0]
+
+        return linalg.eval_chunked(solve, s)
 
     __call__ = eval
+
+    def poles_zeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """Poles and zeros by :func:`poles` and :func:`zeros`."""
+        return poles(self), zeros(self)
 
 
 def _first_singular_point(model: StateSpaceModel, chunk: np.ndarray) -> complex:
@@ -331,11 +328,6 @@ def truncate(
         X=X,
         e_condition=float(np.linalg.cond(E)),
     )
-
-
-def eval_state_space(model: StateSpaceModel, s):
-    """Function-style alias for :meth:`StateSpaceModel.eval`."""
-    return model.eval(s)
 
 
 def poles(model: StateSpaceModel) -> np.ndarray:

@@ -16,6 +16,19 @@ from .errors import PoleError, SampleError, SymmetryError
 CSV_HEADER = "re_s,im_s,re_f,im_f"
 
 
+def write_csv(path, meta: str | None, header: str, rows, comments=()) -> None:
+    """Write a CSV file: ``# meta`` (if given), ``# comment`` lines, header, rows.
+
+    ``rows`` are the data lines, already formatted, without newlines.
+    """
+    with open(path, "w") as fh:
+        for line in ([meta] if meta else []) + list(comments):
+            fh.write(f"# {line}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned rectangle [x_min, x_max] x [y_min, y_max] in C."""
@@ -84,12 +97,10 @@ class SampleSet:
     def to_csv(self, path, meta: str | None = None) -> None:
         if self.values is None:
             raise ValueError("sample set has no values to write")
-        with open(path, "w") as fh:
-            if meta:
-                fh.write(f"# {meta}\n")
-            fh.write(CSV_HEADER + "\n")
-            for p, v in zip(self.points, self.values):
-                fh.write(f"{p.real:.17g},{p.imag:.17g},{v.real:.17g},{v.imag:.17g}\n")
+        write_csv(path, meta, CSV_HEADER, (
+            f"{p.real:.17g},{p.imag:.17g},{v.real:.17g},{v.imag:.17g}"
+            for p, v in zip(self.points, self.values)
+        ))
 
     @classmethod
     def from_csv(cls, path) -> "SampleSet":

@@ -27,35 +27,27 @@ def _decode(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+#: The one place that tells the model types apart: each class with its
+#: JSON type tag and its fields as {JSON key: attribute}, in file order.
+#: Complex arrays are encoded as above; float fields are stored as they are.
+_MODEL_TYPES = {
+    StateSpaceModel: ("state_space", {"E": "E", "A": "A", "B": "B", "C": "C"}),
+    BarycentricModel: (
+        "barycentric",
+        {"support": "support_points", "values": "support_values", "weights": "weights"},
+    ),
+    PoleResidueModel: ("pole_residue", {"poles": "poles", "residues": "residues", "d": "d", "h": "h"}),
+}
+
+
 def model_to_dict(model, meta: dict | None = None) -> dict:
-    if isinstance(model, StateSpaceModel):
-        doc = {
-            "type": "state_space",
-            "order": model.order,
-            "E": _encode(model.E),
-            "A": _encode(model.A),
-            "B": _encode(model.B),
-            "C": _encode(model.C),
-        }
-    elif isinstance(model, BarycentricModel):
-        doc = {
-            "type": "barycentric",
-            "order": model.order,
-            "support": _encode(model.support_points),
-            "values": _encode(model.support_values),
-            "weights": _encode(model.weights),
-        }
-    elif isinstance(model, PoleResidueModel):
-        doc = {
-            "type": "pole_residue",
-            "order": model.order,
-            "poles": _encode(model.poles),
-            "residues": _encode(model.residues),
-            "d": model.d,
-            "h": model.h,
-        }
-    else:
+    if type(model) not in _MODEL_TYPES:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+    tag, fields = _MODEL_TYPES[type(model)]
+    doc = {"type": tag, "order": model.order}
+    for key, attr in fields.items():
+        value = getattr(model, attr)
+        doc[key] = value if isinstance(value, float) else _encode(value)
     if meta:
         doc["meta"] = meta
     return doc
@@ -63,21 +55,12 @@ def model_to_dict(model, meta: dict | None = None) -> dict:
 
 def model_from_dict(doc: dict):
     kind = doc.get("type")
-    if kind == "state_space":
-        return StateSpaceModel(E=_decode(doc["E"]), A=_decode(doc["A"]), B=_decode(doc["B"]), C=_decode(doc["C"]))
-    if kind == "barycentric":
-        return BarycentricModel(
-            support_points=_decode(doc["support"]),
-            support_values=_decode(doc["values"]),
-            weights=_decode(doc["weights"]),
-        )
-    if kind == "pole_residue":
-        return PoleResidueModel(
-            poles=_decode(doc["poles"]),
-            residues=_decode(doc["residues"]),
-            d=doc["d"],
-            h=doc["h"],
-        )
+    for cls, (tag, fields) in _MODEL_TYPES.items():
+        if tag == kind:
+            return cls(**{
+                attr: _decode(doc[key]) if isinstance(doc[key], list) else doc[key]
+                for key, attr in fields.items()
+            })
     raise ValueError(f"unknown model type {kind!r}")
 
 

@@ -32,7 +32,6 @@ DIVERGENCE_RADIUS = 1e6
 ILL_CONDITION = 1e13
 
 _PAIR_TOL = 1e-9
-_EVAL_CHUNK = 50000
 
 
 @dataclass
@@ -58,6 +57,10 @@ class PoleResidueModel:
         return eval_pole_residue(self, s)
 
     __call__ = eval
+
+    def poles_zeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """Poles and zeros by :func:`pr_poles_zeros`."""
+        return pr_poles_zeros(self)
 
 
 @dataclass
@@ -288,19 +291,15 @@ def fit_vf(
 
 def eval_pole_residue(model: PoleResidueModel, s):
     """Direct summation of the pole-residue form."""
-    scalar = np.isscalar(s) or np.ndim(s) == 0
-    pts = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
-    out = np.empty(pts.size, dtype=complex)
-    for lo in range(0, pts.size, _EVAL_CHUNK):
-        chunk = pts[lo : lo + _EVAL_CHUNK]
+
+    def summed(chunk):
         diff = chunk[:, None] - model.poles[None, :]
         if np.any(diff == 0.0):
             bad = chunk[np.nonzero(np.any(diff == 0.0, axis=1))[0][0]]
             raise PoleError(f"evaluation exactly at pole s = {bad}", point=complex(bad))
-        out[lo : lo + _EVAL_CHUNK] = (1.0 / diff) @ model.residues + model.d + chunk * model.h
-    if scalar:
-        return complex(out[0])
-    return out.reshape(np.shape(s))
+        return (1.0 / diff) @ model.residues + model.d + chunk * model.h
+
+    return linalg.eval_chunked(summed, s)
 
 
 def pr_poles_zeros(model: PoleResidueModel) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,20 @@
+import dataclasses
 import json
 import sys
+import tempfile
 import types
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ratapprox import aaa, linalg, loewner, vectorfit
 from ratapprox.cli import main
+from ratapprox.errors import PoleError, RatApproxError
 from ratapprox.serialize import load_model, save_model
 
 
@@ -106,7 +115,7 @@ class TestFitEvalPolesProject:
 
 
 class TestTrajectories:
-    def test_writes_per_step_points(self, tmp_path):
+    def test_writes_per_step_points(self, tmp_path, capsys):
         prefix = tmp_path / "traj"
         assert run("trajectories", "--a", "4", "--steps", "2", "--order", "3",
                    "--out-prefix", str(prefix)) == 0
@@ -115,6 +124,15 @@ class TestTrajectories:
         # 2 steps x (3 right + 3 left) points
         assert len(lines) == 2 + 12
         assert lines[2].startswith("1,4,5,20,right,")
+        # per step: the largest distance from a right point to its nearest left point
+        out = capsys.readouterr().out.splitlines()
+        for i, (nx, ny, n) in enumerate(((4, 5, 20), (8, 9, 72)), start=1):
+            rows = [line.split(",") for line in lines[2:] if line.startswith(f"{i},")]
+            right = [complex(float(r[5]), float(r[6])) for r in rows if r[4] == "right"]
+            left = np.array([complex(float(r[5]), float(r[6])) for r in rows if r[4] == "left"])
+            gap = max(np.min(np.abs(left - z)) for z in right)
+            assert out[i - 1] == (f"step {i}: {nx}x{ny} grid ({n} points), "
+                                  f"worst left/right pairing gap {gap:.3e}")
 
 
 class TestCompare:
@@ -199,3 +217,101 @@ class TestSerialize:
         assert np.array_equal(loaded.A, model.A)
         assert np.array_equal(loaded.B, model.B)
         assert np.array_equal(loaded.C, model.C)
+
+
+_complexes = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+def _vectors(n, unique=False):
+    return hnp.arrays(complex, n, elements=_complexes, unique=unique)
+
+
+@st.composite
+def _state_space(draw):
+    r = draw(st.integers(1, 5))
+    square = hnp.arrays(complex, (r, r), elements=_complexes)
+    return loewner.StateSpaceModel(E=draw(square), A=draw(square), B=draw(_vectors(r)), C=draw(_vectors(r)))
+
+
+@st.composite
+def _barycentric(draw):
+    m = draw(st.integers(1, 6))
+    return aaa.BarycentricModel(support_points=draw(_vectors(m, unique=True)),
+                                support_values=draw(_vectors(m)),
+                                weights=draw(_vectors(m).filter(np.any)))
+
+
+@st.composite
+def _pole_residue(draw):
+    r = draw(st.integers(1, 6))
+    reals = st.floats(-1e3, 1e3)
+    return vectorfit.PoleResidueModel(poles=draw(_vectors(r)), residues=draw(_vectors(r)),
+                                      d=draw(reals), h=draw(st.just(0.0) | reals))
+
+
+# each type: strategy, JSON field keys in file order, module-level poles/zeros
+_MODEL_CASES = {
+    "state_space": (_state_space(), ["E", "A", "B", "C"],
+                    lambda m: (loewner.poles(m), loewner.zeros(m))),
+    "barycentric": (_barycentric(), ["support", "values", "weights"], aaa.barycentric_poles_zeros),
+    "pole_residue": (_pole_residue(), ["poles", "residues", "d", "h"], vectorfit.pr_poles_zeros),
+}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except RatApproxError as exc:
+        return exc
+
+
+class TestModelProtocol:
+    @pytest.mark.parametrize("kind", sorted(_MODEL_CASES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_poles_zeros_and_eval(self, kind, data):
+        strategy, keys, module_poles_zeros = _MODEL_CASES[kind]
+        model = data.draw(strategy)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            save_model(model, path, meta={"note": "test"})
+            doc = json.loads(path.read_text())
+            loaded = load_model(path)
+
+        assert list(doc) == ["type", "order", *keys, "meta"]
+        assert doc["type"] == kind and doc["order"] == model.order == loaded.order
+        for field in dataclasses.fields(model):
+            before, after = getattr(model, field.name), getattr(loaded, field.name)
+            assert type(after) is type(before)
+            assert np.array_equal(after, before), field.name
+
+        want, got = _outcome(lambda: module_poles_zeros(loaded)), _outcome(loaded.poles_zeros)
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+        # eval through the chunk helper: a scalar is a one-point chunk and a
+        # batch is its chunks joined, also at a support point (stored value)
+        # and at a stored pole (PoleError at the first offending point)
+        points = data.draw(_vectors(st.integers(1, 7)))
+        if kind == "barycentric":
+            points = np.append(points, loaded.support_points[0])
+            assert loaded.eval(loaded.support_points[0]) == loaded.support_values[0]
+        if kind == "pole_residue":
+            points = np.append(points, loaded.poles[0])
+            with pytest.raises(PoleError):
+                loaded.eval(loaded.poles[0])
+        with mock.patch.object(linalg, "_EVAL_CHUNK", 3):
+            batch = _outcome(lambda: loaded.eval(points.reshape(1, -1)))
+            parts = [_outcome(lambda c=points[i : i + 3]: loaded.eval(c)) for i in range(0, points.size, 3)]
+        singles = [_outcome(lambda p=p: loaded.eval(p)) for p in points]
+        failed = [p for p, v in zip(points, singles) if isinstance(v, Exception)]
+        if failed:
+            assert isinstance(batch, PoleError) and batch.point == failed[0]
+        else:
+            assert batch.shape == (1, points.size)
+            assert np.array_equal(batch[0], np.concatenate(parts), equal_nan=True)
+            for p, value in zip(points, singles):
+                assert type(value) is complex
+                assert np.array_equal(loaded.eval(np.array([p])), [value], equal_nan=True)
