@@ -75,12 +75,15 @@ def oracle_grid(oracle, domain: Domain, nx: int = 500, ny: int = 500) -> OracleG
     if nx < 2 or ny < 2:
         raise ValueError("need nx >= 2 and ny >= 2")
     pts = _grid_points(domain, nx, ny)
-    excluded = []  # one mask per chunk, in evaluation order
+    excluded = np.zeros(pts.size, dtype=bool)
 
-    def sweep(chunk):
-        mask = np.zeros(chunk.size, dtype=bool)
+    def sweep(index):
+        # batches of grid indices, so each one marks its own slice of the
+        # mask whichever thread evaluates it
+        lo = int(index[0].real)
+        chunk, mask = pts[lo : lo + index.size], excluded[lo : lo + index.size]
         try:
-            vals = np.asarray(oracle(chunk), dtype=complex)
+            return np.asarray(oracle(chunk), dtype=complex)
         except PoleError:
             # rare path: pin down the offending points one by one
             vals = np.empty(chunk.size, dtype=complex)
@@ -90,12 +93,10 @@ def oracle_grid(oracle, domain: Domain, nx: int = 500, ny: int = 500) -> OracleG
                 except PoleError:
                     vals[k] = np.nan
                     mask[k] = True
-        excluded.append(mask)
-        return vals
+            return vals
 
-    values = linalg.eval_chunked(sweep, pts)
-    return OracleGrid(domain=domain, nx=nx, ny=ny, points=pts, values=values,
-                      excluded=np.concatenate(excluded))
+    values = linalg.eval_chunked(sweep, np.arange(pts.size))
+    return OracleGrid(domain=domain, nx=nx, ny=ny, points=pts, values=values, excluded=excluded)
 
 
 def model_error(model, truth: OracleGrid, method_tag: str = "", order: int = 0) -> ErrorReport:

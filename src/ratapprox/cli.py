@@ -418,19 +418,25 @@ _COMMANDS = {
 def _apply_thread_cap() -> None:
     """Cap the BLAS thread pools at ``RATAPPROX_THREADS`` through threadpoolctl.
 
-    numpy has loaded its BLAS before the CLI runs, so setting the
-    ``*_NUM_THREADS`` variables here would no longer take effect.  When the
-    cap cannot be applied, a one-line warning on stderr says so.
+    The evaluation threads of ``linalg.eval_chunked`` read the same variable
+    themselves.  numpy has loaded its BLAS before the CLI runs, so setting
+    the ``*_NUM_THREADS`` variables here would no longer take effect.  When
+    the BLAS cap cannot be applied, a one-line warning on stderr says so.
     """
     cap = os.environ.get("RATAPPROX_THREADS")
     if not cap:
         return
     try:
         limit = int(cap)
+    except ValueError:
+        print(f"ratapprox: warning: RATAPPROX_THREADS={cap} not applied (not an integer)",
+              file=sys.stderr)
+        return
+    try:
         from threadpoolctl import threadpool_limits
-    except (ValueError, ImportError) as exc:
-        reason = "not an integer" if isinstance(exc, ValueError) else "threadpoolctl is not installed"
-        print(f"ratapprox: warning: RATAPPROX_THREADS={cap} not applied ({reason}); "
+    except ImportError:
+        print(f"ratapprox: warning: RATAPPROX_THREADS={cap} not applied to the BLAS thread pools "
+              "(threadpoolctl is not installed), only to the evaluation threads; "
               "set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS "
               "before starting instead", file=sys.stderr)
         return

@@ -8,6 +8,10 @@ generalized eigensolver filters infinite and spurious eigenvalues.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +29,13 @@ INFINITY_CUTOFF = 1e8
 RESIDUAL_TOL = 1e-6
 
 #: Points per batch in :func:`eval_chunked`.  A state-space batch holds
-#: chunk * r * r complex numbers per work array (about 39 MB at r = 11).
-_EVAL_CHUNK = 20000
+#: chunk * r * r complex numbers per work array (about 4 MB at r = 11), and
+#: every evaluating thread holds one batch.
+_EVAL_CHUNK = 2048
+
+#: Helper threads of :func:`eval_chunked`, created on first use.
+_pool = None
+_pool_lock = threading.Lock()
 
 
 @dataclass
@@ -98,14 +107,98 @@ def eval_chunked(kernel, s):
 
     ``kernel`` maps a 1-D complex array of points to their values.  Scalar
     ``s`` gives a complex scalar, array ``s`` a complex array of its shape.
+    Batches are spread over the calling thread and helper threads (see
+    :func:`_eval_threads`); each value depends only on its own batch, so the
+    result does not depend on the number of threads.  When batches raise,
+    the exception of the first failing batch is raised, as in a serial loop.
     """
     pts = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
     out = np.empty(pts.size, dtype=complex)
-    for lo in range(0, pts.size, _EVAL_CHUNK):
+
+    def run(lo):
         out[lo : lo + _EVAL_CHUNK] = kernel(pts[lo : lo + _EVAL_CHUNK])
+
+    _share(run, range(0, pts.size, _EVAL_CHUNK))
     if np.ndim(s) == 0:
         return complex(out[0])
     return out.reshape(np.shape(s))
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _eval_threads() -> int:
+    """Threads one evaluation may use, the calling thread included.
+
+    The CPUs this process may run on, capped by ``RATAPPROX_THREADS`` when
+    that holds an integer (the CLI warns when it does not).
+    """
+    cpus = _cpu_count()
+    try:
+        cap = int(os.environ.get("RATAPPROX_THREADS", ""))
+    except ValueError:
+        return cpus
+    return max(1, min(cpus, cap))
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _cpu_count() - 1), thread_name_prefix="ratapprox-eval")
+        return _pool
+
+
+def _share(run, starts: range) -> None:
+    """Call ``run(lo)`` for every ``lo`` in ``starts`` on this thread and helper threads.
+
+    One start runs inline, so the nested single-batch calls made by kernels
+    never touch the pool.  Otherwise all threads take starts from one
+    iterator in order; after a failure no thread takes a new start.  Every
+    start before a failing one has been taken, so once the started calls
+    have returned, the exception of the smallest failing start is the one a
+    serial loop would raise.
+    """
+    helpers = 0 if len(starts) <= 1 else min(_eval_threads(), len(starts)) - 1
+    if helpers == 0:
+        for lo in starts:
+            run(lo)
+        return
+    todo = iter(starts)
+    lock = threading.Lock()
+    stop = threading.Event()
+    failed = {}
+
+    def work():
+        while not stop.is_set():
+            with lock:
+                lo = next(todo, None)
+            if lo is None:
+                return
+            try:
+                run(lo)
+            except Exception as exc:  # noqa: BLE001 - re-raised below, in start order
+                failed[lo] = exc
+                stop.set()
+
+    pool = _helper_pool()
+    # each helper runs in a copy of the caller's context, which holds numpy's errstate
+    futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(helpers)]
+    try:
+        work()
+    finally:
+        stop.set()
+        for future in futures:
+            # a helper that never started (pool busy, e.g. with the caller's
+            # own outer evaluation) is not waited for: its starts are all taken
+            if not future.cancel():
+                future.result()
+    if failed:
+        raise failed[min(failed)]
 
 
 def least_squares(a, b) -> np.ndarray:

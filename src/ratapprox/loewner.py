@@ -120,7 +120,8 @@ class StateSpaceModel:
         b = self.B[:, None]
 
         def solve(chunk):
-            mats = chunk[:, None, None] * self.E[None] - self.A[None]
+            mats = np.multiply.outer(chunk, self.E)  # one r x r x chunk array, no temporary
+            mats -= self.A
             try:
                 xs = np.linalg.solve(mats, np.broadcast_to(b, (chunk.size, self.order, 1)))
             except np.linalg.LinAlgError:

@@ -160,6 +160,14 @@ class TestThreadCap:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("ratapprox: warning: RATAPPROX_THREADS=1 not applied")
+        assert "not applied to the BLAS thread pools" in err[0] and "only to the evaluation threads" in err[0]
+
+    def test_non_integer_cap_is_not_applied(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RATAPPROX_THREADS", "two")
+        assert self.run_sample(tmp_path) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["ratapprox: warning: RATAPPROX_THREADS=two not applied (not an integer)"]
+        assert linalg._eval_threads() == linalg._cpu_count()
 
     def test_applies_limit_through_threadpoolctl(self, tmp_path, monkeypatch, capsys):
         seen = []

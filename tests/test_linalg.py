@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratapprox import PencilError
+import ratapprox
+from ratapprox import OMEGA, PencilError, PoleError, aaa, linalg, loewner, vectorfit
+from ratapprox.analysis import oracle_grid
 from ratapprox.linalg import (
     finite_generalized_eigenvalues,
     leading_svd,
@@ -207,3 +216,169 @@ def test_svd_reconstruction_property(seed):
     res = svd(a)
     approx = res.U @ np.diag(res.singular_values) @ res.V.conj().T
     assert np.linalg.norm(a - approx) <= 1e-12 * max(1.0, np.linalg.norm(a))
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Batches of 7 points shared by the calling thread and 3 helpers of a pool of this test's own."""
+    monkeypatch.setattr(linalg, "_EVAL_CHUNK", 7)
+    monkeypatch.setattr(linalg, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(linalg, "_pool", None)
+    monkeypatch.delenv("RATAPPROX_THREADS", raising=False)
+    yield
+    if linalg._pool is not None:
+        linalg._pool.shutdown(wait=True)
+
+
+def serial(evaluate, pts):
+    """The reference: one single-batch call per batch, joined."""
+    return np.concatenate([evaluate(pts[lo : lo + 7]) for lo in range(0, pts.size, 7)])
+
+
+def finish_within(seconds, fn):
+    """Run ``fn`` on its own thread and return its result, failing if it has not returned in time."""
+    box = []
+    worker = threading.Thread(target=lambda: box.append(fn()), daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"no result within {seconds} s"
+    return box[0]
+
+
+def three_model_forms():
+    rng = np.random.default_rng(5)
+    r = 4
+    return [
+        loewner.StateSpaceModel(E=random_complex(rng, r, r), A=random_complex(rng, r, r),
+                                B=random_complex(rng, r, 1), C=random_complex(rng, r, 1)),
+        aaa.BarycentricModel(support_points=random_complex(rng, 5, 1).ravel(),
+                             support_values=random_complex(rng, 5, 1).ravel(),
+                             weights=random_complex(rng, 5, 1).ravel()),
+        vectorfit.PoleResidueModel(poles=random_complex(rng, r, 1).ravel(),
+                                   residues=random_complex(rng, r, 1).ravel(), d=0.5, h=0.25),
+    ]
+
+
+def spiky_oracle(poles, slow_point=None):
+    """1/(s - 50), raising PoleError for any batch that holds one of ``poles``."""
+
+    def oracle(s):
+        s = np.asarray(s, dtype=complex)
+        if slow_point is not None and np.any(s == slow_point):
+            time.sleep(0.05)  # this batch finishes after the ones taken later
+        hit = np.isin(s, poles)
+        if np.any(hit):
+            raise PoleError("pole", point=complex(s[hit][0]) if s.ndim else complex(s))
+        return 1.0 / (s - 50.0)
+
+    return oracle
+
+
+class TestPooledEval:
+    @pytest.mark.parametrize("model", three_model_forms(), ids=["state_space", "barycentric", "pole_residue"])
+    def test_equals_serial_loop_bitwise(self, pooled, model):
+        pts = random_complex(np.random.default_rng(6), 100, 1).ravel()
+        got = model.eval(pts.reshape(4, 25))
+        assert got.shape == (4, 25)
+        assert got.ravel().tobytes() == serial(model.eval, pts).tobytes()
+
+    def test_oracle_grid_equals_serial_run(self, pooled, monkeypatch):
+        # 11 x 3 grid over [0, 10] x [-1, 1]: 2 - 1j is index 2 (batch 0),
+        # 5 + 0j is index 16 (batch 2); batch 0 is made to finish last
+        poles = np.array([2 - 1j, 5 + 0j])
+        grid = oracle_grid(spiky_oracle(poles, slow_point=0 - 1j), OMEGA, 11, 3)
+        assert np.flatnonzero(grid.excluded).tolist() == [2, 16]
+        assert np.flatnonzero(np.isnan(grid.values)).tolist() == [2, 16]
+        monkeypatch.setenv("RATAPPROX_THREADS", "1")
+        ref = oracle_grid(spiky_oracle(poles), OMEGA, 11, 3)
+        assert np.array_equal(grid.excluded, ref.excluded)
+        assert grid.values.tobytes() == ref.values.tobytes()
+
+    def test_earliest_failing_batch_raises(self, pooled):
+        pts = np.arange(40, dtype=complex)
+        # batch 1 (points 7..13) fails late, batch 4 (points 28..34) at once
+        with pytest.raises(PoleError) as info:
+            linalg.eval_chunked(spiky_oracle([30, 10], slow_point=7), pts)
+        assert info.value.point == 10
+
+    def test_helpers_keep_the_callers_errstate(self, pooled):
+        seen = []
+
+        def kernel(chunk):
+            time.sleep(0.01)  # long enough for the helpers to take batches too
+            seen.append((threading.get_ident(), np.geterr()["divide"]))
+            return chunk
+
+        with np.errstate(divide="raise"):
+            linalg.eval_chunked(kernel, np.arange(42, dtype=complex))
+        assert len({ident for ident, _ in seen}) > 1
+        assert {mode for _, mode in seen} == {"raise"}
+
+    def test_model_eval_as_oracle_does_not_deadlock(self, pooled):
+        model = three_model_forms()[0]
+        grid = finish_within(60, lambda: oracle_grid(model.eval, OMEGA, 13, 9))
+        assert grid.values.tobytes() == serial(model.eval, grid.points).tobytes()
+        assert not grid.excluded.any()
+
+    def test_single_batch_starts_no_thread(self, pooled):
+        model = three_model_forms()[0]
+        before = threading.active_count()
+        model.eval(np.arange(7, dtype=complex))
+        model.eval(3.0)
+        assert linalg._pool is None
+        assert threading.active_count() == before
+
+    def test_every_batch_evaluated_once_under_contention(self, pooled, monkeypatch):
+        # more threads than cores and a short switch interval
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(linalg, "_EVAL_CHUNK", 3)
+        seen = []
+
+        def kernel(chunk):
+            seen.append(int(chunk[0].real))
+            return chunk * 2 + 1
+
+        pts = np.arange(3000, dtype=complex)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = finish_within(60, lambda: linalg.eval_chunked(kernel, pts))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == list(range(0, 3000, 3))
+        assert np.array_equal(got, pts * 2 + 1)
+
+
+_THREAD_PROBE = """
+import hashlib, os
+import numpy as np
+from ratapprox import linalg, loewner
+tasks = lambda: len(os.listdir("/proc/self/task"))
+model = loewner.StateSpaceModel(E=np.eye(3), A=np.diag([1j, 2j, 3j]), B=np.ones(3), C=np.ones(3))
+pts = np.linspace(0, 10, 5 * linalg._EVAL_CHUNK) + 0.5j
+before = tasks()
+vals = model.eval(pts)
+print(tasks() - before, linalg._eval_threads(), hashlib.sha256(vals.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads")
+def test_ratapprox_threads_caps_evaluation_threads():
+    src = str(Path(ratapprox.__file__).resolve().parents[1])
+
+    def probe(cap):
+        env = {k: v for k, v in os.environ.items() if k != "RATAPPROX_THREADS"}
+        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        if cap is not None:
+            env["RATAPPROX_THREADS"] = cap
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        started, threads, digest = done.stdout.split()
+        return int(started), int(threads), digest
+
+    started, threads, capped_digest = probe("1")
+    assert (started, threads) == (0, 1)
+    started, threads, digest = probe(None)
+    assert threads == linalg._cpu_count()
+    assert (started == 0) if threads == 1 else (1 <= started <= threads - 1)
+    assert digest == capped_digest
