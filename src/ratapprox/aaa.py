@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import StagnationError
+from .errors import InsufficientDataError, StagnationError, SymmetryError
 from .sampling import SampleSet
 
 
@@ -159,16 +159,22 @@ def fit_aaa(
 
     Raises
     ------
+    InsufficientDataError
+        If the samples carry no values, or there are fewer than 2 of them.
+    SymmetryError
+        If ``real_mode`` meets a sample whose conjugate is not a sample.
     StagnationError
         If the residual matrix runs out of rows (more support points than
         remaining samples) before the tolerance is met.
     """
     if samples.values is None:
-        raise ValueError("samples carry no values; run sample_oracle first")
+        raise InsufficientDataError("samples carry no values; run sample_oracle first")
     if len(samples) < 2:
-        raise ValueError("need at least 2 samples")
+        raise InsufficientDataError("need at least 2 samples")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_order < 1:
+        raise ValueError("max_order must be at least 1")
     points = samples.points
     values = samples.values
     scale = float(np.max(np.abs(values)))
@@ -210,7 +216,7 @@ def _conjugate_index(points: np.ndarray, idx: int) -> int:
     target = points[idx].conjugate()
     hits = np.nonzero(points == target)[0]
     if hits.size == 0:
-        raise ValueError(f"real_mode needs conjugate-closed samples; no mate for {points[idx]}")
+        raise SymmetryError(f"real_mode needs conjugate-closed samples; no mate for {points[idx]}")
     return int(hits[0])
 
 

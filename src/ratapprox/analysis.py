@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import aaa, greedy, linalg, loewner, vectorfit
 from .errors import PoleError, RatApproxError
 from .sampling import Domain, SampleSet, write_csv
 
@@ -190,21 +190,67 @@ def match_known_zeros(poles, reference) -> list[ZeroMatch]:
     return out
 
 
+#: The settings each method takes, with their defaults.  :func:`fit` gives
+#: any setting left out or passed as None its value here.
+FIT_DEFAULTS: dict[str, dict] = {
+    # order is used only when tol is not given
+    "loewner": {"order": 11, "tol": None, "scheme": "epsilon_paired"},
+    "rloewner": {"order": 11, "seed": 0},
+    # order is the cap; seed=None starts at the sample farthest from the mean, a seed at random
+    "aaa": {"order": 30, "tol": 1e-13, "real_mode": False, "seed": None, "cleanup": False},
+    "vf": {"order": 12, "iters": 20},
+}
+
+
+def _given_settings(method: str, settings: dict) -> dict:
+    """The settings that are not None, after checking the method and their names."""
+    if method not in FIT_DEFAULTS:
+        raise ValueError(f"unknown method {method!r}; pick one of {', '.join(FIT_DEFAULTS)}")
+    unknown = sorted(set(settings) - set(FIT_DEFAULTS[method]))
+    if unknown:
+        raise ValueError(f"{method} takes no setting {', '.join(unknown)}; "
+                         f"its settings are {', '.join(FIT_DEFAULTS[method])}")
+    return {name: value for name, value in settings.items() if value is not None}
+
+
+def fit(method: str, samples: SampleSet, **settings):
+    """Fit ``samples`` by ``method`` (a key of :data:`FIT_DEFAULTS`); return ``(model, history)``.
+
+    ``history`` is the fit's own record: the :class:`~ratapprox.loewner.LoewnerReduction`,
+    the greedy steps, the AAA steps or the VF iterates.  An unknown method,
+    or a setting the method does not take, raises ``ValueError``.
+    """
+    given = _given_settings(method, settings)
+    s = FIT_DEFAULTS[method] | given
+    if method == "loewner":
+        pencil = loewner.build_pencil(loewner.partition(samples, s["scheme"]))
+        order = s["order"] if s["tol"] is None else given.get("order")
+        reduction = loewner.truncate(pencil, order=order, tol=s["tol"])
+        return reduction.model, reduction
+    if method == "rloewner":
+        result = greedy.fit_greedy(samples, order_target=s["order"], seed=s["seed"])
+        return result.model, result.history
+    if method == "aaa":
+        model, history = aaa.fit_aaa(samples, tol=s["tol"], max_order=s["order"],
+                                     real_mode=s["real_mode"], seed=s["seed"])
+        if s["cleanup"]:
+            model = aaa.cleanup(model, samples)
+        return model, history
+    return vectorfit.fit_vf(samples, order=s["order"], n_iter=s["iters"])
+
+
 @dataclass
 class CompareConfig:
-    """Orders and tolerances for the four-method comparison."""
+    """Per-method overrides of :data:`FIT_DEFAULTS` and the dense grid of the comparison."""
 
-    loewner_order: int = 11
-    rloewner_order: int = 11
-    aaa_tol: float = 1e-13
-    aaa_max_order: int = 30
-    vf_order: int = 12
-    vf_iterations: int = 20
+    settings: dict[str, dict] = field(default_factory=dict)
     grid_nx: int = 500
     grid_ny: int = 500
-    partition_scheme: str = "epsilon_paired"
-    seed: int = 0
     domain: Domain = field(default_factory=Domain)
+
+    def __post_init__(self):
+        for method, settings in self.settings.items():
+            _given_settings(method, settings)
 
 
 @dataclass
@@ -250,38 +296,16 @@ def compare_methods(samples: SampleSet, oracle, config: CompareConfig | None = N
     Methods that fail (too little data, divergence) get an error-flag row
     instead of aborting the table.
     """
-    from . import aaa as aaa_mod
-    from . import greedy, loewner, vectorfit
-
     cfg = config or CompareConfig()
-
-    def run_loewner():
-        pencil = loewner.build_pencil(loewner.partition(samples, cfg.partition_scheme))
-        return loewner.truncate(pencil, order=cfg.loewner_order).model
-
-    def run_rloewner():
-        return greedy.fit_greedy(samples, order_target=cfg.rloewner_order, seed=cfg.seed).model
-
-    def run_aaa():
-        return aaa_mod.fit_aaa(samples, tol=cfg.aaa_tol, max_order=cfg.aaa_max_order)[0]
-
-    def run_vf():
-        return vectorfit.fit_vf(samples, order=cfg.vf_order, n_iter=cfg.vf_iterations)[0]
-
     # the oracle surface is shared by all methods; computed at the first
     # successful fit, so a table of failed fits costs no oracle sweep
     truth: OracleGrid | None = None
 
     rows: list[MethodRow] = []
-    for name, runner in (
-        ("loewner", run_loewner),
-        ("rloewner", run_rloewner),
-        ("aaa", run_aaa),
-        ("vf", run_vf),
-    ):
+    for name in FIT_DEFAULTS:
         started = time.perf_counter()
         try:
-            model = runner()
+            model, _ = fit(name, samples, **cfg.settings.get(name, {}))
             if truth is None:
                 truth = oracle_grid(oracle, cfg.domain, cfg.grid_nx, cfg.grid_ny)
             report = model_error(model, truth, method_tag=name)

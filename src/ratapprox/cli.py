@@ -23,9 +23,12 @@ from pathlib import Path
 from . import __version__
 
 
-def _meta_line(args_namespace, seed=None) -> str:
-    cmd = " ".join(getattr(args_namespace, "_argv", None) or sys.argv[1:] or [args_namespace.command])
-    return f"ratapprox v{__version__} seed={seed if seed is not None else 'none'} cmd=\"{cmd}\""
+def _command_line(args) -> str:
+    return " ".join(getattr(args, "_argv", None) or sys.argv[1:] or [args.command])
+
+
+def _meta_line(args, seed=None) -> str:
+    return f"ratapprox v{__version__} seed={seed if seed is not None else 'none'} cmd=\"{_command_line(args)}\""
 
 
 def _parse_domain(text):
@@ -38,6 +41,9 @@ def _parse_domain(text):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .analysis import FIT_DEFAULTS
+    from .loewner import PARTITION_SCHEMES
+
     parser = argparse.ArgumentParser(prog="ratapprox", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ratapprox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -52,18 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fit", help="fit a rational model to a sample CSV")
-    p.add_argument("--method", choices=("loewner", "rloewner", "aaa", "vf"), required=True)
+    # settings left out take analysis.FIT_DEFAULTS; one the method does not take is an error
+    p.add_argument("--method", choices=tuple(FIT_DEFAULTS), required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--iters", type=int, default=20, help="vf pole-relocation iterations")
-    p.add_argument("--max-order", type=int, default=30, help="aaa order cap")
-    p.add_argument("--scheme", choices=("alternating", "half_split", "epsilon_paired"),
-                   default="epsilon_paired")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--real-mode", action="store_true", help="aaa: enforce real symmetry")
+    p.add_argument("--order", type=int, help="model order; the order cap for aaa")
+    p.add_argument("--tol", type=float, help="loewner: truncation tolerance; aaa: stopping tolerance")
+    p.add_argument("--iters", type=int, help="vf pole-relocation iterations")
+    p.add_argument("--scheme", choices=PARTITION_SCHEMES, help="loewner partition scheme")
+    p.add_argument("--seed", type=int, default=0, help="rloewner start; aaa start with --seed-random")
+    p.add_argument("--real-mode", action="store_true", default=None, help="aaa: enforce real symmetry")
     p.add_argument("--seed-random", action="store_true", help="aaa: random first support point")
-    p.add_argument("--cleanup", action="store_true", help="aaa: drop spurious pole/zero doublets")
+    p.add_argument("--cleanup", action="store_true", default=None, help="aaa: drop spurious pole/zero doublets")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="dense-grid error surface of a fitted model")
@@ -81,28 +86,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="projected interpolation points of a Loewner fit")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--order", type=int, default=11)
-    p.add_argument("--scheme", choices=("alternating", "half_split", "epsilon_paired"),
-                   default="epsilon_paired")
+    p.add_argument("--order", type=int, default=FIT_DEFAULTS["loewner"]["order"])
+    p.add_argument("--scheme", choices=PARTITION_SCHEMES, default=FIT_DEFAULTS["loewner"]["scheme"])
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("trajectories", help="projected points under grid densification")
     p.add_argument("--a", type=int, default=10)
     p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--order", type=int, default=11)
-    p.add_argument("--scheme", choices=("alternating", "half_split", "epsilon_paired"),
-                   default="epsilon_paired")
+    p.add_argument("--order", type=int, default=FIT_DEFAULTS["loewner"]["order"])
+    p.add_argument("--scheme", choices=PARTITION_SCHEMES, default=FIT_DEFAULTS["loewner"]["scheme"])
     p.add_argument("--domain", type=_parse_domain, default=None)
     p.add_argument("--out-prefix", required=True)
 
     p = sub.add_parser("compare", help="run all four methods on one sample CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--orders", default="11,11,13,12",
-                   help="loewner,rloewner,aaa-max,vf orders")
-    p.add_argument("--tol", type=float, default=1e-13, help="aaa stopping tolerance")
+    p.add_argument("--orders", help="loewner,rloewner,aaa-max,vf orders")
+    p.add_argument("--tol", type=float, help="aaa stopping tolerance")
     p.add_argument("--nx", type=int, default=500)
     p.add_argument("--ny", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="rloewner start")
     p.add_argument("--out-prefix", default=None)
 
     p = sub.add_parser("repro", help="full benchmark: both grids, all four methods")
@@ -132,85 +134,59 @@ def _cmd_sample(args) -> int:
 
 
 def _side_path(out: str, suffix: str) -> str:
-    root, ext = os.path.splitext(out)
-    return f"{root}.{suffix}"
+    return f"{os.path.splitext(out)[0]}.{suffix}"
 
 
 def _cmd_fit(args) -> int:
-    from . import aaa as aaa_mod
-    from . import greedy, loewner, vectorfit
+    from .analysis import fit
     from .sampling import SampleSet, write_csv
     from .serialize import save_model
 
     samples = SampleSet.from_csv(args.infile)
+    flags = {"order": args.order, "tol": args.tol, "iters": args.iters, "scheme": args.scheme,
+             "real_mode": args.real_mode, "cleanup": args.cleanup,
+             # --seed labels every run, and seeds the fit only where it picks a random start
+             "seed": args.seed if args.method == "rloewner" or args.seed_random else None}
+    model, history = fit(args.method, samples, **{k: v for k, v in flags.items() if v is not None})
     meta_line = _meta_line(args, args.seed)
-    meta = {"version": __version__, "seed": args.seed,
-            "command": " ".join(getattr(args, "_argv", sys.argv[1:])),
-            "method": args.method, "source": args.infile}
+    save_model(model, args.out, meta={"version": __version__, "seed": args.seed,
+                                      "command": _command_line(args), "method": args.method,
+                                      "source": args.infile, "order": model.order})
+    done = f"{args.method} order {model.order}"
 
     if args.method == "loewner":
-        pencil = loewner.build_pencil(loewner.partition(samples, args.scheme))
-        if args.order is None and args.tol is None:
-            args.order = 11
-        red = loewner.truncate(pencil, order=args.order, tol=args.tol)
-        save_model(red.model, args.out, meta=meta | {"order": red.model.order})
         sv_path = _side_path(args.out, "singular_values.csv")
-        sigma = red.singular_values
-        q, k = pencil.shape
+        sigma = history.singular_values
+        q, k = history.Y.shape[0], history.X.shape[0]
         write_csv(sv_path, meta_line, "index,sigma,sigma_normalized",
                   (f"{i + 1},{s:.17g},{s / sigma[0]:.17g}" for i, s in enumerate(sigma)),
                   comments=[f"leading {sigma.size} of {min(q, 2 * k)} singular values of [L, Ls]"])
-        print(f"loewner order {red.model.order}; model -> {args.out}, "
-              f"singular values -> {sv_path}")
+        print(f"{done}; model -> {args.out}, singular values -> {sv_path}")
         return 0
 
+    hist_path = _side_path(args.out, "history.csv")
+    outputs = f"model -> {args.out}, history -> {hist_path}"
     if args.method == "rloewner":
-        order = args.order or 11
-        result = greedy.fit_greedy(samples, order_target=order, seed=args.seed)
-        save_model(result.model, args.out, meta=meta | {"order": result.model.order})
-        hist_path = _side_path(args.out, "history.csv")
         write_csv(hist_path, meta_line, "step,n_left,n_right,max_error,chosen_re,chosen_im", (
             f"{step.step},{step.n_left},{step.n_right},"
             f"{step.max_error:.17g},{point.real:.17g},{point.imag:.17g}"
-            for step in result.history for point in step.chosen
+            for step in history for point in step.chosen
         ))
-        print(f"rloewner order {result.model.order} in {len(result.history)} steps; "
-              f"model -> {args.out}, history -> {hist_path}")
-        return 0
-
-    if args.method == "aaa":
-        model, history = aaa_mod.fit_aaa(
-            samples,
-            tol=args.tol or 1e-13,
-            max_order=args.order or args.max_order,
-            real_mode=args.real_mode,
-            seed=args.seed if args.seed_random else None,
-        )
-        if args.cleanup:
-            model = aaa_mod.cleanup(model, samples)
-        save_model(model, args.out, meta=meta | {"order": model.order})
-        hist_path = _side_path(args.out, "history.csv")
+        print(f"{done} in {len(history)} steps; {outputs}")
+    elif args.method == "aaa":
         write_csv(hist_path, meta_line, "order,max_error",
                   (f"{step.order},{step.max_error:.17g}" for step in history))
         support_path = _side_path(args.out, "support.csv")
         write_csv(support_path, meta_line, "re_s,im_s",
                   (f"{z.real:.17g},{z.imag:.17g}" for z in model.support_points))
-        print(f"aaa order {model.order}; model -> {args.out}, history -> {hist_path}, "
-              f"support points -> {support_path}")
-        return 0
-
-    # vf
-    order = args.order or 12
-    model, history = vectorfit.fit_vf(samples, order=order, n_iter=args.iters)
-    save_model(model, args.out, meta=meta | {"order": model.order})
-    hist_path = _side_path(args.out, "history.csv")
-    write_csv(hist_path, meta_line, "iter,max_pole_move,linearized_residual", (
-        f"{it.iteration},{it.max_pole_move:.17g},{it.linearized_residual:.17g}" for it in history
-    ))
-    flagged = sum(it.ill_conditioned for it in history)
-    note = f" ({flagged} ill-conditioned iterations)" if flagged else ""
-    print(f"vf order {model.order} in {len(history)} iterations{note}; "
-          f"model -> {args.out}, history -> {hist_path}")
+        print(f"{done}; {outputs}, support points -> {support_path}")
+    else:
+        write_csv(hist_path, meta_line, "iter,max_pole_move,linearized_residual", (
+            f"{it.iteration},{it.max_pole_move:.17g},{it.linearized_residual:.17g}" for it in history
+        ))
+        flagged = sum(it.ill_conditioned for it in history)
+        note = f" ({flagged} ill-conditioned iterations)" if flagged else ""
+        print(f"{done} in {len(history)} iterations{note}; {outputs}")
     return 0
 
 
@@ -343,24 +319,18 @@ def _cmd_trajectories(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .analysis import CompareConfig, compare_methods
+    from .analysis import FIT_DEFAULTS, CompareConfig, compare_methods
     from .sampling import SampleSet
     from .special import h_of_s
 
     samples = SampleSet.from_csv(args.infile)
-    orders = [int(t) for t in args.orders.split(",")]
+    orders = [None] * 4 if args.orders is None else [int(t) for t in args.orders.split(",")]
     if len(orders) != 4:
         raise ValueError("--orders needs four comma-separated integers")
-    cfg = CompareConfig(
-        loewner_order=orders[0],
-        rloewner_order=orders[1],
-        aaa_max_order=orders[2],
-        vf_order=orders[3],
-        aaa_tol=args.tol,
-        grid_nx=args.nx,
-        grid_ny=args.ny,
-        seed=args.seed,
-    )
+    settings = {method: {"order": order} for method, order in zip(FIT_DEFAULTS, orders)}
+    settings["rloewner"]["seed"] = args.seed
+    settings["aaa"]["tol"] = args.tol
+    cfg = CompareConfig(settings=settings, grid_nx=args.nx, grid_ny=args.ny)
     table = compare_methods(samples, h_of_s, cfg)
     print(table.to_text())
     if args.out_prefix:
@@ -393,7 +363,7 @@ def _cmd_repro(args) -> int:
     for name, samples, seed in cases:
         sample_path = out / f"{name}.samples.csv"
         samples.to_csv(sample_path, meta=_meta_line(args, seed))
-        cfg = CompareConfig(grid_nx=args.nx, grid_ny=args.ny, seed=args.seed)
+        cfg = CompareConfig(settings={"rloewner": {"seed": args.seed}}, grid_nx=args.nx, grid_ny=args.ny)
         table = compare_methods(samples, h_of_s, cfg)
         _write_compare(table, out / name, _meta_line(args, seed))
         print(f"== {name} ({len(samples)} samples) ==")

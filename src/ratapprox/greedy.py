@@ -15,17 +15,13 @@ import numpy as np
 
 from . import linalg
 from .errors import InsufficientDataError, PartitionError, SymmetryError
-from .loewner import DataPartition, StateSpaceModel, build_pencil, truncate
+from .loewner import RANK_GUARD, DataPartition, StateSpaceModel, build_pencil, truncate
 from .sampling import SampleSet, conjugate_groups
 
 #: Stop once the selection error has failed to halve this many steps in a row
 #: (only after the target order is reachable).
 STALL_STEPS = 5
 STALL_FACTOR = 0.5
-
-#: Singular values below this (relative) bound do not count towards the
-#: usable rank of the interim pencils.
-RANK_TOL = 1e-13
 
 
 @dataclass
@@ -63,6 +59,8 @@ def fit_greedy(
     """
     if samples.values is None:
         raise InsufficientDataError("samples carry no values; run sample_oracle first")
+    if order_target < 1:
+        raise ValueError("order must be at least 1")
     if len(samples) < 2 * order_target:
         raise InsufficientDataError(
             f"{len(samples)} samples cannot support order {order_target}; "
@@ -153,6 +151,6 @@ def _fit_current(pts, vals, left_idx, right_idx, order_target):
     pencil = build_pencil(part)
     # cap the interim order at the numerical rank so E stays invertible
     sigma = linalg.svd(np.hstack([pencil.L, pencil.Ls])).singular_values
-    rank = max(1, int(np.sum(sigma > RANK_TOL * sigma[0])))
+    rank = max(1, int(np.sum(sigma > RANK_GUARD * sigma[0])))
     order = min(order_target, rank, len(left_idx), len(right_idx))
     return truncate(pencil, order=order).model, order

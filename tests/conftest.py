@@ -79,6 +79,15 @@ def conjugate_closed(points, tol=1e-8):
     )
 
 
+#: Orders and tolerances that the 21 x 5 grid below supports, as ``CompareConfig.settings``.
+SMALL_FIT_SETTINGS = {
+    "loewner": {"order": 8},
+    "rloewner": {"order": 7},
+    "aaa": {"order": 12, "tol": 1e-11},
+    "vf": {"order": 8, "iters": 10},
+}
+
+
 @pytest.fixture(scope="session")
 def small_bessel_samples():
     """A 21 x 5 structured grid with oracle values; enough for order ~8 fits."""

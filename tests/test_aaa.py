@@ -5,7 +5,9 @@ import pytest
 from conftest import rational_samples
 from ratapprox import (
     BarycentricModel,
+    InsufficientDataError,
     StagnationError,
+    SymmetryError,
     barycentric_poles_zeros,
     cleanup,
     eval_barycentric,
@@ -87,6 +89,21 @@ class TestFit:
         samples, *_ = rational_samples(2, 7, n_pairs=8)
         with pytest.raises(ValueError):
             fit_aaa(samples, tol=0.0)
+
+    def test_order_cap_must_be_positive(self):
+        samples, *_ = rational_samples(2, 7, n_pairs=8)
+        with pytest.raises(ValueError):
+            fit_aaa(samples, max_order=0)
+
+    def test_input_errors_are_typed(self):
+        samples, *_ = rational_samples(2, 7, n_pairs=8)
+        with pytest.raises(InsufficientDataError):
+            fit_aaa(SampleSet(points=samples.points))
+        with pytest.raises(InsufficientDataError):
+            fit_aaa(SampleSet(points=samples.points[:1], values=samples.values[:1]))
+        open_set = SampleSet(points=samples.points[::2], values=samples.values[::2])
+        with pytest.raises(SymmetryError):
+            fit_aaa(open_set, real_mode=True)
 
 
 class TestEval:

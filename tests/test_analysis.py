@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rational_samples
+from conftest import SMALL_FIT_SETTINGS, rational_samples
 from ratapprox import (
     OMEGA,
     CompareConfig,
+    InsufficientDataError,
     PoleError,
     SampleSet,
     build_pencil,
@@ -18,6 +21,8 @@ from ratapprox import (
     partition,
     truncate,
 )
+from ratapprox import aaa, greedy, loewner, vectorfit
+from ratapprox.analysis import FIT_DEFAULTS, fit
 
 
 class TestErrorGrid:
@@ -126,10 +131,7 @@ class TestCompareMethods:
             evaluated.append(np.size(s))
             return h_of_s(s)
 
-        cfg = CompareConfig(
-            loewner_order=8, rloewner_order=7, aaa_max_order=12, vf_order=8,
-            aaa_tol=1e-11, vf_iterations=10, grid_nx=40, grid_ny=15,
-        )
+        cfg = CompareConfig(settings=SMALL_FIT_SETTINGS, grid_nx=40, grid_ny=15)
         table = compare_methods(small_bessel_samples, oracle, cfg)
         assert all(r.status == "ok" for r in table.rows)
         assert sum(evaluated) == 40 * 15
@@ -140,13 +142,100 @@ class TestCompareMethods:
         assert table.rows[0].argmax_point == report.argmax_point
 
     def test_small_benchmark_all_methods_succeed(self, small_bessel_samples):
-        cfg = CompareConfig(
-            loewner_order=8, rloewner_order=7, aaa_max_order=12, vf_order=8,
-            aaa_tol=1e-11, vf_iterations=10, grid_nx=40, grid_ny=15,
-        )
+        cfg = CompareConfig(settings=SMALL_FIT_SETTINGS, grid_nx=40, grid_ny=15)
         table = compare_methods(small_bessel_samples, h_of_s, cfg)
         assert all(r.status == "ok" for r in table.rows)
         assert all(np.isfinite(r.max_error) for r in table.rows)
         assert all(r.max_error < 1e-2 for r in table.rows)
         # every method should see the three true poles inside the rectangle
         assert all(r.poles_in_domain >= 3 for r in table.rows)
+
+
+def assert_identical(a, b):
+    """Equal values, with arrays equal bit for bit, through dataclasses and lists."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_identical(x, y)
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_identical(getattr(a, f.name), getattr(b, f.name))
+    else:
+        assert a == b or (a != a and b != b)
+
+
+class TestFit:
+    """``analysis.fit`` is the module call with the settings of ``FIT_DEFAULTS``."""
+
+    @staticmethod
+    def direct(method, samples, **s):
+        if method == "loewner":
+            red = loewner.truncate(loewner.build_pencil(loewner.partition(samples, s["scheme"])),
+                                   order=s["order"] if s["tol"] is None else None, tol=s["tol"])
+            return red.model, red
+        if method == "rloewner":
+            result = greedy.fit_greedy(samples, order_target=s["order"], seed=s["seed"])
+            return result.model, result.history
+        if method == "aaa":
+            model, history = aaa.fit_aaa(samples, tol=s["tol"], max_order=s["order"],
+                                         real_mode=s["real_mode"], seed=s["seed"])
+            return (aaa.cleanup(model, samples) if s["cleanup"] else model), history
+        return vectorfit.fit_vf(samples, order=s["order"], n_iter=s["iters"])
+
+    def test_table_holds_the_documented_defaults(self):
+        assert FIT_DEFAULTS == {
+            "loewner": {"order": 11, "tol": None, "scheme": "epsilon_paired"},
+            "rloewner": {"order": 11, "seed": 0},
+            "aaa": {"order": 30, "tol": 1e-13, "real_mode": False, "seed": None, "cleanup": False},
+            "vf": {"order": 12, "iters": 20},
+        }
+
+    @pytest.mark.parametrize("method", sorted(FIT_DEFAULTS))
+    def test_defaults_equal_the_direct_call(self, method, medium_bessel_samples):
+        model, history = fit(method, medium_bessel_samples)
+        assert_identical((model, history), self.direct(method, medium_bessel_samples, **FIT_DEFAULTS[method]))
+        # None is the default too
+        assert_identical(fit(method, medium_bessel_samples, order=None), (model, history))
+
+    @pytest.mark.parametrize("method, settings", [
+        ("loewner", {"tol": 1e-8, "scheme": "half_split"}),
+        ("rloewner", {"order": 9, "seed": 3}),
+        ("aaa", {"order": 10, "real_mode": True, "cleanup": True, "seed": 2}),
+        ("vf", {"order": 10, "iters": 4}),
+    ])
+    def test_settings_override_the_table(self, method, settings, medium_bessel_samples):
+        assert_identical(fit(method, medium_bessel_samples, **settings),
+                         self.direct(method, medium_bessel_samples, **FIT_DEFAULTS[method] | settings))
+
+    def test_loewner_order_and_tol_together_are_rejected(self, small_bessel_samples):
+        with pytest.raises(ValueError, match="exactly one"):
+            fit("loewner", small_bessel_samples, order=5, tol=1e-8)
+
+    @pytest.mark.parametrize("method, settings", [
+        ("newton", {}),
+        ("vf", {"tol": 1e-3}),
+        ("aaa", {"iters": 3}),
+        ("rloewner", {"scheme": "half_split"}),
+        ("loewner", {"seed": 0}),
+        ("aaa", {"max_order": 9}),
+    ])
+    def test_unknown_method_or_setting_raises(self, method, settings, small_bessel_samples):
+        with pytest.raises(ValueError):
+            fit(method, small_bessel_samples, **settings)
+
+    @pytest.mark.parametrize("settings", [{"newton": {}}, {"vf": {"tol": 1e-3}}])
+    def test_compare_config_rejects_what_fit_would(self, settings):
+        with pytest.raises(ValueError):
+            CompareConfig(settings=settings)
+
+    def test_one_sample_gives_four_error_rows(self):
+        pts = np.array([2.0 + 0.5j])
+        samples = SampleSet(points=pts).with_values(1.0 / (pts + 1.0))
+        table = compare_methods(samples, h_of_s, CompareConfig(grid_nx=10, grid_ny=5))
+        assert [r.method for r in table.rows] == list(FIT_DEFAULTS)
+        assert all(r.status.startswith("error") for r in table.rows)
+        with pytest.raises(InsufficientDataError):
+            aaa.fit_aaa(samples)

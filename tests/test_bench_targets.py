@@ -11,6 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+from conftest import SMALL_FIT_SETTINGS  # noqa: E402
 from layers import all_targets  # noqa: E402
 
 from ratapprox import aaa, greedy, loewner, vectorfit  # noqa: E402
@@ -33,8 +34,7 @@ def test_compare_methods_calls_each_fit_through_its_module(small_bessel_samples,
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, spy)
-    cfg = CompareConfig(loewner_order=8, rloewner_order=7, aaa_max_order=12, vf_order=8,
-                        aaa_tol=1e-11, vf_iterations=10, grid_nx=10, grid_ny=5)
+    cfg = CompareConfig(settings=SMALL_FIT_SETTINGS, grid_nx=10, grid_ny=5)
     table = compare_methods(small_bessel_samples, h_of_s, cfg)
     assert all(row.status == "ok" for row in table.rows)
     assert sorted(set(called)) == ["fit_aaa", "fit_greedy", "fit_vf", "truncate"]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shlex
 import sys
 import tempfile
 import types
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ratapprox import aaa, linalg, loewner, vectorfit
+from ratapprox import aaa, cli, linalg, loewner, vectorfit
 from ratapprox.cli import main
 from ratapprox.errors import PoleError, RatApproxError
 from ratapprox.serialize import load_model, save_model
@@ -203,6 +204,63 @@ class TestErrors:
                    "--order", "3", "--tol", "0.5", "--out", "x.json") == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ValueError"
+
+    @pytest.fixture()
+    def small_csv(self, tmp_path):
+        path = tmp_path / "s.csv"
+        run("sample", "--grid", "structured", "--nx", "11", "--ny", "5", "--out", str(path))
+        return path
+
+    @pytest.mark.parametrize("method, flags", [
+        ("vf", ["--order", "0"]),
+        ("rloewner", ["--order", "0"]),
+        ("aaa", ["--order", "0"]),
+        ("aaa", ["--tol", "0"]),
+        ("loewner", ["--order", "0"]),
+        ("loewner", ["--tol", "0"]),
+    ])
+    def test_zero_is_a_value_not_the_default(self, small_csv, tmp_path, capsys, method, flags):
+        out = tmp_path / "m.json"
+        assert run("fit", "--method", method, "--in", str(small_csv), *flags, "--out", str(out)) == 1
+        # truncate reports a Loewner order outside [1, rank] as RankError, a ValueError
+        assert json.loads(capsys.readouterr().err.strip())["error"] in ("ValueError", "RankError")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, flags", [
+        ("vf", ["--tol", "1e-3"]),
+        ("aaa", ["--iters", "3"]),
+        ("rloewner", ["--scheme", "half_split"]),
+        ("loewner", ["--real-mode"]),
+        ("vf", ["--cleanup"]),
+        ("loewner", ["--seed-random"]),
+    ])
+    def test_flag_the_method_does_not_use_is_rejected(self, small_csv, tmp_path, capsys, method, flags):
+        out = tmp_path / "m.json"
+        assert run("fit", "--method", method, "--in", str(small_csv), *flags, "--out", str(out)) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, order", [("loewner", 4), ("rloewner", 4), ("aaa", 6), ("vf", 4)])
+    def test_seed_labels_every_method(self, small_csv, tmp_path, method, order):
+        out = tmp_path / "m.json"
+        assert run("fit", "--method", method, "--in", str(small_csv), "--order", str(order),
+                   "--seed", "5", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["meta"]["seed"] == 5
+
+
+def test_readme_command_lines_parse():
+    """Every ``ratapprox`` line of the README's command-line block is accepted by the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("ratapprox ")]
+    rejected = []
+    for argv in commands:
+        try:
+            cli.build_parser().parse_args(argv[1:])
+        except SystemExit:
+            rejected.append(" ".join(argv))
+    assert rejected == []
+    assert {argv[1] for argv in commands} == set(cli._COMMANDS)
 
 
 class TestSerialize:
