@@ -14,10 +14,12 @@ from .analysis import (
     CompareConfig,
     ComparisonTable,
     ErrorReport,
+    OracleGrid,
     compare_methods,
     detect_cancellations,
     error_grid,
     match_known_zeros,
+    oracle_grid,
 )
 from .errors import (
     ComputationError,
@@ -30,6 +32,7 @@ from .errors import (
     RankError,
     RatApproxError,
     SampleError,
+    SettingError,
     StagnationError,
     SymmetryError,
 )
@@ -79,6 +82,7 @@ __all__ = [
     "LoewnerPencil",
     "LoewnerReduction",
     "OMEGA",
+    "OracleGrid",
     "PartitionError",
     "PencilError",
     "PoleError",
@@ -87,6 +91,7 @@ __all__ = [
     "RankError",
     "RatApproxError",
     "SampleError",
+    "SettingError",
     "SampleSet",
     "StagnationError",
     "StateSpaceModel",
@@ -106,6 +111,7 @@ __all__ = [
     "h_of_s",
     "load_model",
     "match_known_zeros",
+    "oracle_grid",
     "partition",
     "poles",
     "pr_poles_zeros",

@@ -241,12 +241,9 @@ def fit(method: str, samples: SampleSet, **settings):
 
 @dataclass
 class CompareConfig:
-    """Per-method overrides of :data:`FIT_DEFAULTS` and the dense grid of the comparison."""
+    """Per-method overrides of :data:`FIT_DEFAULTS` for the comparison."""
 
     settings: dict[str, dict] = field(default_factory=dict)
-    grid_nx: int = 500
-    grid_ny: int = 500
-    domain: Domain = field(default_factory=Domain)
 
     def __post_init__(self):
         for method, settings in self.settings.items():
@@ -290,24 +287,21 @@ class ComparisonTable:
         return "\n".join(lines)
 
 
-def compare_methods(samples: SampleSet, oracle, config: CompareConfig | None = None) -> ComparisonTable:
-    """Fit all four methods on the same samples and tabulate dense-grid errors.
+def compare_methods(samples: SampleSet, truth: OracleGrid, config: CompareConfig | None = None) -> ComparisonTable:
+    """Fit all four methods on the same samples and tabulate their errors against ``truth``.
 
-    Methods that fail (too little data, divergence) get an error-flag row
-    instead of aborting the table.
+    ``truth`` holds the oracle on the dense grid (see :func:`oracle_grid`);
+    one grid serves any number of comparisons on the same domain.  Poles
+    are counted inside ``truth.domain``.  Methods that fail (too little
+    data, divergence, an invalid setting) get an error-flag row instead of
+    aborting the table.
     """
     cfg = config or CompareConfig()
-    # the oracle surface is shared by all methods; computed at the first
-    # successful fit, so a table of failed fits costs no oracle sweep
-    truth: OracleGrid | None = None
-
     rows: list[MethodRow] = []
     for name in FIT_DEFAULTS:
         started = time.perf_counter()
         try:
             model, _ = fit(name, samples, **cfg.settings.get(name, {}))
-            if truth is None:
-                truth = oracle_grid(oracle, cfg.domain, cfg.grid_nx, cfg.grid_ny)
             report = model_error(model, truth, method_tag=name)
             poles = model.poles_zeros()[0]
             rows.append(
@@ -317,7 +311,7 @@ def compare_methods(samples: SampleSet, oracle, config: CompareConfig | None = N
                     max_error=report.max_error,
                     argmax_point=report.argmax_point,
                     elapsed_s=time.perf_counter() - started,
-                    poles_in_domain=int(np.count_nonzero(cfg.domain.contains(poles))),
+                    poles_in_domain=int(np.count_nonzero(truth.domain.contains(poles))),
                 )
             )
         except RatApproxError as exc:

@@ -319,8 +319,8 @@ def _cmd_trajectories(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .analysis import FIT_DEFAULTS, CompareConfig, compare_methods
-    from .sampling import SampleSet
+    from .analysis import FIT_DEFAULTS, CompareConfig, compare_methods, oracle_grid
+    from .sampling import OMEGA, SampleSet
     from .special import h_of_s
 
     samples = SampleSet.from_csv(args.infile)
@@ -330,8 +330,8 @@ def _cmd_compare(args) -> int:
     settings = {method: {"order": order} for method, order in zip(FIT_DEFAULTS, orders)}
     settings["rloewner"]["seed"] = args.seed
     settings["aaa"]["tol"] = args.tol
-    cfg = CompareConfig(settings=settings, grid_nx=args.nx, grid_ny=args.ny)
-    table = compare_methods(samples, h_of_s, cfg)
+    cfg = CompareConfig(settings=settings)
+    table = compare_methods(samples, oracle_grid(h_of_s, OMEGA, args.nx, args.ny), cfg)
     print(table.to_text())
     if args.out_prefix:
         csv_path, txt_path = _write_compare(table, args.out_prefix, _meta_line(args, args.seed))
@@ -350,12 +350,15 @@ def _write_compare(table, prefix, meta: str) -> tuple[str, str]:
 
 
 def _cmd_repro(args) -> int:
-    from .analysis import CompareConfig, compare_methods
+    from .analysis import CompareConfig, compare_methods, oracle_grid
     from .sampling import OMEGA, sample_oracle, structured_grid, uniform_random_grid
     from .special import h_of_s
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # both sample grids are compared against one oracle surface
+    truth = oracle_grid(h_of_s, OMEGA, args.nx, args.ny)
+    cfg = CompareConfig(settings={"rloewner": {"seed": args.seed}})
     cases = (
         ("structured_2121", sample_oracle(structured_grid(OMEGA, 101, 21), h_of_s), None),
         ("uniform_2000", sample_oracle(uniform_random_grid(OMEGA, 1000, args.seed), h_of_s), args.seed),
@@ -363,8 +366,7 @@ def _cmd_repro(args) -> int:
     for name, samples, seed in cases:
         sample_path = out / f"{name}.samples.csv"
         samples.to_csv(sample_path, meta=_meta_line(args, seed))
-        cfg = CompareConfig(settings={"rloewner": {"seed": args.seed}}, grid_nx=args.nx, grid_ny=args.ny)
-        table = compare_methods(samples, h_of_s, cfg)
+        table = compare_methods(samples, truth, cfg)
         _write_compare(table, out / name, _meta_line(args, seed))
         print(f"== {name} ({len(samples)} samples) ==")
         print(table.to_text())

@@ -24,6 +24,10 @@ class SampleError(RatApproxError, ValueError):
     """Sample data is unusable: no points, or a point or value that is not finite."""
 
 
+class SettingError(RatApproxError, ValueError):
+    """A fit setting lies outside its valid range (e.g. an order below 1)."""
+
+
 class SymmetryError(RatApproxError, ValueError):
     """Conjugate closure is violated or cannot be enforced."""
 

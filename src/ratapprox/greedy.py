@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InsufficientDataError, PartitionError, SymmetryError
+from .errors import InsufficientDataError, PartitionError, SettingError, SymmetryError
 from .loewner import RANK_GUARD, DataPartition, StateSpaceModel, build_pencil, truncate
 from .sampling import SampleSet, conjugate_groups
 
@@ -45,11 +45,11 @@ def fit_greedy(
     samples: SampleSet,
     order_target: int,
     seed: int = 0,
-    relative_errors: bool = False,
 ) -> GreedyResult:
     """Greedy Loewner fit of the given target order.
 
-    Each step evaluates the current model at all unused samples, moves the
+    Each step evaluates the current model at all unused samples (by its LU
+    solve, :meth:`StateSpaceModel.solve`), moves the
     worst conjugate group to the left set and the second worst to the right
     set (keeping closure), and refits.  Stops when every measurement is used
     or when the selection error stagnates after the target order is reached;
@@ -60,7 +60,7 @@ def fit_greedy(
     if samples.values is None:
         raise InsufficientDataError("samples carry no values; run sample_oracle first")
     if order_target < 1:
-        raise ValueError("order must be at least 1")
+        raise SettingError("order must be at least 1")
     if len(samples) < 2 * order_target:
         raise InsufficientDataError(
             f"{len(samples)} samples cannot support order {order_target}; "
@@ -96,10 +96,10 @@ def fit_greedy(
         right_idx = [i for gi in right_groups for i in groups[gi]]
         model, order = _fit_current(pts, vals, left_idx, right_idx, order_target)
         unused_idx = np.array([i for gi in unused for i in groups[gi]])
-        pred = model.eval(pts[unused_idx])
+        # the ranking below needs the LU solve's accuracy: late in the fit the
+        # errors of different groups agree to more digits than the modal sum keeps
+        pred = model.solve(pts[unused_idx])
         err = np.abs(pred - vals[unused_idx])
-        if relative_errors:
-            err = err / np.maximum(np.abs(vals[unused_idx]), np.finfo(float).tiny)
         worst_of_group: dict[int, float] = {}
         for local, i in enumerate(unused_idx):
             gi = int(group_of[i])

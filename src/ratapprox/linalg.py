@@ -124,6 +124,19 @@ def eval_chunked(kernel, s):
     return out.reshape(np.shape(s))
 
 
+def pole_residue_sum(points: np.ndarray, poles: np.ndarray, residues: np.ndarray) -> np.ndarray:
+    """``sum_j residues[..., j] / (points - poles[j])`` at each of the 1-D ``points``.
+
+    ``residues`` of shape ``(r,)`` gives one sum per point; a stack of shape
+    ``(k, r)`` gives ``k`` sums per point, as an array of shape ``(k, n)``,
+    from one set of divisions.  Each sum is an elementwise product reduced
+    along its row, never a matrix product, so a point's value does not
+    depend on the other points evaluated with it.
+    """
+    cauchy = 1.0 / (points[:, None] - poles[None, :])
+    return (cauchy * np.asarray(residues)[..., None, :]).sum(axis=-1)
+
+
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))

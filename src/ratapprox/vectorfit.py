@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DivergenceError, InsufficientDataError, PoleError, SymmetryError
+from .errors import DivergenceError, InsufficientDataError, PoleError, SettingError, SymmetryError
 
 #: Iteration stops early once the largest relative pole movement drops below this.
 MOVE_TOL = 1e-10
@@ -195,6 +195,8 @@ def fit_vf(
 
     Raises
     ------
+    SettingError
+        If ``order`` is below 1.
     DivergenceError
         If any pole magnitude exceeds ``DIVERGENCE_RADIUS``.
     InsufficientDataError
@@ -203,7 +205,7 @@ def fit_vf(
     if samples.values is None:
         raise InsufficientDataError("samples carry no values; run sample_oracle first")
     if order < 1:
-        raise ValueError("order must be at least 1")
+        raise SettingError("order must be at least 1")
     if len(samples) < 2 * (order + 2):
         raise InsufficientDataError(
             f"{len(samples)} samples cannot determine order {order}; "
@@ -297,7 +299,7 @@ def eval_pole_residue(model: PoleResidueModel, s):
         if np.any(diff == 0.0):
             bad = chunk[np.nonzero(np.any(diff == 0.0, axis=1))[0][0]]
             raise PoleError(f"evaluation exactly at pole s = {bad}", point=complex(bad))
-        return (1.0 / diff) @ model.residues + model.d + chunk * model.h
+        return linalg.pole_residue_sum(chunk, model.poles, model.residues) + model.d + chunk * model.h
 
     return linalg.eval_chunked(summed, s)
 

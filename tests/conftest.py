@@ -57,6 +57,30 @@ def make_rational(degree: int, seed: int, with_offset: bool = False):
     return f, poles, residues, offset
 
 
+def conjugate_state_space(degree: int, seed: int):
+    """A dense descriptor realization of :func:`make_rational`'s function, and that function.
+
+    E = T1 T2 and A = T1 diag(poles) T2 with random factors of condition
+    number at most 10, so the pencil is not diagonal but its eigenvectors
+    are well conditioned.  Returns (model, callable, poles, residues).
+    """
+    from ratapprox.loewner import StateSpaceModel
+
+    f, poles, residues, _ = make_rational(degree, seed)
+    rng = np.random.default_rng(seed + 2)
+    r = poles.size
+
+    def factor():
+        q, _ = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+        return q * rng.uniform(1.0, 10.0, r)
+
+    t1, t2 = factor(), factor()
+    b = rng.uniform(0.5, 2.0, r) + 0j
+    model = StateSpaceModel(E=t1 @ t2, A=t1 @ np.diag(poles) @ t2, B=t1 @ b,
+                            C=(residues / b) @ t2)
+    return model, f, poles, residues
+
+
 def rational_samples(degree: int, seed: int, n_pairs: int = 24, with_offset: bool = False):
     """Conjugate-closed samples of a random rational, off the real axis."""
     f, poles, residues, offset = make_rational(degree, seed, with_offset)

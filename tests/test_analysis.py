@@ -11,7 +11,9 @@ from ratapprox import (
     CompareConfig,
     InsufficientDataError,
     PoleError,
+    RatApproxError,
     SampleSet,
+    SettingError,
     build_pencil,
     compare_methods,
     detect_cancellations,
@@ -22,7 +24,7 @@ from ratapprox import (
     truncate,
 )
 from ratapprox import aaa, greedy, loewner, vectorfit
-from ratapprox.analysis import FIT_DEFAULTS, fit
+from ratapprox.analysis import FIT_DEFAULTS, fit, oracle_grid
 
 
 class TestErrorGrid:
@@ -114,8 +116,8 @@ class TestCompareMethods:
     def test_degenerate_input_flags_errors_but_emits_table(self, tmp_path):
         pts = np.array([1.0 + 0j, 2.0 + 0j, 3.0 + 0j, 4.0 + 0j])
         samples = SampleSet(points=pts).with_values(1.0 / (pts + 1.0))
-        cfg = CompareConfig(grid_nx=10, grid_ny=5)
-        table = compare_methods(samples, lambda s: 1.0 / (np.asarray(s, complex) + 1.0), cfg)
+        truth = oracle_grid(lambda s: 1.0 / (np.asarray(s, complex) + 1.0), OMEGA, 10, 5)
+        table = compare_methods(samples, truth, CompareConfig())
         assert len(table.rows) == 4
         assert any(r.status.startswith("error") for r in table.rows)
         text = table.to_text()
@@ -131,8 +133,8 @@ class TestCompareMethods:
             evaluated.append(np.size(s))
             return h_of_s(s)
 
-        cfg = CompareConfig(settings=SMALL_FIT_SETTINGS, grid_nx=40, grid_ny=15)
-        table = compare_methods(small_bessel_samples, oracle, cfg)
+        cfg = CompareConfig(settings=SMALL_FIT_SETTINGS)
+        table = compare_methods(small_bessel_samples, oracle_grid(oracle, OMEGA, 40, 15), cfg)
         assert all(r.status == "ok" for r in table.rows)
         assert sum(evaluated) == 40 * 15
         # each row is the error surface error_grid reports for that method
@@ -142,8 +144,8 @@ class TestCompareMethods:
         assert table.rows[0].argmax_point == report.argmax_point
 
     def test_small_benchmark_all_methods_succeed(self, small_bessel_samples):
-        cfg = CompareConfig(settings=SMALL_FIT_SETTINGS, grid_nx=40, grid_ny=15)
-        table = compare_methods(small_bessel_samples, h_of_s, cfg)
+        cfg = CompareConfig(settings=SMALL_FIT_SETTINGS)
+        table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 40, 15), cfg)
         assert all(r.status == "ok" for r in table.rows)
         assert all(np.isfinite(r.max_error) for r in table.rows)
         assert all(r.max_error < 1e-2 for r in table.rows)
@@ -226,6 +228,16 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(method, small_bessel_samples, **settings)
 
+    @pytest.mark.parametrize("fit_call", [
+        lambda samples: aaa.fit_aaa(samples, max_order=0),
+        lambda samples: vectorfit.fit_vf(samples, order=0),
+        lambda samples: greedy.fit_greedy(samples, order_target=0),
+    ], ids=["aaa", "vf", "rloewner"])
+    def test_order_below_one_is_a_setting_error(self, fit_call, small_bessel_samples):
+        with pytest.raises(SettingError, match="order must be at least 1") as info:
+            fit_call(small_bessel_samples)
+        assert isinstance(info.value, ValueError) and isinstance(info.value, RatApproxError)
+
     @pytest.mark.parametrize("settings", [{"newton": {}}, {"vf": {"tol": 1e-3}}])
     def test_compare_config_rejects_what_fit_would(self, settings):
         with pytest.raises(ValueError):
@@ -234,7 +246,7 @@ class TestFit:
     def test_one_sample_gives_four_error_rows(self):
         pts = np.array([2.0 + 0.5j])
         samples = SampleSet(points=pts).with_values(1.0 / (pts + 1.0))
-        table = compare_methods(samples, h_of_s, CompareConfig(grid_nx=10, grid_ny=5))
+        table = compare_methods(samples, oracle_grid(h_of_s, OMEGA, 10, 5), CompareConfig())
         assert [r.method for r in table.rows] == list(FIT_DEFAULTS)
         assert all(r.status.startswith("error") for r in table.rows)
         with pytest.raises(InsufficientDataError):

@@ -148,6 +148,17 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "loewner" in out and "rloewner" in out and "aaa" in out and "vf" in out
 
+    def test_invalid_order_gives_an_error_row_in_a_full_table(self, tmp_path, capsys):
+        sample = tmp_path / "s.csv"
+        run("sample", "--grid", "structured", "--nx", "21", "--ny", "5", "--out", str(sample))
+        assert run("compare", "--in", str(sample), "--orders", "4,4,0,4", "--nx", "10", "--ny", "5",
+                   "--out-prefix", str(tmp_path / "cmp")) == 0
+        rows = [line.split(",", 6) for line in (tmp_path / "cmp.compare.csv").read_text().splitlines()[2:]]
+        assert [row[0] for row in rows] == ["loewner", "rloewner", "aaa", "vf"]
+        status = {row[0]: row[6] for row in rows}
+        assert status["aaa"] == "error: order must be at least 1"
+        assert all(status[m] == "ok" for m in ("loewner", "rloewner", "vf"))
+
 
 class TestThreadCap:
     def run_sample(self, tmp_path):
@@ -222,8 +233,13 @@ class TestErrors:
     def test_zero_is_a_value_not_the_default(self, small_csv, tmp_path, capsys, method, flags):
         out = tmp_path / "m.json"
         assert run("fit", "--method", method, "--in", str(small_csv), *flags, "--out", str(out)) == 1
-        # truncate reports a Loewner order outside [1, rank] as RankError, a ValueError
-        assert json.loads(capsys.readouterr().err.strip())["error"] in ("ValueError", "RankError")
+        payload = json.loads(capsys.readouterr().err.strip())
+        # truncate reports a Loewner order outside [1, rank] as RankError; all are ValueErrors
+        if method == "loewner" and flags[0] == "--order":
+            assert payload["error"] == "RankError"
+        else:
+            assert payload["error"] == "SettingError"
+            assert flags[0].lstrip("-") in payload["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("method, flags", [
@@ -381,3 +397,31 @@ class TestModelProtocol:
             for p, value in zip(points, singles):
                 assert type(value) is complex
                 assert np.array_equal(loaded.eval(np.array([p])), [value], equal_nan=True)
+
+    @pytest.mark.parametrize("kind", sorted(_MODEL_CASES) + ["state_space_modal"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_point_has_the_same_bits_alone_and_in_a_batch(self, kind, data):
+        # state_space draws random pencils; state_space_modal draws realizations of
+        # conjugate-symmetric rational functions with points both inside the LU
+        # discs around the poles and outside them, where the modal sum serves
+        if kind == "state_space_modal":
+            from conftest import conjugate_state_space
+
+            model, *_ = conjugate_state_space(data.draw(st.integers(2, 8)), data.draw(st.integers(0, 999)))
+            modal = model.modal
+            near = modal.poles + 0.5 * modal.radii * np.exp(2j * np.pi * data.draw(st.floats(0, 1)))
+            points = np.concatenate([near, data.draw(_vectors(st.integers(1, 7)))])
+            far = ~np.any(np.abs(points[:, None] - modal.poles) <= modal.radii, axis=1)
+            assert not far[: near.size].any()
+        else:
+            model = data.draw(_MODEL_CASES[kind][0])
+            points = data.draw(_vectors(st.integers(2, 12)))
+        singles = [_outcome(lambda p=p: model.eval(p)) for p in points]
+        if any(isinstance(v, Exception) for v in singles):
+            return
+        whole = model.eval(points)
+        with mock.patch.object(linalg, "_EVAL_CHUNK", 3):
+            chunked = model.eval(points)
+        for i, value in enumerate(singles):
+            assert np.array([value]).tobytes() == whole[i : i + 1].tobytes() == chunked[i : i + 1].tobytes()

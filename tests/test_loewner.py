@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugate_closed, rational_samples
+from conftest import conjugate_closed, conjugate_state_space, rational_samples
 from ratapprox import (
     OMEGA,
     PartitionError,
@@ -24,7 +24,7 @@ from ratapprox import (
     zeros,
 )
 from ratapprox import linalg
-from ratapprox.loewner import DataPartition, StateSpaceModel
+from ratapprox.loewner import DataPartition, StateSpaceModel, modal_form
 
 
 def real_samples(values_fn, pts):
@@ -296,6 +296,106 @@ class TestEval:
         pole = poles(model)[0]
         with pytest.raises(PoleError):
             model.eval(complex(pole))
+
+
+def modal_and_lu_points(model, rng, n=60):
+    """Random points around the model's poles: inside and outside their LU discs."""
+    modal = model.modal
+    centre = modal.poles[rng.integers(0, modal.poles.size, n)]
+    scale = rng.uniform(0.0, 3.0, n) * np.min(np.where(np.isfinite(modal.radii), modal.radii, 1.0))
+    pts = centre + scale * np.exp(2j * np.pi * rng.uniform(size=n))
+    return np.concatenate([pts, rng.uniform(-2.0, 12.0, n) + 1j * rng.uniform(-5.0, 5.0, n)])
+
+
+def inside_discs(model, pts):
+    modal = model.modal
+    return np.any(np.abs(pts[:, None] - modal.poles[None, :]) <= modal.radii, axis=1)
+
+
+class TestModalForm:
+    @settings(max_examples=30, deadline=None)
+    @given(degree=st.integers(2, 8), seed=st.integers(0, 10_000))
+    def test_agrees_with_lu_outside_the_discs(self, degree, seed):
+        model, f, true_poles, _ = conjugate_state_space(degree, seed)
+        assert model.modal is not None
+        assert match_distance(true_poles, model.modal.poles) < 1e-10
+        assert match_distance(model.modal.poles, true_poles) < 1e-10
+        pts = modal_and_lu_points(model, np.random.default_rng(seed))
+        near = inside_discs(model, pts)
+        assert near.any() and not near.all()
+        got, want = model.eval(pts), model.solve(pts)
+        assert np.all(np.abs(got[~near] - want[~near]) <= 1e-10 * np.abs(want[~near]))
+        # inside the discs the LU solve itself, bit for bit
+        assert got[near].tobytes() == want[near].tobytes()
+
+    def test_ratapprox_fit_has_a_modal_form_that_keeps_the_dense_maximum(self, medium_bessel_samples):
+        model = truncate(build_pencil(partition(medium_bessel_samples)), order=11).model
+        assert model.modal is not None
+        pts = structured_grid(OMEGA, 101, 41).points
+        vals = h_of_s(pts)
+        assert np.max(np.abs(model.eval(pts) - vals)) == np.max(np.abs(model.solve(pts) - vals))
+
+    @staticmethod
+    def assert_lu_everywhere(model):
+        assert model.modal is None
+        pts = np.linspace(-3, 12, 97) + 1j * np.linspace(-2, 2, 97)[::-1]
+        assert model.eval(pts).tobytes() == model.solve(pts).tobytes()
+        assert complex(model.eval(1.5 + 0.5j)) == model.solve(np.array([1.5 + 0.5j]))[0]
+
+    def test_defective_pencil_falls_back_to_lu(self):
+        # a 2 x 2 Jordan block at 2 next to a simple pole at 5, hidden by a similarity
+        rng = np.random.default_rng(0)
+        t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        jordan = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
+        model = StateSpaceModel(E=np.eye(3), A=t @ jordan @ np.linalg.inv(t),
+                                B=rng.standard_normal(3), C=rng.standard_normal(3))
+        self.assert_lu_everywhere(model)
+
+    def test_singular_e_falls_back_to_lu(self):
+        # data with a constant part: 1/(s + 1) + 2 at order 2 puts the constant in E's null space
+        f = lambda s: 1.0 / (s + 1.0) + 2.0
+        samples = real_samples(f, np.linspace(0.5, 6.5, 8))
+        model = truncate(build_pencil(partition(samples, "alternating")), order=2).model
+        assert np.linalg.cond(model.E) > 1e12
+        self.assert_lu_everywhere(model)
+        assert abs(model.eval(3.0) - f(3.0)) < 1e-8
+
+    def test_ill_conditioned_eigenvectors_fall_back_to_lu(self):
+        # eigenvectors at an angle of 1e-9: cond(V) about 1e9
+        v = np.array([[1.0, 1.0], [0.0, 1e-9]])
+        model = StateSpaceModel(E=np.eye(2), A=v @ np.diag([1.0, 3.0]) @ np.linalg.inv(v),
+                                B=np.array([1.0, 0.5]), C=np.array([0.3, 1.0]))
+        assert np.linalg.cond(v) > 1e8
+        self.assert_lu_everywhere(model)
+
+    def test_pole_without_residue_keeps_pole_error(self):
+        # the pole at 2j is uncontrollable: zero residue, zero disc
+        model = StateSpaceModel(E=np.eye(3), A=np.diag([1j, 2j, 3j]), B=np.array([1.0, 0.0, 1.0]),
+                                C=np.ones(3))
+        assert model.modal is not None and model.modal.radii[1] == 0.0
+        pts = np.array([0.5, 2j + 0.3, 5.0 - 1j])
+        assert np.allclose(model.eval(pts), 1.0 / (pts - 1j) + 1.0 / (pts - 3j), rtol=1e-14)
+        with pytest.raises(PoleError):
+            model.eval(2j)
+
+    def test_decomposition_computed_once_per_model(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        eig = scipy.linalg.eig
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig", spy)
+        model, *_ = conjugate_state_space(6, 3)
+        pts = np.linspace(0, 10, 3 * linalg._EVAL_CHUNK + 5) + 0.5j
+        for _ in range(3):
+            model.eval(pts)
+            model.eval(2.0 + 0.1j)
+        assert len(calls) == 1
+        assert modal_form(model) is not None and len(calls) == 2
 
 
 class TestProjectedPoints:
