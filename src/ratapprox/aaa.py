@@ -75,10 +75,8 @@ def eval_barycentric(model: BarycentricModel, s):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             num, den = linalg.pole_residue_sum(chunk, zj, numerator_denominator)
             vals = num / den
-        for j, z in enumerate(zj):
-            hit = chunk == z
-            if np.any(hit):
-                vals[hit] = model.support_values[j]
+        at, support = np.nonzero(chunk[:, None] == zj)  # support points are distinct
+        vals[at] = model.support_values[support]
         vals[np.isnan(vals)] = np.inf
         return vals
 

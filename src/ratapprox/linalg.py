@@ -113,12 +113,16 @@ def eval_chunked(kernel, s):
     the exception of the first failing batch is raised, as in a serial loop.
     """
     pts = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
-    out = np.empty(pts.size, dtype=complex)
+    starts = range(0, pts.size, _EVAL_CHUNK)
+    if len(starts) == 1:
+        out = np.asarray(kernel(pts), dtype=complex)
+    else:
+        out = np.empty(pts.size, dtype=complex)
 
-    def run(lo):
-        out[lo : lo + _EVAL_CHUNK] = kernel(pts[lo : lo + _EVAL_CHUNK])
+        def run(lo):
+            out[lo : lo + _EVAL_CHUNK] = kernel(pts[lo : lo + _EVAL_CHUNK])
 
-    _share(run, range(0, pts.size, _EVAL_CHUNK))
+        _share(run, starts)
     if np.ndim(s) == 0:
         return complex(out[0])
     return out.reshape(np.shape(s))

@@ -140,10 +140,11 @@ class StateSpaceModel:
 
         def hybrid(chunk):
             near = np.any(np.abs(chunk[:, None] - modal.poles[None, :]) <= modal.radii, axis=1)
+            if not near.any():
+                return linalg.pole_residue_sum(chunk, modal.poles, modal.residues)
             out = np.empty(chunk.size, dtype=complex)
             out[~near] = linalg.pole_residue_sum(chunk[~near], modal.poles, modal.residues)
-            if np.any(near):
-                out[near] = _solve(self, chunk[near])
+            out[near] = _solve(self, chunk[near])
             return out
 
         return linalg.eval_chunked(hybrid, s)

@@ -37,23 +37,38 @@ POLE_THRESHOLD = 1e-13
 _MAX_TERMS = 100
 _TERM_FLOOR = 1e-18
 
+#: Points whose |s| lies within this relative distance of the batch's
+#: largest |s| decide when :func:`_series` stops.  About 1e5 times the
+#: rounding error of the computed term magnitudes (k u of long double, near
+#: 1e-17), so no point outside this band can still be converging.
+_SLOWEST_BAND = 1e-12
 
-def _series(s: np.ndarray) -> np.ndarray:
+
+def _series(s: np.ndarray, size: np.ndarray) -> np.ndarray:
     # Ascending series sum_k (-1)^k (s/2)^{2k} / (k!)^2 with the term
-    # recurrence t_{k+1} = -t_k (s/2)^2 / (k+1)^2.  Summation runs in
-    # extended precision: near the larger zeros of J0 the leading terms
-    # reach ~1e6, and plain double summation would leave ~1e-10 residue
-    # where the true value vanishes.
+    # recurrence t_{k+1} = -t_k (s/2)^2 / (k+1)^2, for the 1-D finite
+    # points ``s`` of magnitudes ``size``.  Summation runs in extended
+    # precision: near the larger zeros of J0 the leading terms reach ~1e6,
+    # and plain double summation would leave ~1e-10 residue where the true
+    # value vanishes.
+    #
+    # The series stops at the first k where every point has
+    # |t_k| < _TERM_FLOOR max_{j<=k} |t_j|.  That ratio,
+    # min_{j<=k} |q|^{k-j} (j!)^2 / (k!)^2, grows with |q| = |s|^2 / 4: once
+    # the points of the largest |s| pass, all pass.  So only those are
+    # tested, and the loop stops at the term a test of every point would.
     q = -(s * s) / 4
     term = np.ones_like(q)
     total = np.ones_like(q)
-    max_term = np.ones(s.shape, dtype=np.longdouble)
+    slowest = np.flatnonzero(size >= (1 - _SLOWEST_BAND) * size.max(initial=0))
+    max_term = np.ones(slowest.size, dtype=np.longdouble)
     for k in range(1, _MAX_TERMS + 1):
-        term = term * q / (k * k)
+        np.multiply(term, q, out=term)
+        np.divide(term, k * k, out=term)
         total += term
-        mag = np.abs(term)
+        mag = np.abs(term[slowest])
         np.maximum(max_term, mag, out=max_term)
-        if np.all(mag < _TERM_FLOOR * max_term):
+        if (mag < _TERM_FLOOR * max_term).all():
             break
     return total
 
@@ -63,25 +78,31 @@ def bessel_j0(s):
 
     Real input yields output with imaginary part exactly zero, and the
     evaluation commutes with complex conjugation bit-for-bit (every series
-    operation is componentwise symmetric).
+    operation is componentwise symmetric).  A batch runs as many series
+    terms as its largest |s| needs.
 
     Raises
     ------
     EvaluationDomainError
-        If any |s| exceeds ``SERIES_RADIUS``.
+        If any ``s`` is not finite or any |s| exceeds ``SERIES_RADIUS``.
     """
     arr = np.asarray(s, dtype=np.clongdouble)
-    if arr.size and np.max(np.abs(arr)) > SERIES_RADIUS:
-        bad = np.asarray(s, dtype=complex).ravel()
-        worst = bad[np.argmax(np.abs(bad))]
+    flat = arr.ravel()
+    size = np.abs(flat)
+    if not np.all(size <= SERIES_RADIUS):  # NaN compares False
+        points = np.asarray(s, dtype=complex).ravel()
+        nonfinite = ~np.isfinite(points)
+        if np.any(nonfinite):
+            raise EvaluationDomainError(f"s = {points[np.argmax(nonfinite)]} is not finite")
+        worst = points[np.argmax(np.abs(points))]
         raise EvaluationDomainError(
             f"|s| = {abs(worst):.3g} exceeds the series validity radius "
             f"{SERIES_RADIUS:g} (at s = {worst})"
         )
-    out = _series(arr).astype(np.complex128)
+    out = _series(flat, size).astype(np.complex128)
     if np.isscalar(s) or np.ndim(s) == 0:
-        return complex(out)
-    return out
+        return complex(out[0])
+    return out.reshape(arr.shape)
 
 
 def h_of_s(s):

@@ -135,6 +135,23 @@ class TestEval:
         assert np.isinf(np.abs(eval_barycentric(model, 0.0)))
         assert eval_barycentric(model, 1.0 + 0j) == 1.0  # support hit still exact
 
+    def test_support_points_in_a_mixed_batch_give_the_stored_values(self):
+        rng = np.random.default_rng(12)
+        model = BarycentricModel(
+            support_points=rng.standard_normal(6) + 1j * rng.standard_normal(6),
+            support_values=rng.standard_normal(6) + 1j * rng.standard_normal(6),
+            weights=rng.standard_normal(6) + 1j * rng.standard_normal(6),
+        )
+        others = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        picks = [4, 0, 4, 5]  # one support point twice
+        batch = np.concatenate([others[:3], model.support_points[picks[:2]], others[3:6],
+                                model.support_points[picks[2:]], others[6:]])
+        got = eval_barycentric(model, batch)
+        at_support = np.isin(batch, model.support_points)
+        assert got[at_support].tobytes() == model.support_values[picks].tobytes()
+        alone = np.array([eval_barycentric(model, complex(z)) for z in batch])
+        assert alone.tobytes() == got.tobytes()
+
 
 class TestPolesZeros:
     def test_pole_of_simple_lag_fit(self):

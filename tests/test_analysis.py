@@ -143,6 +143,17 @@ class TestCompareMethods:
         assert table.rows[0].max_error == report.max_error
         assert table.rows[0].argmax_point == report.argmax_point
 
+    def test_rows_split_fit_and_evaluation_time(self, small_bessel_samples):
+        settings = {**SMALL_FIT_SETTINGS, "aaa": {**SMALL_FIT_SETTINGS.get("aaa", {}), "order": 0}}
+        table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 40, 15),
+                                CompareConfig(settings=settings))
+        rows = {r.method: r for r in table.rows}
+        assert rows["aaa"].status.startswith("error") and rows["aaa"].eval_s == 0.0
+        assert all(r.fit_s > 0 and r.eval_s > 0 for m, r in rows.items() if m != "aaa")
+        header, _, *lines = table.to_text().splitlines()
+        assert header.split()[-5:] == ["fit", "[s]", "eval", "[s]", "status"]
+        assert lines[0].split()[-3:] == [f"{rows['loewner'].fit_s:.2f}", f"{rows['loewner'].eval_s:.2f}", "ok"]
+
     def test_small_benchmark_all_methods_succeed(self, small_bessel_samples):
         cfg = CompareConfig(settings=SMALL_FIT_SETTINGS)
         table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 40, 15), cfg)

@@ -281,6 +281,24 @@ class TestPooledEval:
         got = model.eval(pts.reshape(4, 25))
         assert got.shape == (4, 25)
         assert got.ravel().tobytes() == serial(model.eval, pts).tobytes()
+        # one-batch calls that straddle two batches of the call above, or hold one point
+        assert model.eval(pts[3:10]).tobytes() == got.ravel()[3:10].tobytes()
+        assert model.eval(pts[12:14].reshape(2, 1)).tobytes() == got.ravel()[12:14].tobytes()
+        assert model.eval(complex(pts[40])) == got.ravel()[40]
+
+    def test_one_batch_is_one_kernel_call(self, pooled):
+        calls = []
+
+        def kernel(chunk):
+            calls.append(chunk.size)
+            return chunk.real  # a real result comes back complex
+
+        got = linalg.eval_chunked(kernel, np.arange(6.0).reshape(2, 3))
+        assert calls == [6]
+        assert got.dtype == complex and got.shape == (2, 3)
+        assert np.array_equal(got, np.arange(6.0).reshape(2, 3))
+        assert linalg.eval_chunked(kernel, np.array([], dtype=complex)).shape == (0,)
+        assert calls == [6]  # an empty input calls no kernel
 
     def test_oracle_grid_equals_serial_run(self, pooled, monkeypatch):
         # 11 x 3 grid over [0, 10] x [-1, 1]: 2 - 1j is index 2 (batch 0),

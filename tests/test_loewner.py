@@ -328,6 +328,16 @@ class TestModalForm:
         # inside the discs the LU solve itself, bit for bit
         assert got[near].tobytes() == want[near].tobytes()
 
+    def test_batch_outside_the_discs_equals_a_batch_crossing_them(self):
+        model, *_ = conjugate_state_space(5, 21)
+        pts = modal_and_lu_points(model, np.random.default_rng(21))
+        near = inside_discs(model, pts)
+        assert near.any() and not near.all()
+        crossing = model.eval(pts)
+        assert model.eval(pts[~near]).tobytes() == crossing[~near].tobytes()
+        alone = np.array([model.eval(complex(z)) for z in pts[~near]])
+        assert alone.tobytes() == crossing[~near].tobytes()
+
     def test_ratapprox_fit_has_a_modal_form_that_keeps_the_dense_maximum(self, medium_bessel_samples):
         model = truncate(build_pencil(partition(medium_bessel_samples)), order=11).model
         assert model.modal is not None

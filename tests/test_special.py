@@ -3,7 +3,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratapprox import BESSEL_J0_ZEROS, EvaluationDomainError, PoleError, bessel_j0, h_of_s
@@ -21,6 +21,88 @@ def series_oracle(s):
         term = term * q / (k * k)
         total += term
     return complex(total)
+
+
+def all_points_series(s):
+    """J0 by the series with the stopping test applied to every point, in extended precision.
+
+    The rule :func:`bessel_j0` must reproduce bit for bit: add terms until
+    every point has |t_k| < 1e-18 max_{j<=k} |t_j|, at most 100 of them.
+    """
+    arr = np.asarray(s, dtype=np.clongdouble)
+    q = -(arr * arr) / 4
+    term = np.ones_like(q)
+    total = np.ones_like(q)
+    max_term = np.ones(arr.shape, dtype=np.longdouble)
+    for k in range(1, 101):
+        term = term * q / (k * k)
+        total += term
+        mag = np.abs(term)
+        np.maximum(max_term, mag, out=max_term)
+        if np.all(mag < 1e-18 * max_term):
+            break
+    return total.astype(np.complex128)
+
+
+# |s| below the radius with room for the rounding of |s| itself
+in_disc = st.complex_numbers(max_magnitude=19.999, allow_nan=False, allow_infinity=False)
+on_real_axis = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
+zeros = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+
+
+@st.composite
+def series_batches(draw):
+    """Points in the disc, on the real axis with either sign of zero, and s = 0, plus conjugates
+    of some of them; optionally a group of points tied at the batch's largest |s|."""
+    pts = draw(st.lists(in_disc | on_real_axis.map(complex) | zeros, max_size=30))
+    pts += [z.conjugate() for z in draw(st.lists(st.sampled_from(pts), max_size=5))] if pts else []
+    if draw(st.booleans()):
+        z = max(pts + [draw(in_disc)], key=abs)
+        top = abs(z)
+        # exact ties (the same |s| bit for bit), then points just below the largest |s|
+        pts += [z, -z, z.conjugate(), 1j * z]
+        pts += [top * (1 - gap) * np.exp(1j * phi) for gap, phi in ((1e-15, 0.3), (1e-12, 1.1), (1e-9, 2.9))]
+    draw(st.randoms()).shuffle(pts)
+    return np.array(pts, dtype=complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_batches())
+@example(np.array([], dtype=complex))
+@example(np.array([7.5 - 0.25j]))
+@example(np.array([0j, complex(-0.0, -0.0)]))
+@example(np.array([20.0, -20.0, 20j, -20j, 12.0 + 16.0j, 3.0]))
+def test_j0_equals_the_all_points_series_bit_for_bit(batch):
+    # signed zeros included: the bytes of the doubles are compared
+    assert bessel_j0(batch).tobytes() == all_points_series(batch).tobytes()
+
+
+def test_j0_equals_the_all_points_series_on_the_benchmark_grids():
+    for nx, ny in ((101, 21), (500, 500)):
+        xs, ys = np.linspace(0.0, 10.0, nx), np.linspace(-1.0, 1.0, ny)
+        grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+        assert bessel_j0(grid).tobytes() == all_points_series(grid).tobytes()
+        for lo in range(0, grid.size, 2048):
+            batch = grid[lo : lo + 2048]
+            assert bessel_j0(batch).tobytes() == all_points_series(batch).tobytes()
+
+
+def test_j0_keeps_the_shape_of_its_input():
+    pts = np.linspace(0.0, 10.0, 12).reshape(3, 4) + 0.5j
+    assert bessel_j0(pts).shape == (3, 4)
+    assert bessel_j0(pts).tobytes() == bessel_j0(pts.ravel()).tobytes()
+    assert bessel_j0(np.zeros((0, 3))).shape == (0, 3)
+    assert isinstance(bessel_j0(np.complex128(2.0)), complex)
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), complex(0.0, np.nan), np.inf, complex(1.0, -np.inf)])
+def test_non_finite_points_are_domain_errors(bad):
+    for fn in (bessel_j0, h_of_s):
+        with pytest.raises(EvaluationDomainError, match="not finite"):
+            fn(bad)
+        with pytest.raises(EvaluationDomainError, match="not finite") as info:
+            fn(np.array([1.0, 2.0 + 0.5j, bad, 25.0]))
+        assert str(complex(bad)) in str(info.value)
 
 
 def test_j0_at_origin_is_exactly_one():
