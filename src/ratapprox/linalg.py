@@ -111,6 +111,9 @@ def eval_chunked(kernel, s):
     :func:`_eval_threads`); each value depends only on its own batch, so the
     result does not depend on the number of threads.  When batches raise,
     the exception of the first failing batch is raised, as in a serial loop.
+    Points that fit in one batch go to ``kernel`` at once on the calling
+    thread, so the nested single-batch calls made by kernels never touch
+    the pool.
     """
     pts = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
     starts = range(0, pts.size, _EVAL_CHUNK)
@@ -173,15 +176,13 @@ def _helper_pool() -> ThreadPoolExecutor:
 def _share(run, starts: range) -> None:
     """Call ``run(lo)`` for every ``lo`` in ``starts`` on this thread and helper threads.
 
-    One start runs inline, so the nested single-batch calls made by kernels
-    never touch the pool.  Otherwise all threads take starts from one
-    iterator in order; after a failure no thread takes a new start.  Every
-    start before a failing one has been taken, so once the started calls
-    have returned, the exception of the smallest failing start is the one a
-    serial loop would raise.
+    All threads take starts from one iterator in order; after a failure no
+    thread takes a new start.  Every start before a failing one has been
+    taken, so once the started calls have returned, the exception of the
+    smallest failing start is the one a serial loop would raise.
     """
-    helpers = 0 if len(starts) <= 1 else min(_eval_threads(), len(starts)) - 1
-    if helpers == 0:
+    helpers = min(_eval_threads(), len(starts)) - 1
+    if helpers <= 0:
         for lo in starts:
             run(lo)
         return
