@@ -39,8 +39,8 @@ class ErrorReport:
             f"{p.real:.17g},{p.imag:.17g},{e:.17g}" for p, e in zip(self.grid_points(), self.errors)
         ))
 
-    def to_svg(self, path, max_cells: tuple[int, int] = (250, 100)) -> None:
-        write_heatmap_svg(self, path, max_cells=max_cells)
+    def to_svg(self, path) -> None:
+        write_heatmap_svg(self, path)
 
 
 def _call_evaluator(model, pts: np.ndarray) -> np.ndarray:
@@ -325,6 +325,9 @@ def compare_methods(samples: SampleSet, truth: OracleGrid, config: CompareConfig
     return ComparisonTable(rows=rows, n_samples=len(samples))
 
 
+#: Most cells (across, down) of the SVG heatmap.
+HEATMAP_CELLS = (250, 100)
+
 # minimal inferno-like ramp for the SVG heatmap, dark = small error
 _RAMP = (
     (0.001462, 0.000466, 0.013866),
@@ -345,11 +348,11 @@ def _ramp_color(t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*(int(round(255 * c)) for c in rgb))
 
 
-def write_heatmap_svg(report: ErrorReport, path, max_cells: tuple[int, int] = (250, 100)) -> None:
-    """Log10 error heatmap; the surface is block-averaged down to ``max_cells``."""
+def write_heatmap_svg(report: ErrorReport, path) -> None:
+    """Log10 error heatmap; the surface is block-averaged down to ``HEATMAP_CELLS``."""
     err = report.errors.reshape(report.ny, report.nx)
-    bx = max(1, int(np.ceil(report.nx / max_cells[0])))
-    by = max(1, int(np.ceil(report.ny / max_cells[1])))
+    bx = max(1, int(np.ceil(report.nx / HEATMAP_CELLS[0])))
+    by = max(1, int(np.ceil(report.ny / HEATMAP_CELLS[1])))
     ny_c = report.ny // by
     nx_c = report.nx // bx
     trimmed = err[: ny_c * by, : nx_c * bx]

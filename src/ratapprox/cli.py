@@ -387,38 +387,9 @@ _COMMANDS = {
 }
 
 
-def _apply_thread_cap() -> None:
-    """Cap the BLAS thread pools at ``RATAPPROX_THREADS`` through threadpoolctl.
-
-    The evaluation threads of ``linalg.eval_chunked`` read the same variable
-    themselves.  numpy has loaded its BLAS before the CLI runs, so setting
-    the ``*_NUM_THREADS`` variables here would no longer take effect.  When
-    the BLAS cap cannot be applied, a one-line warning on stderr says so.
-    """
-    cap = os.environ.get("RATAPPROX_THREADS")
-    if not cap:
-        return
-    try:
-        limit = int(cap)
-    except ValueError:
-        print(f"ratapprox: warning: RATAPPROX_THREADS={cap} not applied (not an integer)",
-              file=sys.stderr)
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print(f"ratapprox: warning: RATAPPROX_THREADS={cap} not applied to the BLAS thread pools "
-              "(threadpoolctl is not installed), only to the evaluation threads; "
-              "set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS "
-              "before starting instead", file=sys.stderr)
-        return
-    threadpool_limits(limits=limit)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
-    _apply_thread_cap()
     try:
         return _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not crashes

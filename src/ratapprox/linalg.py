@@ -107,10 +107,11 @@ def eval_chunked(kernel, s):
 
     ``kernel`` maps a 1-D complex array of points to their values.  Scalar
     ``s`` gives a complex scalar, array ``s`` a complex array of its shape.
-    Batches are spread over the calling thread and helper threads (see
-    :func:`_eval_threads`); each value depends only on its own batch, so the
-    result does not depend on the number of threads.  When batches raise,
-    the exception of the first failing batch is raised, as in a serial loop.
+    Batches are spread over the calling thread and one helper thread per
+    further CPU in this process's affinity mask (``taskset -c 0`` gives no
+    helper); each value depends only on its own batch, so the result does
+    not depend on the number of threads.  When batches raise, the exception
+    of the first failing batch is raised, as in a serial loop.
     Points that fit in one batch go to ``kernel`` at once on the calling
     thread, so the nested single-batch calls made by kernels never touch
     the pool.
@@ -151,20 +152,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _eval_threads() -> int:
-    """Threads one evaluation may use, the calling thread included.
-
-    The CPUs this process may run on, capped by ``RATAPPROX_THREADS`` when
-    that holds an integer (the CLI warns when it does not).
-    """
-    cpus = _cpu_count()
-    try:
-        cap = int(os.environ.get("RATAPPROX_THREADS", ""))
-    except ValueError:
-        return cpus
-    return max(1, min(cpus, cap))
-
-
 def _helper_pool() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
@@ -181,7 +168,7 @@ def _share(run, starts: range) -> None:
     taken, so once the started calls have returned, the exception of the
     smallest failing start is the one a serial loop would raise.
     """
-    helpers = min(_eval_threads(), len(starts)) - 1
+    helpers = min(_cpu_count(), len(starts)) - 1
     if helpers <= 0:
         for lo in starts:
             run(lo)

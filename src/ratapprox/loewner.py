@@ -40,6 +40,10 @@ RANK_GUARD = 1e-13
 _OVERSAMPLE = 20
 _SKETCH_SEED = 0
 
+#: projected_points() refuses reductions whose projected Sylvester
+#: identities have a larger relative residual.
+PROJECTION_RESIDUAL_TOL = 1e-8
+
 
 @dataclass
 class DataPartition:
@@ -522,12 +526,7 @@ def zeros(model: StateSpaceModel) -> np.ndarray:
     return linalg.finite_generalized_eigenvalues(m, n)
 
 
-def projected_points(
-    pencil: LoewnerPencil,
-    Y: np.ndarray,
-    X: np.ndarray,
-    residual_tol: float = 1e-8,
-) -> ProjectedPoints:
+def projected_points(pencil: LoewnerPencil, Y: np.ndarray, X: np.ndarray) -> ProjectedPoints:
     """Projected interpolation points of a reduction.
 
     With hatted quantities Lh = Y* L X, Lsh = Y* Ls X, Vh = Y* V,
@@ -537,8 +536,8 @@ def projected_points(
 
     and the projected points are the spectra of LamHat and MuHat, i.e. the
     finite generalized eigenvalues of (Lsh - Vh Rh, Lh) and
-    (Lsh - Ldh Wh, Lh).  Both identities are verified to ``residual_tol``
-    before eigenvalues are returned.
+    (Lsh - Ldh Wh, Lh).  Both identities are verified to
+    ``PROJECTION_RESIDUAL_TOL`` before eigenvalues are returned.
     """
     Lh = Y.conj().T @ pencil.L @ X
     Lsh = Y.conj().T @ pencil.Ls @ X
@@ -556,7 +555,7 @@ def projected_points(
         raise RankError("reduced Loewner factor is singular; truncation order too high") from None
     res_r = np.linalg.norm(Lsh - Lh @ lam_mat - np.outer(Vh, Rh)) / scale
     res_l = np.linalg.norm(Lsh - mu_mat @ Lh - np.outer(Ldh, Wh)) / scale
-    if max(res_r, res_l) > residual_tol:
+    if max(res_r, res_l) > PROJECTION_RESIDUAL_TOL:
         raise RankError(
             f"projected Sylvester identities violated (residuals {res_r:.2e}, "
             f"{res_l:.2e}); truncation order too high for this data"

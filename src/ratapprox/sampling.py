@@ -112,9 +112,13 @@ class SampleSet:
                 if not line:
                     continue
                 if line.startswith("#"):
-                    for tok in line[1:].split():
+                    # the command line after cmd= may itself hold seed= text
+                    for tok in line[1:].partition("cmd=")[0].split():
                         if tok.startswith("seed=") and tok != "seed=none":
-                            seed = int(tok[5:])
+                            try:
+                                seed = int(tok[5:])
+                            except ValueError:
+                                raise SampleError(f"{path}:{lineno}: malformed seed field {tok!r}") from None
                     continue
                 if line.lower().startswith("re_s"):
                     continue
@@ -147,12 +151,11 @@ def _is_conjugate_closed(points: np.ndarray) -> bool:
     return all((p.real, -p.imag) in keys for p in points)
 
 
-def conjugate_groups(points: np.ndarray, order=None) -> list[tuple[int, ...]]:
+def conjugate_groups(points: np.ndarray) -> list[tuple[int, ...]]:
     """Group indices so each group is a real singleton or an exact conjugate pair.
 
-    ``order`` optionally gives the index sequence in which groups are formed
-    (default: input order).  Raises ``SymmetryError`` when a non-real point
-    has no conjugate mate.
+    Groups are formed in input order.  Raises ``SymmetryError`` when a
+    non-real point has no conjugate mate.
     """
     points = np.asarray(points, dtype=complex)
     mates: dict[tuple[float, float], list[int]] = {}
@@ -160,20 +163,20 @@ def conjugate_groups(points: np.ndarray, order=None) -> list[tuple[int, ...]]:
         mates.setdefault((p.real, p.imag), []).append(i)
     taken = np.zeros(points.size, dtype=bool)
     groups: list[tuple[int, ...]] = []
-    for i in np.arange(points.size) if order is None else order:
+    for i in range(points.size):
         if taken[i]:
             continue
         p = points[i]
         taken[i] = True
         if p.imag == 0.0:
-            groups.append((int(i),))
+            groups.append((i,))
             continue
         candidates = [j for j in mates.get((p.real, -p.imag), ()) if not taken[j]]
         if not candidates:
             raise SymmetryError(f"point {p} has no conjugate mate in the set")
         j = candidates[0]
         taken[j] = True
-        groups.append((int(i), int(j)))
+        groups.append((i, j))
     return groups
 
 

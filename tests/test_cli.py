@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from ratapprox import aaa, cli, linalg, loewner, vectorfit
 from ratapprox.cli import main
 from ratapprox.errors import PoleError, RatApproxError
+from ratapprox.sampling import SampleSet
 from ratapprox.serialize import load_model, save_model
 
 
@@ -32,6 +33,12 @@ class TestSample:
         assert lines[0].startswith("# ratapprox v")
         assert lines[1] == "re_s,im_s,re_f,im_f"
         assert len(lines) == 2 + 55
+
+    def test_seed_text_in_the_command_line_is_not_the_seed(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("sample", "--grid", "uniform", "--pairs", "20", "--seed", "3", "--out", "seed=3.csv") == 0
+        assert SampleSet.from_csv("seed=3.csv").seed == 3
+        assert run("fit", "--method", "vf", "--order", "4", "--in", "seed=3.csv", "--out", "m.json") == 0
 
     def test_uniform_deterministic_bytes(self, tmp_path, monkeypatch):
         # identical flags must give identical bytes, metadata line included
@@ -158,38 +165,6 @@ class TestCompare:
         status = {row[0]: row[6] for row in rows}
         assert status["aaa"] == "error: order must be at least 1"
         assert all(status[m] == "ok" for m in ("loewner", "rloewner", "vf"))
-
-
-class TestThreadCap:
-    def run_sample(self, tmp_path):
-        return run("sample", "--grid", "structured", "--nx", "5", "--ny", "3",
-                   "--out", str(tmp_path / "s.csv"))
-
-    def test_warns_when_threadpoolctl_missing(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RATAPPROX_THREADS", "1")
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import now fails
-        assert self.run_sample(tmp_path) == 0
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("ratapprox: warning: RATAPPROX_THREADS=1 not applied")
-        assert "not applied to the BLAS thread pools" in err[0] and "only to the evaluation threads" in err[0]
-
-    def test_non_integer_cap_is_not_applied(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RATAPPROX_THREADS", "two")
-        assert self.run_sample(tmp_path) == 0
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["ratapprox: warning: RATAPPROX_THREADS=two not applied (not an integer)"]
-        assert linalg._eval_threads() == linalg._cpu_count()
-
-    def test_applies_limit_through_threadpoolctl(self, tmp_path, monkeypatch, capsys):
-        seen = []
-        fake = types.ModuleType("threadpoolctl")
-        fake.threadpool_limits = lambda limits=None: seen.append(limits)
-        monkeypatch.setenv("RATAPPROX_THREADS", "2")
-        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-        assert self.run_sample(tmp_path) == 0
-        assert seen == [2]
-        assert capsys.readouterr().err == ""
 
 
 class TestErrors:

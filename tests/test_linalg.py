@@ -224,7 +224,6 @@ def pooled(monkeypatch):
     monkeypatch.setattr(linalg, "_EVAL_CHUNK", 7)
     monkeypatch.setattr(linalg, "_cpu_count", lambda: 4)
     monkeypatch.setattr(linalg, "_pool", None)
-    monkeypatch.delenv("RATAPPROX_THREADS", raising=False)
     yield
     if linalg._pool is not None:
         linalg._pool.shutdown(wait=True)
@@ -307,7 +306,7 @@ class TestPooledEval:
         grid = oracle_grid(spiky_oracle(poles, slow_point=0 - 1j), OMEGA, 11, 3)
         assert np.flatnonzero(grid.excluded).tolist() == [2, 16]
         assert np.flatnonzero(np.isnan(grid.values)).tolist() == [2, 16]
-        monkeypatch.setenv("RATAPPROX_THREADS", "1")
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)
         ref = oracle_grid(spiky_oracle(poles), OMEGA, 11, 3)
         assert np.array_equal(grid.excluded, ref.excluded)
         assert grid.values.tobytes() == ref.values.tobytes()
@@ -368,7 +367,9 @@ class TestPooledEval:
 
 
 _THREAD_PROBE = """
-import hashlib, os
+import hashlib, os, sys
+if len(sys.argv) > 1:
+    os.sched_setaffinity(0, {int(sys.argv[1])})  # before numpy sizes its BLAS pool
 import numpy as np
 from ratapprox import linalg, loewner
 tasks = lambda: len(os.listdir("/proc/self/task"))
@@ -376,27 +377,25 @@ model = loewner.StateSpaceModel(E=np.eye(3), A=np.diag([1j, 2j, 3j]), B=np.ones(
 pts = np.linspace(0, 10, 5 * linalg._EVAL_CHUNK) + 0.5j
 before = tasks()
 vals = model.eval(pts)
-print(tasks() - before, linalg._eval_threads(), hashlib.sha256(vals.tobytes()).hexdigest())
+print(tasks() - before, linalg._cpu_count(), hashlib.sha256(vals.tobytes()).hexdigest())
 """
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads")
-def test_ratapprox_threads_caps_evaluation_threads():
+def test_cpu_affinity_sets_evaluation_threads():
     src = str(Path(ratapprox.__file__).resolve().parents[1])
 
-    def probe(cap):
-        env = {k: v for k, v in os.environ.items() if k != "RATAPPROX_THREADS"}
-        env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        if cap is not None:
-            env["RATAPPROX_THREADS"] = cap
-        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True,
+    def probe(*args):
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE, *args], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
         started, threads, digest = done.stdout.split()
         return int(started), int(threads), digest
 
-    started, threads, capped_digest = probe("1")
+    started, threads, pinned_digest = probe(str(min(os.sched_getaffinity(0))))
     assert (started, threads) == (0, 1)
-    started, threads, digest = probe(None)
+    started, threads, digest = probe()
     assert threads == linalg._cpu_count()
     assert (started == 0) if threads == 1 else (1 <= started <= threads - 1)
-    assert digest == capped_digest
+    assert digest == pinned_digest

@@ -146,6 +146,12 @@ class TestSampleSet:
         with pytest.raises(SampleError, match=":3:"):
             SampleSet.from_csv(path)
 
+    def test_csv_with_malformed_seed_rejected(self, tmp_path):
+        path = tmp_path / "seed.csv"
+        path.write_text('# ratapprox v0 seed=x cmd="sample"\nre_s,im_s,re_f,im_f\n1,0,0.5,0\n')
+        with pytest.raises(SampleError, match=r"seed\.csv:1: .*'seed=x'"):
+            SampleSet.from_csv(path)
+
     def test_csv_requires_values(self, tmp_path):
         with pytest.raises(ValueError):
             structured_grid(OMEGA, 3, 3).to_csv(tmp_path / "x.csv")
