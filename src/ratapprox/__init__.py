@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .aaa import BarycentricModel, barycentric_poles_zeros, cleanup, eval_barycentric, fit_aaa
 from .analysis import (
     CancellationPair,
-    CompareConfig,
     ComparisonTable,
     ErrorReport,
     OracleGrid,
@@ -69,7 +68,6 @@ __all__ = [
     "BESSEL_J0_ZEROS",
     "BarycentricModel",
     "CancellationPair",
-    "CompareConfig",
     "ComparisonTable",
     "ComputationError",
     "DataPartition",

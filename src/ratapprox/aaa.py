@@ -19,6 +19,10 @@ from . import linalg
 from .errors import InsufficientDataError, SettingError, StagnationError, SymmetryError
 from .sampling import SampleSet
 
+#: The AAA fit's settings and their defaults, its row of ``analysis.FIT_DEFAULTS``.
+#: order is the cap; seed=None starts at the sample farthest from the mean, a seed at random.
+DEFAULTS = {"order": 30, "tol": 1e-13, "real_mode": False, "seed": None, "cleanup": False}
+
 
 @dataclass
 class BarycentricModel:
@@ -162,10 +166,10 @@ def _solve_weights(row_points, row_values, support_points, support_values, real_
 
 def fit_aaa(
     samples: SampleSet,
-    tol: float = 1e-13,
-    max_order: int = 100,
-    real_mode: bool = False,
-    seed: int | None = None,
+    tol: float = DEFAULTS["tol"],
+    max_order: int = DEFAULTS["order"],
+    real_mode: bool = DEFAULTS["real_mode"],
+    seed: int | None = DEFAULTS["seed"],
 ) -> tuple[BarycentricModel, list[AaaStep]]:
     """Greedy barycentric fit until ``max |r - f| <= tol * max |f|``.
 

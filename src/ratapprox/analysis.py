@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class ErrorReport:
     errors: np.ndarray
     n_excluded: int = 0
     method_tag: str = ""
-    order: int = 0
 
     def grid_points(self) -> np.ndarray:
         return _grid_points(self.domain, self.nx, self.ny)
@@ -70,7 +69,7 @@ class OracleGrid:
     excluded: np.ndarray
 
 
-def oracle_grid(oracle, domain: Domain, nx: int = 500, ny: int = 500) -> OracleGrid:
+def oracle_grid(oracle, domain: Domain, nx: int, ny: int) -> OracleGrid:
     """Evaluate the oracle on the grid once, masking points where it reports a pole."""
     if nx < 2 or ny < 2:
         raise ValueError("need nx >= 2 and ny >= 2")
@@ -99,7 +98,7 @@ def oracle_grid(oracle, domain: Domain, nx: int = 500, ny: int = 500) -> OracleG
     return OracleGrid(domain=domain, nx=nx, ny=ny, points=pts, values=values, excluded=excluded)
 
 
-def model_error(model, truth: OracleGrid, method_tag: str = "", order: int = 0) -> ErrorReport:
+def model_error(model, truth: OracleGrid, method_tag: str = "") -> ErrorReport:
     """Error surface of ``model`` against oracle values already on a grid.
 
     ``model`` is anything with an ``eval`` method or a plain callable.
@@ -119,25 +118,16 @@ def model_error(model, truth: OracleGrid, method_tag: str = "", order: int = 0) 
         errors=err,
         n_excluded=int(truth.excluded.sum()),
         method_tag=method_tag,
-        order=order,
     )
 
 
-def error_grid(
-    model,
-    oracle,
-    domain: Domain,
-    nx: int = 500,
-    ny: int = 500,
-    method_tag: str = "",
-    order: int = 0,
-) -> ErrorReport:
+def error_grid(model, oracle, domain: Domain, nx: int, ny: int, method_tag: str = "") -> ErrorReport:
     """Evaluate model and oracle on an nx * ny equispaced grid.
 
     ``model`` is anything with an ``eval`` method or a plain callable.
     Oracle poles hit by the grid are excluded from the surface and counted.
     """
-    return model_error(model, oracle_grid(oracle, domain, nx, ny), method_tag, order)
+    return model_error(model, oracle_grid(oracle, domain, nx, ny), method_tag)
 
 
 @dataclass
@@ -190,15 +180,15 @@ def match_known_zeros(poles, reference) -> list[ZeroMatch]:
     return out
 
 
-#: The settings each method takes, with their defaults.  :func:`fit` gives
-#: any setting left out or passed as None its value here.
+#: The settings each method takes, with their defaults: the ``DEFAULTS``
+#: row of each method's module, whose fit functions take their defaults
+#: from it too.  :func:`fit` gives any setting left out or passed as None
+#: its value here.
 FIT_DEFAULTS: dict[str, dict] = {
-    # order is used only when tol is not given
-    "loewner": {"order": 11, "tol": None, "scheme": "epsilon_paired"},
-    "rloewner": {"order": 11, "seed": 0},
-    # order is the cap; seed=None starts at the sample farthest from the mean, a seed at random
-    "aaa": {"order": 30, "tol": 1e-13, "real_mode": False, "seed": None, "cleanup": False},
-    "vf": {"order": 12, "iters": 20},
+    "loewner": loewner.DEFAULTS,
+    "rloewner": greedy.DEFAULTS,
+    "aaa": aaa.DEFAULTS,
+    "vf": vectorfit.DEFAULTS,
 }
 
 
@@ -237,17 +227,6 @@ def fit(method: str, samples: SampleSet, **settings):
             model = aaa.cleanup(model, samples)
         return model, history
     return vectorfit.fit_vf(samples, order=s["order"], n_iter=s["iters"])
-
-
-@dataclass
-class CompareConfig:
-    """Per-method overrides of :data:`FIT_DEFAULTS` for the comparison."""
-
-    settings: dict[str, dict] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for method, settings in self.settings.items():
-            _given_settings(method, settings)
 
 
 @dataclass
@@ -295,22 +274,26 @@ class ComparisonTable:
         return "\n".join(lines)
 
 
-def compare_methods(samples: SampleSet, truth: OracleGrid, config: CompareConfig | None = None) -> ComparisonTable:
+def compare_methods(samples: SampleSet, truth: OracleGrid, settings: dict[str, dict] | None = None) -> ComparisonTable:
     """Fit all four methods on the same samples and tabulate their errors against ``truth``.
 
+    ``settings`` maps a method to its overrides of :data:`FIT_DEFAULTS`; an
+    unknown method or setting name raises ``ValueError`` before any fit.
     ``truth`` holds the oracle on the dense grid (see :func:`oracle_grid`);
     one grid serves any number of comparisons on the same domain.  Poles
     are counted inside ``truth.domain``.  Methods that fail (too little
-    data, divergence, an invalid setting) get an error-flag row instead of
-    aborting the table.
+    data, divergence, an invalid setting value) get an error-flag row
+    instead of aborting the table.
     """
-    cfg = config or CompareConfig()
+    settings = settings or {}
+    for method, given in settings.items():
+        _given_settings(method, given)
     rows: list[MethodRow] = []
     for name in FIT_DEFAULTS:
         started = time.perf_counter()
         fitted = None
         try:
-            model, _ = fit(name, samples, **cfg.settings.get(name, {}))
+            model, _ = fit(name, samples, **settings.get(name, {}))
             fitted = time.perf_counter()
             report = model_error(model, truth, method_tag=name)
             poles = model.poles_zeros()[0]

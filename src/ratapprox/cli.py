@@ -22,6 +22,12 @@ from pathlib import Path
 
 from . import __version__
 
+#: The benchmark's sizes: the structured sample grid, the conjugate pairs
+#: of the uniform cloud, and the side of the dense error grid.
+_STRUCTURED = (101, 21)
+_PAIRS = 1000
+_DENSE = 500
+
 
 def _command_line(args) -> str:
     return " ".join(getattr(args, "_argv", None) or sys.argv[1:] or [args.command])
@@ -50,9 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample the 1/J0 oracle on a grid and write CSV")
     p.add_argument("--grid", choices=("structured", "uniform"), default="structured")
-    p.add_argument("--nx", type=int, default=101)
-    p.add_argument("--ny", type=int, default=21)
-    p.add_argument("--pairs", type=int, default=1000, help="conjugate pairs for the uniform grid")
+    p.add_argument("--nx", type=int, default=_STRUCTURED[0])
+    p.add_argument("--ny", type=int, default=_STRUCTURED[1])
+    p.add_argument("--pairs", type=int, default=_PAIRS, help="conjugate pairs for the uniform grid")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--domain", type=_parse_domain, default=None, help="x_min,x_max,y_min,y_max")
     p.add_argument("--out", required=True)
@@ -65,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="loewner: truncation tolerance; aaa: stopping tolerance")
     p.add_argument("--iters", type=int, help="vf pole-relocation iterations")
     p.add_argument("--scheme", choices=PARTITION_SCHEMES, help="loewner partition scheme")
-    p.add_argument("--seed", type=int, default=0, help="rloewner start; aaa start with --seed-random")
+    p.add_argument("--seed", type=int, default=FIT_DEFAULTS["rloewner"]["seed"],
+                   help="rloewner start; aaa start with --seed-random")
     p.add_argument("--real-mode", action="store_true", default=None, help="aaa: enforce real symmetry")
     p.add_argument("--seed-random", action="store_true", help="aaa: random first support point")
     p.add_argument("--cleanup", action="store_true", default=None, help="aaa: drop spurious pole/zero doublets")
@@ -73,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="dense-grid error surface of a fitted model")
     p.add_argument("--model", required=True)
-    p.add_argument("--nx", type=int, default=500)
-    p.add_argument("--ny", type=int, default=500)
+    p.add_argument("--nx", type=int, default=_DENSE)
+    p.add_argument("--ny", type=int, default=_DENSE)
     p.add_argument("--domain", type=_parse_domain, default=None)
     p.add_argument("--out-prefix", required=True)
 
@@ -102,16 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--orders", help="loewner,rloewner,aaa-max,vf orders")
     p.add_argument("--tol", type=float, help="aaa stopping tolerance")
-    p.add_argument("--nx", type=int, default=500)
-    p.add_argument("--ny", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0, help="rloewner start")
+    p.add_argument("--nx", type=int, default=_DENSE)
+    p.add_argument("--ny", type=int, default=_DENSE)
+    p.add_argument("--seed", type=int, default=FIT_DEFAULTS["rloewner"]["seed"], help="rloewner start")
     p.add_argument("--out-prefix", default=None)
 
     p = sub.add_parser("repro", help="full benchmark: both grids, all four methods")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nx", type=int, default=500, help="dense evaluation grid width")
-    p.add_argument("--ny", type=int, default=500)
+    p.add_argument("--nx", type=int, default=_DENSE, help="dense evaluation grid width")
+    p.add_argument("--ny", type=int, default=_DENSE)
 
     return parser
 
@@ -198,8 +205,7 @@ def _cmd_eval(args) -> int:
 
     model = load_model(args.model)
     domain = args.domain or OMEGA
-    report = error_grid(model, h_of_s, domain, args.nx, args.ny,
-                        method_tag=Path(args.model).stem, order=model.order)
+    report = error_grid(model, h_of_s, domain, args.nx, args.ny, method_tag=Path(args.model).stem)
     csv_path = f"{args.out_prefix}.errors.csv"
     svg_path = f"{args.out_prefix}.heatmap.svg"
     summary_path = f"{args.out_prefix}.summary.json"
@@ -319,7 +325,7 @@ def _cmd_trajectories(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .analysis import FIT_DEFAULTS, CompareConfig, compare_methods, oracle_grid
+    from .analysis import FIT_DEFAULTS, compare_methods, oracle_grid
     from .sampling import OMEGA, SampleSet
     from .special import h_of_s
 
@@ -330,8 +336,7 @@ def _cmd_compare(args) -> int:
     settings = {method: {"order": order} for method, order in zip(FIT_DEFAULTS, orders)}
     settings["rloewner"]["seed"] = args.seed
     settings["aaa"]["tol"] = args.tol
-    cfg = CompareConfig(settings=settings)
-    table = compare_methods(samples, oracle_grid(h_of_s, OMEGA, args.nx, args.ny), cfg)
+    table = compare_methods(samples, oracle_grid(h_of_s, OMEGA, args.nx, args.ny), settings)
     print(table.to_text())
     if args.out_prefix:
         csv_path, txt_path = _write_compare(table, args.out_prefix, _meta_line(args, args.seed))
@@ -350,7 +355,7 @@ def _write_compare(table, prefix, meta: str) -> tuple[str, str]:
 
 
 def _cmd_repro(args) -> int:
-    from .analysis import CompareConfig, compare_methods, oracle_grid
+    from .analysis import compare_methods, oracle_grid
     from .sampling import OMEGA, sample_oracle, structured_grid, uniform_random_grid
     from .special import h_of_s
 
@@ -358,15 +363,15 @@ def _cmd_repro(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # both sample grids are compared against one oracle surface
     truth = oracle_grid(h_of_s, OMEGA, args.nx, args.ny)
-    cfg = CompareConfig(settings={"rloewner": {"seed": args.seed}})
+    settings = {"rloewner": {"seed": args.seed}}
     cases = (
-        ("structured_2121", sample_oracle(structured_grid(OMEGA, 101, 21), h_of_s), None),
-        ("uniform_2000", sample_oracle(uniform_random_grid(OMEGA, 1000, args.seed), h_of_s), args.seed),
+        ("structured_2121", sample_oracle(structured_grid(OMEGA, *_STRUCTURED), h_of_s), None),
+        ("uniform_2000", sample_oracle(uniform_random_grid(OMEGA, _PAIRS, args.seed), h_of_s), args.seed),
     )
     for name, samples, seed in cases:
         sample_path = out / f"{name}.samples.csv"
         samples.to_csv(sample_path, meta=_meta_line(args, seed))
-        table = compare_methods(samples, truth, cfg)
+        table = compare_methods(samples, truth, settings)
         _write_compare(table, out / name, _meta_line(args, seed))
         print(f"== {name} ({len(samples)} samples) ==")
         print(table.to_text())

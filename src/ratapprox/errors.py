@@ -21,7 +21,11 @@ class PoleError(RatApproxError, ArithmeticError):
 
 
 class SampleError(RatApproxError, ValueError):
-    """Sample data is unusable: no points, or a point or value that is not finite."""
+    """Sample data is unusable.
+
+    No points, a repeated point, values of another shape than the points,
+    or a point or value that is not finite.
+    """
 
 
 class SettingError(RatApproxError, ValueError):
@@ -41,7 +45,14 @@ class PencilError(RatApproxError, ValueError):
 
 
 class RankError(RatApproxError, ValueError):
-    """Requested reduction order is incompatible with the numerical rank of the data."""
+    """Requested reduction order is incompatible with the numerical rank of the data.
+
+    The numerical rank, where one was computed, is stored in ``rank``.
+    """
+
+    def __init__(self, message, rank=None):
+        super().__init__(message)
+        self.rank = rank
 
 
 class InsufficientDataError(RatApproxError, ValueError):

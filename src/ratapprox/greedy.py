@@ -13,10 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .errors import InsufficientDataError, PartitionError, SettingError, SymmetryError
-from .loewner import RANK_GUARD, DataPartition, StateSpaceModel, build_pencil, truncate
+from .errors import InsufficientDataError, PartitionError, RankError, SettingError, SymmetryError
+from .loewner import DataPartition, StateSpaceModel, build_pencil, truncate
 from .sampling import SampleSet, conjugate_groups
+
+#: The recursive Loewner fit's settings and their defaults, its row of
+#: ``analysis.FIT_DEFAULTS``.
+DEFAULTS = {"order": 11, "seed": 0}
 
 #: Stop once the selection error has failed to halve this many steps in a row
 #: (only after the target order is reachable).
@@ -43,8 +46,8 @@ class GreedyResult:
 
 def fit_greedy(
     samples: SampleSet,
-    order_target: int,
-    seed: int = 0,
+    order_target: int = DEFAULTS["order"],
+    seed: int = DEFAULTS["seed"],
 ) -> GreedyResult:
     """Greedy Loewner fit of the given target order.
 
@@ -149,8 +152,12 @@ def fit_greedy(
 def _fit_current(pts, vals, left_idx, right_idx, order_target):
     part = DataPartition(mu=pts[left_idx], v=vals[left_idx], lam=pts[right_idx], w=vals[right_idx])
     pencil = build_pencil(part)
+    order = min(order_target, len(left_idx), len(right_idx))
+    try:
+        return truncate(pencil, order=order).model, order
+    except RankError as exc:
+        if exc.rank is None:
+            raise
+        rank = exc.rank
     # cap the interim order at the numerical rank so E stays invertible
-    sigma = linalg.svd(np.hstack([pencil.L, pencil.Ls])).singular_values
-    rank = max(1, int(np.sum(sigma > RANK_GUARD * sigma[0])))
-    order = min(order_target, rank, len(left_idx), len(right_idx))
-    return truncate(pencil, order=order).model, order
+    return truncate(pencil, order=rank).model, rank

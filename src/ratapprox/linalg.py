@@ -232,18 +232,13 @@ def smallest_singular_vector(a) -> np.ndarray:
     return svd(a).V[:, -1]
 
 
-def finite_generalized_eigenvalues(
-    m,
-    n,
-    infinity_cutoff: float = INFINITY_CUTOFF,
-    residual_tol: float = RESIDUAL_TOL,
-) -> np.ndarray:
+def finite_generalized_eigenvalues(m, n) -> np.ndarray:
     """All finite eigenvalues of the pencil (m, n): det(m - lam * n) = 0.
 
     Eigenvalues at infinity (vanishing beta in the QZ output, as produced by
     a singular ``n``) are discarded, as are candidates whose magnitude
-    exceeds ``infinity_cutoff`` or whose backward residual
-    ``|(m - lam n) x| / ((|m| + |lam| |n|) |x|)`` exceeds ``residual_tol``.
+    exceeds ``INFINITY_CUTOFF`` or whose backward residual
+    ``|(m - lam n) x| / ((|m| + |lam| |n|) |x|)`` exceeds ``RESIDUAL_TOL``.
 
     Raises
     ------
@@ -274,22 +269,40 @@ def finite_generalized_eigenvalues(
         if indeterminate[i] or np.abs(beta[i]) == 0.0:
             continue
         lam = alpha[i] / beta[i]
-        if np.abs(lam) > infinity_cutoff:
+        if np.abs(lam) > INFINITY_CUTOFF:
             continue
         x = vr[:, i]
         resid = np.linalg.norm(m @ x - lam * (n @ x))
         scale = (norm_m + np.abs(lam) * norm_n) * np.linalg.norm(x)
-        if scale > 0 and resid / scale > residual_tol:
+        if scale > 0 and resid / scale > RESIDUAL_TOL:
             continue
         finite.append(lam)
     return np.asarray(finite, dtype=complex)
 
 
-def _identically_singular(m, n, probes: int = 3) -> bool:
-    # det(m - z n) sampled at a few generic shifts; all zero (relative to a
+def descriptor_zeros(a, e, b, c, d) -> np.ndarray:
+    """Finite zeros of the transfer function ``c (s e - a)^{-1} b + d``.
+
+    They are the finite eigenvalues of the bordered pencil
+    ``([a, b; c, d], [e, 0; 0, 0])``, whose zero border forces at least one
+    eigenvalue to infinity.
+    """
+    r = len(b)
+    m = np.zeros((r + 1, r + 1), dtype=complex)
+    n = np.zeros((r + 1, r + 1), dtype=complex)
+    m[:r, :r] = a
+    m[:r, r] = b
+    m[r, :r] = c
+    m[r, r] = d
+    n[:r, :r] = e
+    return finite_generalized_eigenvalues(m, n)
+
+
+def _identically_singular(m, n) -> bool:
+    # det(m - z n) sampled at three generic shifts; all zero (relative to a
     # Hadamard-type scale) means the pencil is singular as a polynomial.
     rng = np.random.default_rng(1234)
-    for _ in range(probes):
+    for _ in range(3):
         z = rng.standard_normal() + 1j * rng.standard_normal()
         pencil = m - z * n
         sign, logdet = np.linalg.slogdet(pencil)

@@ -28,6 +28,10 @@ from .sampling import Domain, SampleSet, conjugate_groups
 
 PARTITION_SCHEMES = ("alternating", "half_split", "epsilon_paired")
 
+#: The Loewner fit's settings and their defaults, its row of
+#: ``analysis.FIT_DEFAULTS``; order is used only when tol is not given.
+DEFAULTS = {"order": 11, "tol": None, "scheme": "epsilon_paired"}
+
 #: truncate() refuses orders whose last retained singular direction falls
 #: below this relative level: such directions carry noise, not data, and
 #: produce garbage poles.
@@ -355,7 +359,7 @@ class LoewnerReduction:
     e_condition: float = np.nan
 
 
-def partition(samples: SampleSet, scheme: str = "epsilon_paired") -> DataPartition:
+def partition(samples: SampleSet, scheme: str = DEFAULTS["scheme"]) -> DataPartition:
     """Split samples into disjoint left/right sets, preserving conjugate closure.
 
     Conjugate pairs always land on one side together.  Schemes:
@@ -482,7 +486,8 @@ def truncate(
         raise RankError(
             f"order {order} exceeds the numerical rank {numerical_rank} of the "
             f"data (sigma_{order}/sigma_1 = {sigma[order - 1] / sigma[0]:.2e}); "
-            "reduce the order"
+            "reduce the order",
+            rank=numerical_rank,
         )
     # right vectors of [L; Ls] are the left vectors of its adjoint [L*, Ls*]
     col_adjoint = np.hstack([pencil.L.conj().T, pencil.Ls.conj().T])
@@ -510,20 +515,13 @@ def poles(model: StateSpaceModel) -> np.ndarray:
 
 
 def zeros(model: StateSpaceModel) -> np.ndarray:
-    """Zeros of the model: finite eigenvalues of the bordered pencil.
+    """Zeros of the model by :func:`linalg.descriptor_zeros`.
 
-    The pencil is ([A, B; C, 0], [E, 0; 0, 0]); its zero feedthrough block
-    forces at least two eigenvalues to infinity, so a strictly proper model
-    of order r has at most r - 1 finite zeros.
+    The zero feedthrough forces at least two eigenvalues of the bordered
+    pencil to infinity, so a strictly proper model of order r has at most
+    r - 1 finite zeros.
     """
-    r = model.order
-    m = np.zeros((r + 1, r + 1), dtype=complex)
-    n = np.zeros((r + 1, r + 1), dtype=complex)
-    m[:r, :r] = model.A
-    m[:r, r] = model.B
-    m[r, :r] = model.C
-    n[:r, :r] = model.E
-    return linalg.finite_generalized_eigenvalues(m, n)
+    return linalg.descriptor_zeros(model.A, model.E, model.B, model.C, 0.0)
 
 
 def projected_points(pencil: LoewnerPencil, Y: np.ndarray, X: np.ndarray) -> ProjectedPoints:
@@ -578,10 +576,10 @@ class TrajectoryStep:
 def trajectory_study(
     oracle,
     domain: Domain,
-    a: int = 10,
-    n_steps: int = 5,
-    order: int = 11,
-    scheme: str = "epsilon_paired",
+    a: int,
+    n_steps: int,
+    order: int = DEFAULTS["order"],
+    scheme: str = DEFAULTS["scheme"],
 ) -> list[TrajectoryStep]:
     """Track projected interpolation points under grid densification.
 

@@ -33,10 +33,10 @@ def write_csv(path, meta: str | None, header: str, rows, comments=()) -> None:
 class Domain:
     """Axis-aligned rectangle [x_min, x_max] x [y_min, y_max] in C."""
 
-    x_min: float = 0.0
-    x_max: float = 10.0
-    y_min: float = -1.0
-    y_max: float = 1.0
+    x_min: float
+    x_max: float
+    y_min: float
+    y_max: float
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
@@ -65,15 +65,13 @@ OMEGA = Domain(0.0, 10.0, -1.0, 1.0)
 class SampleSet:
     """Ordered sample points with optional function values.
 
-    ``symmetric`` records that the point multiset is closed under complex
-    conjugation; generators below guarantee it by construction.  An empty
-    set, or a point or value that is NaN or infinite, raises ``SampleError``.
+    An empty set, a repeated point, values of another shape than the
+    points, or a point or value that is NaN or infinite raises
+    ``SampleError``.
     """
 
     points: np.ndarray
     values: np.ndarray | None = None
-    symmetric: bool = False
-    seed: int | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
@@ -83,10 +81,10 @@ class SampleSet:
         if self.values is not None:
             self.values = np.asarray(self.values, dtype=complex)
             if self.values.shape != self.points.shape:
-                raise ValueError("values shape differs from points shape")
+                raise SampleError("values shape differs from points shape")
             _require_finite(self.values, "value(s)")
         if len(np.unique(self.points)) != self.points.size:
-            raise ValueError("duplicate sample points")
+            raise SampleError("duplicate sample points")
 
     def __len__(self) -> int:
         return self.points.size
@@ -105,22 +103,10 @@ class SampleSet:
     @classmethod
     def from_csv(cls, path) -> "SampleSet":
         rows = []
-        seed = None
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    # the command line after cmd= may itself hold seed= text
-                    for tok in line[1:].partition("cmd=")[0].split():
-                        if tok.startswith("seed=") and tok != "seed=none":
-                            try:
-                                seed = int(tok[5:])
-                            except ValueError:
-                                raise SampleError(f"{path}:{lineno}: malformed seed field {tok!r}") from None
-                    continue
-                if line.lower().startswith("re_s"):
+                if not line or line.startswith("#") or line.lower().startswith("re_s"):
                     continue
                 try:
                     row = [float(t) for t in line.split(",")]
@@ -134,8 +120,7 @@ class SampleSet:
         data = np.asarray(rows)
         points = data[:, 0] + 1j * data[:, 1]
         values = data[:, 2] + 1j * data[:, 3]
-        symmetric = _is_conjugate_closed(points)
-        return cls(points=points, values=values, symmetric=symmetric, seed=seed)
+        return cls(points=points, values=values)
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -144,11 +129,6 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise SampleError(
             f"{bad.size} sample {what} not finite, the first at index {bad[0]}: {arr[bad[0]]}"
         )
-
-
-def _is_conjugate_closed(points: np.ndarray) -> bool:
-    keys = {(p.real, p.imag) for p in points}
-    return all((p.real, -p.imag) in keys for p in points)
 
 
 def conjugate_groups(points: np.ndarray) -> list[tuple[int, ...]]:
@@ -189,7 +169,7 @@ def _symmetric_linspace(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def structured_grid(domain: Domain = OMEGA, nx: int = 101, ny: int = 21) -> SampleSet:
+def structured_grid(domain: Domain, nx: int, ny: int) -> SampleSet:
     """Cartesian product of nx equispaced abscissae and ny ordinates.
 
     For a y-symmetric domain ``ny`` must be odd so the real axis is a grid
@@ -198,8 +178,7 @@ def structured_grid(domain: Domain = OMEGA, nx: int = 101, ny: int = 21) -> Samp
     """
     if nx < 2 or ny < 2:
         raise ValueError("structured grid needs nx >= 2 and ny >= 2")
-    symmetric = domain.y_symmetric
-    if symmetric and ny % 2 == 0:
+    if domain.y_symmetric and ny % 2 == 0:
         raise SymmetryError(
             f"ny = {ny} is even: the real axis would not be a grid row and "
             "conjugate pairing would be inexact; use odd ny"
@@ -207,10 +186,10 @@ def structured_grid(domain: Domain = OMEGA, nx: int = 101, ny: int = 21) -> Samp
     xs = np.linspace(domain.x_min, domain.x_max, nx)
     ys = _symmetric_linspace(domain.y_min, domain.y_max, ny)
     points = (xs[:, None] + 1j * ys[None, :]).ravel()
-    return SampleSet(points=points, symmetric=symmetric)
+    return SampleSet(points=points)
 
 
-def uniform_random_grid(domain: Domain = OMEGA, n_pairs: int = 1000, seed: int = 0) -> SampleSet:
+def uniform_random_grid(domain: Domain, n_pairs: int, seed: int) -> SampleSet:
     """``n_pairs`` points uniform over the open upper half of the domain plus conjugates.
 
     Ordinates are drawn in (0, y_max], so no sample lands on the real axis
@@ -232,7 +211,7 @@ def uniform_random_grid(domain: Domain = OMEGA, n_pairs: int = 1000, seed: int =
     points = np.empty(2 * n_pairs, dtype=complex)
     points[0::2] = upper
     points[1::2] = np.conj(upper)
-    return SampleSet(points=points, symmetric=True, seed=seed)
+    return SampleSet(points=points)
 
 
 def sample_oracle(samples: SampleSet, oracle) -> SampleSet:

@@ -33,6 +33,10 @@ ILL_CONDITION = 1e13
 
 _PAIR_TOL = 1e-9
 
+#: The Vector Fitting settings and their defaults, its row of
+#: ``analysis.FIT_DEFAULTS``.
+DEFAULTS = {"order": 12, "iters": 20}
+
 
 @dataclass
 class PoleResidueModel:
@@ -181,17 +185,16 @@ def initial_poles_auto(points: np.ndarray, order: int) -> np.ndarray:
 
 def fit_vf(
     samples: SampleSet,
-    order: int,
-    n_iter: int = 20,
+    order: int = DEFAULTS["order"],
+    n_iter: int = DEFAULTS["iters"],
     initial_poles: np.ndarray | None = None,
-    weights: np.ndarray | None = None,
 ) -> tuple[PoleResidueModel, list[VfIterate]]:
     """Vector Fitting of the given order.
 
     Runs up to ``n_iter`` pole-relocation steps (stopping early when the
     largest relative pole movement falls below ``MOVE_TOL``), then solves a
     final least-squares pass for the residues, d and h with the poles held
-    fixed.  ``weights`` optionally scales each sample row of every solve.
+    fixed.
 
     Raises
     ------
@@ -213,12 +216,6 @@ def fit_vf(
         )
     points = samples.points
     values = samples.values
-    if weights is None:
-        weights = np.ones(points.size)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != points.shape:
-            raise ValueError("weights shape differs from samples")
 
     if initial_poles is None:
         poles = initial_poles_auto(points, order)
@@ -236,9 +233,7 @@ def fit_vf(
         system[:, order] = 1.0
         system[:, order + 1] = points
         system[:, order + 2 :] = -cols * values[:, None]
-        solution, resid, cond = _real_stacked_lstsq(
-            system * weights[:, None], values * weights
-        )
+        solution, resid, cond = _real_stacked_lstsq(system, values)
         sigma_params = solution[order + 2 :]
 
         # zeros of sigma(s) = sum cb_n/(s - a_n) + 1, via the real companion
@@ -281,7 +276,7 @@ def fit_vf(
     system[:, :order] = cols
     system[:, order] = 1.0
     system[:, order + 1] = points
-    solution, _, _ = _real_stacked_lstsq(system * weights[:, None], values * weights)
+    solution, _, _ = _real_stacked_lstsq(system, values)
     model = PoleResidueModel(
         poles=poles,
         residues=_unpack_complex(solution[:order], kinds),
@@ -307,33 +302,26 @@ def eval_pole_residue(model: PoleResidueModel, s):
 def pr_poles_zeros(model: PoleResidueModel) -> tuple[np.ndarray, np.ndarray]:
     """Poles (stored) and zeros of the pole-residue model.
 
-    Zeros come from the bordered pencil of an equivalent descriptor
-    realization; a nonzero h term is realized with two extra descriptor
-    states so the polynomial part is represented exactly.
+    Zeros are those of an equivalent descriptor realization, by
+    :func:`linalg.descriptor_zeros`; a nonzero h term is realized with two
+    extra descriptor states so the polynomial part is represented exactly.
     """
     r = model.order
+    n_states = r + 2 if model.h != 0.0 else r
+    a = np.zeros((n_states, n_states), dtype=complex)
+    e = np.zeros((n_states, n_states), dtype=complex)
+    b = np.zeros(n_states, dtype=complex)
+    c = np.zeros(n_states, dtype=complex)
+    a[:r, :r] = np.diag(model.poles)
+    e[:r, :r] = np.eye(r)
+    b[:r] = 1.0
+    c[:r] = model.residues
     if model.h != 0.0:
-        n_states = r + 2
-        m = np.zeros((n_states + 1, n_states + 1), dtype=complex)
-        n = np.zeros((n_states + 1, n_states + 1), dtype=complex)
-        m[:r, :r] = np.diag(model.poles)
-        n[:r, :r] = np.eye(r)
         # two-state block realizing s*h: C_h (s E_h - A_h)^{-1} B_h
-        m[r, r] = -1.0
-        m[r + 1, r + 1] = -1.0
-        n[r, r + 1] = 1.0
-        m[:r, n_states] = 1.0
-        m[r + 1, n_states] = -model.h
-        m[n_states, :r] = model.residues
-        m[n_states, r] = 1.0
-        m[n_states, n_states] = model.d
-    else:
-        m = np.zeros((r + 1, r + 1), dtype=complex)
-        n = np.zeros((r + 1, r + 1), dtype=complex)
-        m[:r, :r] = np.diag(model.poles)
-        n[:r, :r] = np.eye(r)
-        m[:r, r] = 1.0
-        m[r, :r] = model.residues
-        m[r, r] = model.d
-    zeros = linalg.finite_generalized_eigenvalues(m, n)
+        a[r, r] = -1.0
+        a[r + 1, r + 1] = -1.0
+        e[r, r + 1] = 1.0
+        b[r + 1] = -model.h
+        c[r] = 1.0
+    zeros = linalg.descriptor_zeros(a, e, b, c, model.d)
     return model.poles.copy(), zeros

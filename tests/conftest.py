@@ -89,7 +89,7 @@ def rational_samples(degree: int, seed: int, n_pairs: int = 24, with_offset: boo
     pts = np.empty(2 * n_pairs, dtype=complex)
     pts[0::2] = upper
     pts[1::2] = np.conj(upper)
-    samples = SampleSet(points=pts, symmetric=True)
+    samples = SampleSet(points=pts)
     return sample_oracle(samples, f), f, poles, residues, offset
 
 
@@ -103,7 +103,7 @@ def conjugate_closed(points, tol=1e-8):
     )
 
 
-#: Orders and tolerances that the 21 x 5 grid below supports, as ``CompareConfig.settings``.
+#: Orders and tolerances that the 21 x 5 grid below supports, as ``compare_methods`` settings.
 SMALL_FIT_SETTINGS = {
     "loewner": {"order": 8},
     "rloewner": {"order": 7},

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import SMALL_FIT_SETTINGS, rational_samples
 from ratapprox import (
     OMEGA,
-    CompareConfig,
     InsufficientDataError,
     PoleError,
     RatApproxError,
@@ -23,7 +23,7 @@ from ratapprox import (
     partition,
     truncate,
 )
-from ratapprox import aaa, greedy, loewner, vectorfit
+from ratapprox import aaa, analysis, greedy, loewner, vectorfit
 from ratapprox.analysis import FIT_DEFAULTS, fit, oracle_grid
 
 
@@ -38,7 +38,7 @@ class TestErrorGrid:
         from ratapprox import build_pencil, partition, truncate
 
         model = truncate(build_pencil(partition(samples)), order=3).model
-        report = error_grid(model, f, OMEGA, 50, 20, method_tag="loewner", order=3)
+        report = error_grid(model, f, OMEGA, 50, 20, method_tag="loewner")
         assert report.max_error <= 1e-10
         assert report.method_tag == "loewner"
         # max is attained on the surface
@@ -117,7 +117,7 @@ class TestCompareMethods:
         pts = np.array([1.0 + 0j, 2.0 + 0j, 3.0 + 0j, 4.0 + 0j])
         samples = SampleSet(points=pts).with_values(1.0 / (pts + 1.0))
         truth = oracle_grid(lambda s: 1.0 / (np.asarray(s, complex) + 1.0), OMEGA, 10, 5)
-        table = compare_methods(samples, truth, CompareConfig())
+        table = compare_methods(samples, truth)
         assert len(table.rows) == 4
         assert any(r.status.startswith("error") for r in table.rows)
         text = table.to_text()
@@ -133,8 +133,7 @@ class TestCompareMethods:
             evaluated.append(np.size(s))
             return h_of_s(s)
 
-        cfg = CompareConfig(settings=SMALL_FIT_SETTINGS)
-        table = compare_methods(small_bessel_samples, oracle_grid(oracle, OMEGA, 40, 15), cfg)
+        table = compare_methods(small_bessel_samples, oracle_grid(oracle, OMEGA, 40, 15), SMALL_FIT_SETTINGS)
         assert all(r.status == "ok" for r in table.rows)
         assert sum(evaluated) == 40 * 15
         # each row is the error surface error_grid reports for that method
@@ -145,8 +144,7 @@ class TestCompareMethods:
 
     def test_rows_split_fit_and_evaluation_time(self, small_bessel_samples):
         settings = {**SMALL_FIT_SETTINGS, "aaa": {**SMALL_FIT_SETTINGS.get("aaa", {}), "order": 0}}
-        table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 40, 15),
-                                CompareConfig(settings=settings))
+        table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 40, 15), settings)
         rows = {r.method: r for r in table.rows}
         assert rows["aaa"].status.startswith("error") and rows["aaa"].eval_s == 0.0
         assert all(r.fit_s > 0 and r.eval_s > 0 for m, r in rows.items() if m != "aaa")
@@ -155,8 +153,7 @@ class TestCompareMethods:
         assert lines[0].split()[-3:] == [f"{rows['loewner'].fit_s:.2f}", f"{rows['loewner'].eval_s:.2f}", "ok"]
 
     def test_small_benchmark_all_methods_succeed(self, small_bessel_samples):
-        cfg = CompareConfig(settings=SMALL_FIT_SETTINGS)
-        table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 40, 15), cfg)
+        table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 40, 15), SMALL_FIT_SETTINGS)
         assert all(r.status == "ok" for r in table.rows)
         assert all(np.isfinite(r.max_error) for r in table.rows)
         assert all(r.max_error < 1e-2 for r in table.rows)
@@ -206,6 +203,36 @@ class TestFit:
             "vf": {"order": 12, "iters": 20},
         }
 
+    @pytest.mark.parametrize("method, defaults", [
+        ("loewner", {loewner.partition: {"scheme": "scheme"},
+                     loewner.truncate: {"tol": "tol"},
+                     loewner.trajectory_study: {"order": "order", "scheme": "scheme"}}),
+        ("rloewner", {greedy.fit_greedy: {"order": "order_target", "seed": "seed"}}),
+        ("aaa", {aaa.fit_aaa: {"order": "max_order", "tol": "tol", "real_mode": "real_mode",
+                               "seed": "seed"}}),
+        ("vf", {vectorfit.fit_vf: {"order": "order", "iters": "n_iter"}}),
+    ])
+    def test_library_defaults_are_the_table(self, method, defaults):
+        # each setting, by its name in the table and in each function's signature
+        for function, names in defaults.items():
+            parameters = inspect.signature(function).parameters
+            for setting, parameter in names.items():
+                assert parameters[parameter].default == FIT_DEFAULTS[method][setting], (function, parameter)
+        covered = {setting for names in defaults.values() for setting in names}
+        # cleanup is a step of fit, not a parameter of fit_aaa
+        assert covered | ({"cleanup"} if method == "aaa" else set()) == set(FIT_DEFAULTS[method])
+
+    def test_fit_aaa_caps_the_order_as_fit_does(self, medium_bessel_samples):
+        # noise of 1e-9 keeps AAA above its 1e-13 tolerance up to the cap
+        rng = np.random.default_rng(0)
+        noise = 1e-9 * (rng.standard_normal(len(medium_bessel_samples))
+                        + 1j * rng.standard_normal(len(medium_bessel_samples)))
+        noisy = medium_bessel_samples.with_values(medium_bessel_samples.values + noise)
+        model, history = aaa.fit_aaa(noisy)
+        assert model.order == FIT_DEFAULTS["aaa"]["order"]
+        assert history[-1].max_error > 1e-13 * np.max(np.abs(noisy.values))
+        assert_identical(fit("aaa", noisy), (model, history))
+
     @pytest.mark.parametrize("method", sorted(FIT_DEFAULTS))
     def test_defaults_equal_the_direct_call(self, method, medium_bessel_samples):
         model, history = fit(method, medium_bessel_samples)
@@ -250,14 +277,16 @@ class TestFit:
         assert isinstance(info.value, ValueError) and isinstance(info.value, RatApproxError)
 
     @pytest.mark.parametrize("settings", [{"newton": {}}, {"vf": {"tol": 1e-3}}])
-    def test_compare_config_rejects_what_fit_would(self, settings):
+    def test_compare_config_rejects_what_fit_would(self, settings, small_bessel_samples, monkeypatch):
+        # checked before the first fit
+        monkeypatch.setattr(analysis, "fit", None)
         with pytest.raises(ValueError):
-            CompareConfig(settings=settings)
+            compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 10, 5), settings)
 
     def test_one_sample_gives_four_error_rows(self):
         pts = np.array([2.0 + 0.5j])
         samples = SampleSet(points=pts).with_values(1.0 / (pts + 1.0))
-        table = compare_methods(samples, oracle_grid(h_of_s, OMEGA, 10, 5), CompareConfig())
+        table = compare_methods(samples, oracle_grid(h_of_s, OMEGA, 10, 5))
         assert [r.method for r in table.rows] == list(FIT_DEFAULTS)
         assert all(r.status.startswith("error") for r in table.rows)
         with pytest.raises(InsufficientDataError):

@@ -15,7 +15,7 @@ from conftest import SMALL_FIT_SETTINGS  # noqa: E402
 from layers import all_targets  # noqa: E402
 
 from ratapprox import OMEGA, aaa, greedy, loewner, vectorfit  # noqa: E402
-from ratapprox.analysis import CompareConfig, compare_methods, oracle_grid  # noqa: E402
+from ratapprox.analysis import compare_methods, oracle_grid  # noqa: E402
 from ratapprox.special import h_of_s  # noqa: E402
 
 
@@ -34,7 +34,6 @@ def test_compare_methods_calls_each_fit_through_its_module(small_bessel_samples,
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, spy)
-    cfg = CompareConfig(settings=SMALL_FIT_SETTINGS)
-    table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 10, 5), cfg)
+    table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 10, 5), SMALL_FIT_SETTINGS)
     assert all(row.status == "ok" for row in table.rows)
     assert sorted(set(called)) == ["fit_aaa", "fit_greedy", "fit_vf", "truncate"]

@@ -16,7 +16,6 @@ from hypothesis.extra import numpy as hnp
 from ratapprox import aaa, cli, linalg, loewner, vectorfit
 from ratapprox.cli import main
 from ratapprox.errors import PoleError, RatApproxError
-from ratapprox.sampling import SampleSet
 from ratapprox.serialize import load_model, save_model
 
 
@@ -37,7 +36,6 @@ class TestSample:
     def test_seed_text_in_the_command_line_is_not_the_seed(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run("sample", "--grid", "uniform", "--pairs", "20", "--seed", "3", "--out", "seed=3.csv") == 0
-        assert SampleSet.from_csv("seed=3.csv").seed == 3
         assert run("fit", "--method", "vf", "--order", "4", "--in", "seed=3.csv", "--out", "m.json") == 0
 
     def test_uniform_deterministic_bytes(self, tmp_path, monkeypatch):
@@ -175,6 +173,14 @@ class TestErrors:
                    "--order", "1", "--out", str(tmp_path / "x.json")) == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "SampleError"
+
+    def test_repeated_sample_row_reports_sample_error(self, tmp_path, capsys):
+        sample = tmp_path / "s.csv"
+        sample.write_text("re_s,im_s,re_f,im_f\n1,0,1,0\n2,0,0.5,0\n2,0,0.5,0\n3,0,1,0\n")
+        assert run("fit", "--method", "loewner", "--in", str(sample),
+                   "--order", "1", "--out", str(tmp_path / "x.json")) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload == {"error": "SampleError", "message": "duplicate sample points"}
 
     def test_missing_file_reports_json(self, capsys):
         assert run("fit", "--method", "loewner", "--in", "no_such.csv",

@@ -13,6 +13,15 @@ def test_exact_degree_two_data_interpolated():
     assert result.model.order == 2
 
 
+def test_order_is_capped_at_the_rank_of_the_data():
+    # every interim truncation at the target order meets a rank-2 pencil
+    samples, *_ = rational_samples(2, 5, n_pairs=15)
+    result = fit_greedy(samples, order_target=4, seed=0)
+    assert result.model.order == 2
+    err = np.abs(result.model.eval(samples.points) - samples.values)
+    assert err.max() <= 1e-9
+
+
 def test_selected_points_come_from_input_and_stay_disjoint():
     samples, *_ = rational_samples(3, 1, n_pairs=12)
     result = fit_greedy(samples, order_target=3, seed=4)

@@ -169,9 +169,7 @@ class TestGeneralizedEigenvalues:
         assert np.allclose(vals.imag, 0.0)
 
     def test_infinite_eigenvalue_dropped(self):
-        vals = finite_generalized_eigenvalues(
-            np.diag([1.0, 1.0]), np.diag([1.0, 0.0]), infinity_cutoff=1e6
-        )
+        vals = finite_generalized_eigenvalues(np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
         assert vals.shape == (1,)
         assert np.isclose(vals[0], 1.0)
 

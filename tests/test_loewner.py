@@ -29,7 +29,7 @@ from ratapprox.loewner import DataPartition, StateSpaceModel, modal_form
 
 def real_samples(values_fn, pts):
     pts = np.asarray(pts, dtype=complex)
-    return SampleSet(points=pts, symmetric=True).with_values(values_fn(pts))
+    return SampleSet(points=pts).with_values(values_fn(pts))
 
 
 def match_distance(a, b):
@@ -160,8 +160,9 @@ class TestTruncate:
 
     def test_order_larger_than_rank_refused(self):
         samples, *_ = rational_samples(2, 7, n_pairs=12)
-        with pytest.raises(RankError):
+        with pytest.raises(RankError) as info:
             truncate(build_pencil(partition(samples)), order=9)
+        assert info.value.rank == 2
 
     def test_exactly_one_mode_required(self):
         samples, *_ = rational_samples(2, 8, n_pairs=8)

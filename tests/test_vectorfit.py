@@ -68,14 +68,6 @@ class TestFit:
         assert all(h.condition > 0 for h in history)
         assert all(isinstance(h.ill_conditioned, bool) for h in history)
 
-    def test_weights_change_the_fit(self):
-        # under-resolved fit: the least-squares trade-off depends on weights
-        samples, *_ = rational_samples(5, 6, n_pairs=24, with_offset=True)
-        plain, _ = fit_vf(samples, order=3, n_iter=6)
-        wts = 1.0 / np.abs(samples.values)
-        weighted, _ = fit_vf(samples, order=3, n_iter=6, weights=wts)
-        assert not np.allclose(plain.residues, weighted.residues)
-
 
 class TestEval:
     def test_single_pole_unit_residue(self):
