@@ -121,47 +121,14 @@ def _solve_weights(row_points, row_values, support_points, support_values, real_
     if not real_mode:
         return linalg.smallest_singular_vector(loewner_rows)
 
-    # Constrain w(conj s_j) = conj(w_j): one complex free weight per
-    # conjugate pair, one real weight per real support point.  Assemble a
-    # real matrix over the real parameters and take its smallest singular
-    # vector.
-    m = support_points.size
-    handled = np.zeros(m, dtype=bool)
-    param_cols = []
-    recipe = []  # (kind, j, jconj)
-    for j in range(m):
-        if handled[j]:
-            continue
-        sj = support_points[j]
-        if sj.imag == 0.0:
-            param_cols.append(loewner_rows[:, j][:, None])
-            recipe.append(("real", j, None))
-            handled[j] = True
-        else:
-            jc = int(np.nonzero(support_points == sj.conjugate())[0][0])
-            col_re = loewner_rows[:, j] + loewner_rows[:, jc]
-            col_im = 1j * (loewner_rows[:, j] - loewner_rows[:, jc])
-            param_cols.append(np.stack([col_re, col_im], axis=1))
-            recipe.append(("pair", j, jc))
-            handled[j] = True
-            handled[jc] = True
-    block = np.hstack(param_cols)
-    stacked = np.vstack([block.real, block.imag])
-    params = linalg.smallest_singular_vector(stacked)
-    weights = np.zeros(m, dtype=complex)
-    pos = 0
-    for kind, j, jc in recipe:
-        if kind == "real":
-            weights[j] = params[pos]
-            pos += 1
-        else:
-            weights[j] = params[pos] + 1j * params[pos + 1]
-            weights[jc] = params[pos] - 1j * params[pos + 1]
-            pos += 2
-    norm = np.linalg.norm(weights)
-    if norm > 0:
-        weights = weights / norm
-    return weights
+    # Constrain w(conj s_j) = conj(w_j) over real parameters, one per real
+    # support point and two per pair; fit_aaa promotes each non-real support
+    # point together with its conjugate, so pairs are adjacent.
+    starts = linalg.pair_starts(support_points.imag == 0.0)
+    block = linalg.real_pair_columns(loewner_rows, starts)
+    params = linalg.smallest_singular_vector(np.vstack([block.real, block.imag]))
+    weights = linalg.pair_coefficients(params, starts)
+    return weights / np.linalg.norm(weights)
 
 
 def fit_aaa(

@@ -139,7 +139,11 @@ class CancellationPair:
     gap: float
 
 
-def detect_cancellations(poles, zeros, rel_tol: float = 1e-6) -> list[CancellationPair]:
+#: Default relative gap under which a pole and a zero count as cancelling.
+CANCEL_TOL = 1e-6
+
+
+def detect_cancellations(poles, zeros, rel_tol: float = CANCEL_TOL) -> list[CancellationPair]:
     """Greedy one-to-one nearest matching of poles against zeros.
 
     Pairs are reported while the globally closest remaining pole/zero pair

@@ -47,7 +47,7 @@ def _parse_domain(text):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .analysis import FIT_DEFAULTS
+    from .analysis import CANCEL_TOL, FIT_DEFAULTS
     from .loewner import PARTITION_SCHEMES
 
     parser = argparse.ArgumentParser(prog="ratapprox", description=__doc__)
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--match-bessel", action="store_true",
                    help="report distances to the tabulated J0 zeros")
-    p.add_argument("--cancel-tol", type=float, default=1e-6)
+    p.add_argument("--cancel-tol", type=float, default=CANCEL_TOL)
 
     p = sub.add_parser("project", help="projected interpolation points of a Loewner fit")
     p.add_argument("--in", dest="infile", required=True)
@@ -365,10 +365,11 @@ def _cmd_repro(args) -> int:
     truth = oracle_grid(h_of_s, OMEGA, args.nx, args.ny)
     settings = {"rloewner": {"seed": args.seed}}
     cases = (
-        ("structured_2121", sample_oracle(structured_grid(OMEGA, *_STRUCTURED), h_of_s), None),
-        ("uniform_2000", sample_oracle(uniform_random_grid(OMEGA, _PAIRS, args.seed), h_of_s), args.seed),
+        ("structured", sample_oracle(structured_grid(OMEGA, *_STRUCTURED), h_of_s), None),
+        ("uniform", sample_oracle(uniform_random_grid(OMEGA, _PAIRS, args.seed), h_of_s), args.seed),
     )
-    for name, samples, seed in cases:
+    for grid, samples, seed in cases:
+        name = f"{grid}_{len(samples)}"
         sample_path = out / f"{name}.samples.csv"
         samples.to_csv(sample_path, meta=_meta_line(args, seed))
         table = compare_methods(samples, truth, settings)

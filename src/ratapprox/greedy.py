@@ -103,20 +103,20 @@ def fit_greedy(
         # errors of different groups agree to more digits than the modal sum keeps
         pred = model.solve(pts[unused_idx])
         err = np.abs(pred - vals[unused_idx])
-        worst_of_group: dict[int, float] = {}
-        for local, i in enumerate(unused_idx):
-            gi = int(group_of[i])
-            worst_of_group[gi] = max(worst_of_group.get(gi, 0.0), float(err[local]))
-        ranked = sorted(worst_of_group.items(), key=lambda kv: (-kv[1], kv[0]))
-        max_error = ranked[0][1]
+        # worst error of each group, NaN ignored; rank by error, ties to the lower group
+        worst_of_group = np.zeros(n_groups)
+        np.fmax.at(worst_of_group, group_of[unused_idx], err)
+        candidates = np.array(unused)
+        ranked = candidates[np.lexsort((candidates, -worst_of_group[candidates]))]
+        max_error = float(worst_of_group[ranked[0]])
 
         chosen: list[complex] = []
-        g_left = ranked[0][0]
+        g_left = int(ranked[0])
         left_groups.append(g_left)
         unused.remove(g_left)
         chosen.append(complex(pts[groups[g_left][0]]))
         if len(ranked) > 1:
-            g_right = ranked[1][0]
+            g_right = int(ranked[1])
             right_groups.append(g_right)
             unused.remove(g_right)
             chosen.append(complex(pts[groups[g_right][0]]))

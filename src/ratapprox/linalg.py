@@ -3,7 +3,9 @@
 Thin wrappers over LAPACK (via scipy) that pin down the conventions the
 rest of the toolkit relies on: V holds right singular vectors as columns,
 least squares is the SVD pseudo-inverse with a fixed cutoff, and the
-generalized eigensolver filters infinite and spurious eigenvalues.
+generalized eigensolver filters infinite and spurious eigenvalues.  The
+conjugate-pair functions solve for conjugate-symmetric coefficients over
+real parameters.
 """
 
 from __future__ import annotations
@@ -206,8 +208,8 @@ def _share(run, starts: range) -> None:
         raise failed[min(failed)]
 
 
-def least_squares(a, b) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``a @ x = b``.
+def least_squares(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solution of ``a @ x = b`` and the singular values of ``a``.
 
     Singular values below ``LSTSQ_CUTOFF * sigma_max`` are treated as zero,
     so rank-deficient systems return the minimum-norm minimiser.
@@ -221,7 +223,7 @@ def least_squares(a, b) -> np.ndarray:
     keep = s > LSTSQ_CUTOFF * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
-    return res.V @ (inv * (res.U.conj().T @ b))
+    return res.V @ (inv * (res.U.conj().T @ b)), s
 
 
 def smallest_singular_vector(a) -> np.ndarray:
@@ -230,6 +232,37 @@ def smallest_singular_vector(a) -> np.ndarray:
     if a.shape[0] < a.shape[1] or a.shape[1] < 1:
         raise ValueError(f"need rows >= cols >= 1, got shape {a.shape}")
     return svd(a).V[:, -1]
+
+
+def pair_starts(real) -> np.ndarray:
+    """First index of each adjacent (z, conj z) pair, from the mask ``real`` of the real entries."""
+    paired = np.flatnonzero(~np.asarray(real, dtype=bool))
+    starts = paired[::2]
+    if paired.size % 2 or np.any(paired[1::2] != starts + 1):
+        raise ValueError("non-real entries must come in adjacent pairs")
+    return starts
+
+
+def real_pair_columns(cols, starts) -> np.ndarray:
+    """``cols`` over the real parameters p of a conjugate-pair coefficient vector.
+
+    A pair's columns m, m + 1 become ``c_m + c_{m+1}`` and ``1j * (c_m - c_{m+1})``,
+    so that ``real_pair_columns(cols, starts) @ p == cols @ pair_coefficients(p, starts)``.
+    """
+    out = np.array(cols, dtype=complex)
+    first, second = out[:, starts], out[:, starts + 1]
+    out[:, starts] = first + second
+    out[:, starts + 1] = 1j * (first - second)
+    return out
+
+
+def pair_coefficients(params, starts) -> np.ndarray:
+    """The coefficients of the real parameters ``params``: ``p_m +- 1j * p_{m+1}`` on each pair."""
+    out = np.array(params, dtype=complex)
+    first, second = out[starts].real, out[starts + 1].real
+    out[starts] = first + 1j * second
+    out[starts + 1] = first - 1j * second
+    return out
 
 
 def finite_generalized_eigenvalues(m, n) -> np.ndarray:

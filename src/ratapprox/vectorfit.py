@@ -83,7 +83,9 @@ def _is_real(p: complex) -> bool:
 def order_conjugate_pairs(poles) -> np.ndarray:
     """Canonical pole order: real poles ascending, then pairs (upper, lower).
 
-    Raises ``SymmetryError`` if some complex pole lacks a conjugate mate.
+    Real poles are put on the real axis and each lower pole is replaced by
+    the exact conjugate of its upper mate.  Raises ``SymmetryError`` if
+    some complex pole lacks a conjugate mate.
     """
     poles = np.asarray(poles, dtype=complex)
     real = sorted(p.real for p in poles if _is_real(p))
@@ -97,40 +99,17 @@ def order_conjugate_pairs(poles) -> np.ndarray:
         k = int(np.argmin(gaps))
         if gaps[k] > 1e-8 * (1.0 + abs(u)):
             raise SymmetryError(f"pole {u} has no conjugate mate (closest gap {gaps[k]:.2e})")
-        out.append(complex(u))
-        out.append(complex(lowers.pop(k)))
+        lowers.pop(k)
+        out += [complex(u), complex(u).conjugate()]
     if lowers:
         raise SymmetryError(f"unmatched lower-half poles remain: {lowers}")
     return np.asarray(out, dtype=complex)
 
 
-def _classify(poles: np.ndarray) -> np.ndarray:
-    # 0 real, 1 first of a conjugate pair, 2 second
-    kinds = np.zeros(poles.size, dtype=int)
-    m = 0
-    while m < poles.size:
-        if _is_real(poles[m]):
-            m += 1
-        else:
-            kinds[m] = 1
-            kinds[m + 1] = 2
-            m += 2
-    return kinds
-
-
-def _partial_fraction_columns(points: np.ndarray, poles: np.ndarray, kinds: np.ndarray) -> np.ndarray:
-    # Real-coefficient basis: real pole -> 1/(s-a); conjugate pair ->
-    # 1/(s-a) + 1/(s-abar) and i/(s-a) - i/(s-abar).
-    cols = np.zeros((points.size, poles.size), dtype=complex)
-    for m, pole in enumerate(poles):
-        if kinds[m] == 0:
-            cols[:, m] = 1.0 / (points - pole)
-        elif kinds[m] == 1:
-            plus = 1.0 / (points - pole)
-            minus = 1.0 / (points - pole.conjugate())
-            cols[:, m] = plus + minus
-            cols[:, m + 1] = 1j * plus - 1j * minus
-    return cols
+def _basis(points: np.ndarray, poles: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """A fit step's basis over real parameters: [pair columns of 1/(s - a_n), 1, s]."""
+    cols = linalg.real_pair_columns(1.0 / (points[:, None] - poles), starts)
+    return np.column_stack([cols, np.ones(points.size), points])
 
 
 def _real_stacked_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -143,23 +122,11 @@ def _real_stacked_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float
     rhs = np.concatenate([b.real, b.imag])
     col_scale = np.linalg.norm(stacked, axis=0)
     col_scale[col_scale == 0.0] = 1.0
-    scaled = stacked / col_scale
-    x = linalg.least_squares(scaled, rhs) / col_scale
-    sigma = linalg.svd(scaled).singular_values
+    x, sigma = linalg.least_squares(stacked / col_scale, rhs)
+    x = x / col_scale
     cond = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else np.inf
     resid = float(np.linalg.norm(stacked @ x - rhs))
     return x, resid, cond
-
-
-def _unpack_complex(params: np.ndarray, kinds: np.ndarray) -> np.ndarray:
-    out = np.zeros(kinds.size, dtype=complex)
-    for m in range(kinds.size):
-        if kinds[m] == 0:
-            out[m] = params[m]
-        elif kinds[m] == 1:
-            out[m] = params[m] + 1j * params[m + 1]
-            out[m + 1] = params[m] - 1j * params[m + 1]
-    return out
 
 
 def initial_poles_auto(points: np.ndarray, order: int) -> np.ndarray:
@@ -226,30 +193,21 @@ def fit_vf(
 
     history: list[VfIterate] = []
     for iteration in range(1, n_iter + 1):
-        kinds = _classify(poles)
-        cols = _partial_fraction_columns(points, poles, kinds)
-        system = np.zeros((points.size, 2 * order + 2), dtype=complex)
-        system[:, :order] = cols
-        system[:, order] = 1.0
-        system[:, order + 1] = points
-        system[:, order + 2 :] = -cols * values[:, None]
+        real = poles.imag == 0.0
+        starts = linalg.pair_starts(real)
+        basis = _basis(points, poles, starts)
+        system = np.hstack([basis, -basis[:, :order] * values[:, None]])
         solution, resid, cond = _real_stacked_lstsq(system, values)
-        sigma_params = solution[order + 2 :]
 
         # zeros of sigma(s) = sum cb_n/(s - a_n) + 1, via the real companion
         # form: eigenvalues of diag-block(poles) - b cb^T stay exactly
         # conjugate-closed
-        companion = np.zeros((order, order))
-        bcol = np.zeros(order)
-        for m in range(order):
-            if kinds[m] == 0:
-                companion[m, m] = poles[m].real
-                bcol[m] = 1.0
-            elif kinds[m] == 1:
-                re, im = poles[m].real, poles[m].imag
-                companion[m : m + 2, m : m + 2] = [[re, im], [-im, re]]
-                bcol[m] = 2.0
-        new_poles = order_conjugate_pairs(np.linalg.eigvals(companion - np.outer(bcol, sigma_params)))
+        companion = np.diag(poles.real)
+        companion[starts, starts + 1] = poles[starts].imag
+        companion[starts + 1, starts] = poles[starts + 1].imag
+        bcol = real.astype(float)
+        bcol[starts] = 2.0
+        new_poles = order_conjugate_pairs(np.linalg.eigvals(companion - np.outer(bcol, solution[order + 2 :])))
         move = max(
             float(np.min(np.abs(new_poles - p)) / (1.0 + abs(p))) for p in poles
         )
@@ -270,16 +228,11 @@ def fit_vf(
             break
 
     # residue identification with the final poles held fixed
-    kinds = _classify(poles)
-    cols = _partial_fraction_columns(points, poles, kinds)
-    system = np.zeros((points.size, order + 2), dtype=complex)
-    system[:, :order] = cols
-    system[:, order] = 1.0
-    system[:, order + 1] = points
-    solution, _, _ = _real_stacked_lstsq(system, values)
+    starts = linalg.pair_starts(poles.imag == 0.0)
+    solution, _, _ = _real_stacked_lstsq(_basis(points, poles, starts), values)
     model = PoleResidueModel(
         poles=poles,
-        residues=_unpack_complex(solution[:order], kinds),
+        residues=linalg.pair_coefficients(solution[:order], starts),
         d=float(solution[order]),
         h=float(solution[order + 1]),
     )

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import conjugate_closed, rational_samples
-from ratapprox import InsufficientDataError, fit_greedy
+from ratapprox import OMEGA, InsufficientDataError, SampleSet, fit_greedy, greedy
+from ratapprox.sampling import conjugate_groups, uniform_random_grid
 
 
 def test_exact_degree_two_data_interpolated():
@@ -20,6 +21,36 @@ def test_order_is_capped_at_the_rank_of_the_data():
     assert result.model.order == 2
     err = np.abs(result.model.eval(samples.points) - samples.values)
     assert err.max() <= 1e-9
+
+
+def test_groups_ranked_by_worst_error_with_ties_to_the_lower_group(monkeypatch):
+    # a stand-in model whose errors tie and go NaN; zero values make each error exact
+    pts = uniform_random_grid(OMEGA, 15, 1).points
+    rng = np.random.default_rng(3)
+    err = dict(zip(pts, rng.choice([0.0, 1.0, 2.0, np.nan], pts.size)))
+
+    class Model:
+        def solve(self, s):
+            return np.array([err[z] for z in s])
+
+    monkeypatch.setattr(greedy, "_fit_current", lambda *args: (Model(), args[-1]))
+    result = fit_greedy(SampleSet(pts, np.zeros(pts.size)), order_target=2, seed=0)
+    # reference: the worst error per group by a loop over points, where max keeps its
+    # first argument against NaN, then a sort on (-error, group)
+    groups = conjugate_groups(pts)
+    started = np.random.default_rng(0).choice(len(groups), size=2, replace=False)
+    unused = [g for g in range(len(groups)) if g not in started]
+    for step in result.history:
+        worst: dict[int, float] = {}
+        for g in unused:
+            for i in groups[g]:
+                worst[g] = max(worst.get(g, 0.0), err[pts[i]])
+        ranked = sorted(worst.items(), key=lambda kv: (-kv[1], kv[0]))[:2]
+        assert step.max_error == ranked[0][1]
+        assert step.chosen == tuple(complex(pts[groups[g][0]]) for g, _ in ranked)
+        for g, _ in ranked:
+            unused.remove(g)
+    assert not unused  # every group was ranked in some step
 
 
 def test_selected_points_come_from_input_and_stay_disjoint():

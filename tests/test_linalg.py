@@ -17,6 +17,9 @@ from ratapprox.linalg import (
     finite_generalized_eigenvalues,
     leading_svd,
     least_squares,
+    pair_coefficients,
+    pair_starts,
+    real_pair_columns,
     smallest_singular_vector,
     svd,
 )
@@ -104,22 +107,26 @@ class TestLeadingSvd:
 class TestLeastSquares:
     def test_identity_returns_rhs(self):
         b = np.array([1.0 + 2.0j, -3.0j, 0.5])
-        assert np.allclose(least_squares(np.eye(3), b), b)
+        x, sigma = least_squares(np.eye(3), b)
+        assert np.allclose(x, b)
+        assert np.array_equal(sigma, svd(np.eye(3)).singular_values)
 
     def test_consistent_overdetermined_system(self):
         rng = np.random.default_rng(0)
         a = random_complex(rng, 12, 5)
         x_true = random_complex(rng, 5, 1).ravel()
         b = a @ x_true
-        x = least_squares(a, b)
+        x, sigma = least_squares(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.array_equal(sigma, svd(a).singular_values)
 
     def test_rank_deficient_returns_minimum_norm(self):
         rng = np.random.default_rng(1)
         basis = random_complex(rng, 8, 2)
         a = np.hstack([basis, basis @ np.array([[1.0], [2.0]])])  # third column dependent
         b = random_complex(rng, 8, 1).ravel()
-        x = least_squares(a, b)
+        x, sigma = least_squares(a, b)
+        assert np.array_equal(sigma, svd(a).singular_values)
         # oracle: solve the full-rank subproblem by normal equations, then
         # distribute over the dependent column for the minimum-norm answer
         sub = basis
@@ -214,6 +221,31 @@ def test_svd_reconstruction_property(seed):
     res = svd(a)
     approx = res.U @ np.diag(res.singular_values) @ res.V.conj().T
     assert np.linalg.norm(a - approx) <= 1e-12 * max(1.0, np.linalg.norm(a))
+
+
+class TestConjugatePairs:
+    @settings(max_examples=50, deadline=None)
+    @given(layout=st.lists(st.booleans(), min_size=1, max_size=12), seed=st.integers(0, 10_000))
+    def test_columns_and_coefficients_agree(self, layout, seed):
+        # layout: True a real entry, False an adjacent (z, conj z) pair
+        real = np.concatenate([[True] if r else [False, False] for r in layout])
+        starts = pair_starts(real)
+        assert np.array_equal(starts, np.flatnonzero(~real)[::2])
+        rng = np.random.default_rng(seed)
+        cols = random_complex(rng, 7, real.size)
+        p = rng.standard_normal(real.size)
+        coeffs = pair_coefficients(p, starts)
+        assert np.abs(real_pair_columns(cols, starts) @ p - cols @ coeffs).max() <= (
+            1e-13 * np.abs(cols).max() * np.abs(p).sum()
+        )
+        assert np.array_equal(coeffs[starts + 1], coeffs[starts].conj())
+        assert np.array_equal(coeffs[real], p[real])
+
+    def test_unpaired_layout_rejected(self):
+        with pytest.raises(ValueError):
+            pair_starts([False, True, False])
+        with pytest.raises(ValueError):
+            pair_starts([True, False])
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from ratapprox import (
     SymmetryError,
     eval_pole_residue,
     fit_vf,
+    linalg,
     pr_poles_zeros,
 )
 from ratapprox.vectorfit import initial_poles_auto, order_conjugate_pairs
@@ -67,6 +68,14 @@ class TestFit:
         _, history = fit_vf(samples, order=3, n_iter=4)
         assert all(h.condition > 0 for h in history)
         assert all(isinstance(h.ill_conditioned, bool) for h in history)
+
+    def test_one_svd_per_least_squares_step(self, monkeypatch):
+        samples, *_ = rational_samples(3, 5, n_pairs=20)
+        calls = []
+        svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda a: calls.append(a.shape) or svd(a))
+        _, history = fit_vf(samples, order=3, n_iter=4)
+        assert len(calls) == len(history) + 1
 
 
 class TestEval:
@@ -139,6 +148,10 @@ class TestInitialPoles:
         poles = initial_poles_auto(pts, 5)
         assert poles.size == 5
         assert np.sum(np.abs(poles.imag) < 1e-12) == 1
+
+    def test_pair_ordering_gives_exact_conjugate_mates(self):
+        poles = order_conjugate_pairs([1.0 - (2.0 + 1e-12) * 1j, 3.0 + 1e-13j, 1.0 + 2.0j])
+        assert poles.tolist() == [3.0, 1.0 + 2.0j, 1.0 - 2.0j]
 
     def test_pair_ordering_rejects_stray(self):
         with pytest.raises(SymmetryError):
