@@ -16,12 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InsufficientDataError, SettingError, StagnationError, SymmetryError
-from .sampling import SampleSet
+from .errors import InsufficientDataError, SettingError, StagnationError
+from .sampling import SampleSet, conjugate_mates
 
 #: The AAA fit's settings and their defaults, its row of ``analysis.FIT_DEFAULTS``.
 #: order is the cap; seed=None starts at the sample farthest from the mean, a seed at random.
 DEFAULTS = {"order": 30, "tol": 1e-13, "real_mode": False, "seed": None, "cleanup": False}
+
+#: :func:`cleanup` calls a pole spurious when a zero lies within this relative
+#: distance of it, or when its residue is this small against the median residue.
+CLEANUP_TOL = 1e-9
 
 
 @dataclass
@@ -92,8 +96,9 @@ def _ranking_values(model: BarycentricModel, points: np.ndarray) -> np.ndarray:
 
     Matrix-product sums, batch by batch: unlike :func:`eval_barycentric`,
     the last bits of a value depend on its batch.  The fit keeps them
-    because its choice of the next support point follows the last bits
-    where residuals nearly tie; the elementwise sums pick another support
+    because its choice of the next support point, and at the default
+    ``tol`` its stop, follow the last bits where residuals nearly tie or
+    sit at the threshold; the elementwise sums pick another support
     point on the 40 x 41 benchmark grid, which raises the fit's
     validation error from 1.4e-11 to 1.7e-11.
     """
@@ -156,7 +161,8 @@ def fit_aaa(
     InsufficientDataError
         If the samples carry no values, or there are fewer than 2 of them.
     SymmetryError
-        If ``real_mode`` meets a sample whose conjugate is not a sample.
+        If ``real_mode`` is set and the samples are not conjugate-closed;
+        this is checked before the first step.
     StagnationError
         If the residual matrix runs out of rows (more support points than
         remaining samples) before the tolerance is met.
@@ -177,12 +183,15 @@ def fit_aaa(
         start = int(np.argmax(np.abs(values - values.mean())))
     else:
         start = int(np.random.default_rng(seed).integers(0, points.size))
-    support_idx = [start]
-    if real_mode and points[start].imag != 0.0:
-        support_idx.append(_conjugate_index(points, start))
+    mates = conjugate_mates(points) if real_mode else np.arange(points.size)
 
+    support_idx: list[int] = []
+    new_idx = start
     history: list[AaaStep] = []
     while True:
+        support_idx.append(new_idx)
+        if mates[new_idx] != new_idx:
+            support_idx.append(int(mates[new_idx]))
         zs = points[support_idx]
         fs = values[support_idx]
         mask = np.ones(points.size, dtype=bool)
@@ -200,18 +209,7 @@ def fit_aaa(
         history.append(AaaStep(order=model.order, max_error=max_error))
         if max_error <= tol * scale or model.order >= max_order:
             return model, history
-        new_idx = int(np.nonzero(mask)[0][worst])
-        support_idx.append(new_idx)
-        if real_mode and points[new_idx].imag != 0.0:
-            support_idx.append(_conjugate_index(points, new_idx))
-
-
-def _conjugate_index(points: np.ndarray, idx: int) -> int:
-    target = points[idx].conjugate()
-    hits = np.nonzero(points == target)[0]
-    if hits.size == 0:
-        raise SymmetryError(f"real_mode needs conjugate-closed samples; no mate for {points[idx]}")
-    return int(hits[0])
+        new_idx = int(np.flatnonzero(mask)[worst])
 
 
 def barycentric_poles_zeros(model: BarycentricModel) -> tuple[np.ndarray, np.ndarray]:
@@ -239,10 +237,8 @@ def barycentric_poles_zeros(model: BarycentricModel) -> tuple[np.ndarray, np.nda
     return poles, zeros
 
 
-def residues(model: BarycentricModel, poles: np.ndarray | None = None) -> np.ndarray:
+def residues(model: BarycentricModel, poles: np.ndarray) -> np.ndarray:
     """Residues at the poles, by n(a) / d'(a) of the barycentric quotient."""
-    if poles is None:
-        poles, _ = barycentric_poles_zeros(model)
     with np.errstate(divide="ignore", invalid="ignore"):
         cauchy = 1.0 / (poles[:, None] - model.support_points[None, :])
         num = cauchy @ (model.weights * model.support_values)
@@ -250,15 +246,11 @@ def residues(model: BarycentricModel, poles: np.ndarray | None = None) -> np.nda
     return num / dden
 
 
-def cleanup(
-    model: BarycentricModel,
-    samples: SampleSet,
-    pair_tol: float = 1e-9,
-) -> BarycentricModel:
+def cleanup(model: BarycentricModel, samples: SampleSet) -> BarycentricModel:
     """Remove spurious pole/zero doublets and re-solve the weights once.
 
-    A pole is spurious when a zero sits within ``pair_tol * (1 + |pole|)``
-    of it, or when its residue magnitude is below ``pair_tol`` times the
+    A pole is spurious when a zero sits within ``CLEANUP_TOL * (1 + |pole|)``
+    of it, or when its residue magnitude is below ``CLEANUP_TOL`` times the
     median residue magnitude.  For each spurious pole the nearest support
     point is dropped; the weights are then recomputed by one least-squares
     solve over all non-support samples.  A clean model is returned as is.
@@ -271,7 +263,7 @@ def cleanup(
     spurious = []
     for i, p in enumerate(poles):
         gap = np.min(np.abs(zeros - p)) if zeros.size else np.inf
-        if gap <= pair_tol * (1.0 + abs(p)) or abs(res[i]) <= pair_tol * res_scale:
+        if gap <= CLEANUP_TOL * (1.0 + abs(p)) or abs(res[i]) <= CLEANUP_TOL * res_scale:
             spurious.append(p)
     if not spurious:
         return model

@@ -42,11 +42,6 @@ class ErrorReport:
         write_heatmap_svg(self, path)
 
 
-def _call_evaluator(model, pts: np.ndarray) -> np.ndarray:
-    evaluate = model.eval if hasattr(model, "eval") else model
-    return np.asarray(evaluate(pts), dtype=complex)
-
-
 def _grid_points(domain: Domain, nx: int, ny: int) -> np.ndarray:
     xs = np.linspace(domain.x_min, domain.x_max, nx)
     ys = np.linspace(domain.y_min, domain.y_max, ny)
@@ -57,8 +52,8 @@ def _grid_points(domain: Domain, nx: int, ny: int) -> np.ndarray:
 class OracleGrid:
     """Oracle values on an nx * ny equispaced grid, row-major as in :class:`ErrorReport`.
 
-    Points where the oracle reports a pole are NaN in ``values`` and marked
-    in ``excluded``.
+    Points where the oracle gives no finite value are marked in
+    ``excluded``; where it raises ``PoleError`` the value is NaN.
     """
 
     domain: Domain
@@ -70,17 +65,16 @@ class OracleGrid:
 
 
 def oracle_grid(oracle, domain: Domain, nx: int, ny: int) -> OracleGrid:
-    """Evaluate the oracle on the grid once, masking points where it reports a pole."""
+    """Evaluate the oracle on the grid once, masking points where it gives no finite value.
+
+    A batch whose oracle call raises ``PoleError`` is evaluated again point
+    by point, and a point that raises is NaN.
+    """
     if nx < 2 or ny < 2:
         raise ValueError("need nx >= 2 and ny >= 2")
     pts = _grid_points(domain, nx, ny)
-    excluded = np.zeros(pts.size, dtype=bool)
 
-    def sweep(index):
-        # batches of grid indices, so each one marks its own slice of the
-        # mask whichever thread evaluates it
-        lo = int(index[0].real)
-        chunk, mask = pts[lo : lo + index.size], excluded[lo : lo + index.size]
+    def sweep(chunk):
         try:
             return np.asarray(oracle(chunk), dtype=complex)
         except PoleError:
@@ -91,20 +85,20 @@ def oracle_grid(oracle, domain: Domain, nx: int, ny: int) -> OracleGrid:
                     vals[k] = complex(oracle(s))
                 except PoleError:
                     vals[k] = np.nan
-                    mask[k] = True
             return vals
 
-    values = linalg.eval_chunked(sweep, np.arange(pts.size))
+    values = linalg.eval_chunked(sweep, pts)
+    excluded = ~np.isfinite(values)
     return OracleGrid(domain=domain, nx=nx, ny=ny, points=pts, values=values, excluded=excluded)
 
 
 def model_error(model, truth: OracleGrid, method_tag: str = "") -> ErrorReport:
     """Error surface of ``model`` against oracle values already on a grid.
 
-    ``model`` is anything with an ``eval`` method or a plain callable.
+    ``model`` is any callable, as every model form is.
     """
     pts = truth.points
-    approx = _call_evaluator(model, pts)
+    approx = np.asarray(model(pts), dtype=complex)
     err = np.abs(approx - truth.values)
     err[truth.excluded] = np.nan
     finite = np.where(truth.excluded, -np.inf, err)
@@ -124,8 +118,8 @@ def model_error(model, truth: OracleGrid, method_tag: str = "") -> ErrorReport:
 def error_grid(model, oracle, domain: Domain, nx: int, ny: int, method_tag: str = "") -> ErrorReport:
     """Evaluate model and oracle on an nx * ny equispaced grid.
 
-    ``model`` is anything with an ``eval`` method or a plain callable.
-    Oracle poles hit by the grid are excluded from the surface and counted.
+    ``model`` is any callable, as every model form is.  Grid points where
+    the oracle has a pole are excluded from the surface and counted.
     """
     return model_error(model, oracle_grid(oracle, domain, nx, ny), method_tag)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, PartitionError, RankError, SettingError, SymmetryError
 from .loewner import DataPartition, StateSpaceModel, build_pencil, truncate
-from .sampling import SampleSet, conjugate_groups
+from .sampling import SampleSet, conjugate_mates, group_members
 
 #: The recursive Loewner fit's settings and their defaults, its row of
 #: ``analysis.FIT_DEFAULTS``.
@@ -72,33 +72,32 @@ def fit_greedy(
     pts = samples.points
     vals = samples.values
     try:
-        groups = conjugate_groups(pts)
+        mates = conjugate_mates(pts)
     except SymmetryError as exc:
         raise PartitionError(f"cannot preserve conjugate closure: {exc}") from exc
-    n_groups = len(groups)
+    leads = np.flatnonzero(mates >= np.arange(pts.size))
+    n_groups = leads.size
     if n_groups < 2:
         raise InsufficientDataError("need at least two conjugate groups")
     group_of = np.empty(pts.size, dtype=int)
-    for gi, g in enumerate(groups):
-        for i in g:
-            group_of[i] = gi
+    group_of[leads] = group_of[mates[leads]] = np.arange(n_groups)
 
     rng = np.random.default_rng(seed)
     first, second = (int(g) for g in rng.choice(n_groups, size=2, replace=False))
     left_groups = [first]
     right_groups = [second]
-    unused = [gi for gi in range(n_groups) if gi not in (first, second)]
+    unused = np.setdiff1d(np.arange(n_groups), [first, second])
 
     history: list[GreedyStep] = []
     best_error = np.inf
     stall = 0
     step = 0
-    while unused:
+    while unused.size:
         step += 1
-        left_idx = [i for gi in left_groups for i in groups[gi]]
-        right_idx = [i for gi in right_groups for i in groups[gi]]
+        left_idx = group_members(mates, leads[left_groups])
+        right_idx = group_members(mates, leads[right_groups])
         model, order = _fit_current(pts, vals, left_idx, right_idx, order_target)
-        unused_idx = np.array([i for gi in unused for i in groups[gi]])
+        unused_idx = group_members(mates, leads[unused])
         # the ranking below needs the LU solve's accuracy: late in the fit the
         # errors of different groups agree to more digits than the modal sum keeps
         pred = model.solve(pts[unused_idx])
@@ -106,27 +105,18 @@ def fit_greedy(
         # worst error of each group, NaN ignored; rank by error, ties to the lower group
         worst_of_group = np.zeros(n_groups)
         np.fmax.at(worst_of_group, group_of[unused_idx], err)
-        candidates = np.array(unused)
-        ranked = candidates[np.lexsort((candidates, -worst_of_group[candidates]))]
+        ranked = unused[np.lexsort((unused, -worst_of_group[unused]))][:2]
         max_error = float(worst_of_group[ranked[0]])
-
-        chosen: list[complex] = []
-        g_left = int(ranked[0])
-        left_groups.append(g_left)
-        unused.remove(g_left)
-        chosen.append(complex(pts[groups[g_left][0]]))
-        if len(ranked) > 1:
-            g_right = int(ranked[1])
-            right_groups.append(g_right)
-            unused.remove(g_right)
-            chosen.append(complex(pts[groups[g_right][0]]))
+        left_groups.append(int(ranked[0]))
+        right_groups += ranked[1:].tolist()
+        unused = np.setdiff1d(unused, ranked)
         history.append(
             GreedyStep(
                 step=step,
                 n_left=len(left_idx),
                 n_right=len(right_idx),
                 max_error=max_error,
-                chosen=tuple(chosen),
+                chosen=tuple(pts[leads[ranked]].tolist()),
             )
         )
         if order >= order_target:
@@ -138,8 +128,8 @@ def fit_greedy(
             if stall >= STALL_STEPS:
                 break
 
-    left_idx = [i for gi in left_groups for i in groups[gi]]
-    right_idx = [i for gi in right_groups for i in groups[gi]]
+    left_idx = group_members(mates, leads[left_groups])
+    right_idx = group_members(mates, leads[right_groups])
     model, _ = _fit_current(pts, vals, left_idx, right_idx, order_target)
     return GreedyResult(
         model=model,

@@ -24,7 +24,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import PartitionError, PencilError, PoleError, RankError, SettingError, SymmetryError
-from .sampling import Domain, SampleSet, conjugate_groups
+from .sampling import Domain, SampleSet, conjugate_mates, group_members
 
 PARTITION_SCHEMES = ("alternating", "half_split", "epsilon_paired")
 
@@ -380,30 +380,27 @@ def partition(samples: SampleSet, scheme: str = DEFAULTS["scheme"]) -> DataParti
         raise PartitionError("need at least 2 samples to partition")
     pts = samples.points
     try:
-        groups = conjugate_groups(pts)
+        mates = conjugate_mates(pts)
     except SymmetryError as exc:
         raise PartitionError(f"cannot preserve conjugate closure: {exc}") from exc
-    if len(groups) < 2:
+    leads = np.flatnonzero(mates >= np.arange(pts.size))
+    if leads.size < 2:
         raise PartitionError(
             "only one conjugate group present; it cannot be split across sides"
         )
 
+    position = np.arange(leads.size)
     if scheme == "epsilon_paired":
-        def key(group):
-            rep = max((pts[i] for i in group), key=lambda p: p.imag)
-            return (rep.real, rep.imag)
-
-        groups = sorted(groups, key=key)
+        leads = leads[np.lexsort((np.abs(pts[leads].imag), pts[leads].real))]
         # first of each adjacent pair -> right, second -> left
-        left_sides = [gi % 2 == 1 for gi in range(len(groups))]
+        left_sides = position % 2 == 1
     elif scheme == "alternating":
-        left_sides = [gi % 2 == 0 for gi in range(len(groups))]
+        left_sides = position % 2 == 0
     else:
-        half = (len(groups) + 1) // 2
-        left_sides = [gi < half for gi in range(len(groups))]
+        left_sides = position < (leads.size + 1) // 2
 
-    left = [i for gi, g in enumerate(groups) if left_sides[gi] for i in g]
-    right = [i for gi, g in enumerate(groups) if not left_sides[gi] for i in g]
+    left = group_members(mates, leads[left_sides])
+    right = group_members(mates, leads[~left_sides])
     vals = samples.values
     return DataPartition(mu=pts[left], v=vals[left], lam=pts[right], w=vals[right])
 

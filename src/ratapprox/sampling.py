@@ -131,33 +131,36 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         )
 
 
-def conjugate_groups(points: np.ndarray) -> list[tuple[int, ...]]:
-    """Group indices so each group is a real singleton or an exact conjugate pair.
+def conjugate_mates(points) -> np.ndarray:
+    """Index of each point's exact conjugate in ``points``; a real point is its own mate.
 
-    Groups are formed in input order.  Raises ``SymmetryError`` when a
-    non-real point has no conjugate mate.
+    One stable sort and a binary search.  Raises ``SymmetryError`` when a
+    point's conjugate is not in the set and ``SampleError`` when a point is
+    repeated.
     """
     points = np.asarray(points, dtype=complex)
-    mates: dict[tuple[float, float], list[int]] = {}
-    for i, p in enumerate(points):
-        mates.setdefault((p.real, p.imag), []).append(i)
-    taken = np.zeros(points.size, dtype=bool)
-    groups: list[tuple[int, ...]] = []
-    for i in range(points.size):
-        if taken[i]:
-            continue
-        p = points[i]
-        taken[i] = True
-        if p.imag == 0.0:
-            groups.append((i,))
-            continue
-        candidates = [j for j in mates.get((p.real, -p.imag), ()) if not taken[j]]
-        if not candidates:
-            raise SymmetryError(f"point {p} has no conjugate mate in the set")
-        j = candidates[0]
-        taken[j] = True
-        groups.append((i, j))
-    return groups
+    order = np.argsort(points, kind="stable")
+    ranked = points[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        raise SampleError("duplicate sample points")
+    target = points.conj()
+    mates = order[np.minimum(np.searchsorted(ranked, target), points.size - 1)]
+    stray = np.flatnonzero(points[mates] != target)
+    if stray.size:
+        raise SymmetryError(f"point {points[stray[0]]} has no conjugate mate in the set")
+    return mates
+
+
+def group_members(mates: np.ndarray, leads) -> np.ndarray:
+    """Sample indices of the conjugate groups led by ``leads``, group by group.
+
+    Each lead is followed by its mate unless the lead is real.  The leads
+    of all groups, in input order, are ``np.flatnonzero(mates >= np.arange(mates.size))``.
+    """
+    leads = np.asarray(leads, dtype=int)
+    members = np.stack([leads, mates[leads]], axis=1)
+    keep = np.stack([np.ones(leads.size, dtype=bool), members[:, 1] != leads], axis=1)
+    return members[keep]
 
 
 def _symmetric_linspace(lo: float, hi: float, n: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from ratapprox import (
     eval_barycentric,
     fit_aaa,
 )
+from ratapprox import aaa
 from ratapprox.sampling import SampleSet
 
 mp.mp.dps = 40
@@ -79,6 +80,13 @@ class TestFit:
             trial = rng.standard_normal(model.order) + 1j * rng.standard_normal(model.order)
             trial /= np.linalg.norm(trial)
             assert best <= np.linalg.norm(rows @ trial) + 1e-12
+
+    def test_real_mode_checks_closure_before_the_first_step(self):
+        # the fit starts at the real sample 3 and stops at order 1, so it never
+        # promotes the stray point 1 + 1j
+        samples = SampleSet(np.array([1.0 + 1.0j, 2.0, 3.0]), np.array([2.0, 2.0, 10.0]))
+        with pytest.raises(SymmetryError):
+            fit_aaa(samples, real_mode=True, max_order=1)
 
     def test_stagnation_when_samples_run_out(self):
         samples, *_ = rational_samples(2, 6, n_pairs=3)
@@ -184,21 +192,23 @@ class TestPolesZeros:
 
 
 class TestCleanup:
-    def test_overfit_doublets_removed(self):
+    def test_overfit_doublets_removed(self, monkeypatch):
         # forcing the order far past the numerical rank of a degree-3
         # rational manufactures spurious pole/zero pairs; cleanup must strip
         # them without hurting the fit
         samples, f, *_ = rational_samples(3, 10, n_pairs=40, with_offset=True)
         dirty, _ = fit_aaa(samples, tol=1e-16, max_order=9)
-        cleaned = cleanup(dirty, samples, pair_tol=1e-6)
+        monkeypatch.setattr(aaa, "CLEANUP_TOL", 1e-6)
+        cleaned = cleanup(dirty, samples)
         assert cleaned.order <= dirty.order - 1
         fresh = np.linspace(0.2, 9.8, 40) + 0.3j
         err_dirty = np.abs(eval_barycentric(dirty, fresh) - f(fresh)).max()
         err_clean = np.abs(eval_barycentric(cleaned, fresh) - f(fresh)).max()
         assert err_clean <= max(err_dirty * 10, 1e-9)
 
-    def test_clean_model_unchanged(self):
+    def test_clean_model_unchanged(self, monkeypatch):
         samples, *_ = rational_samples(3, 12, n_pairs=18)
         model, _ = fit_aaa(samples, tol=1e-11)
-        cleaned = cleanup(model, samples, pair_tol=1e-12)
+        monkeypatch.setattr(aaa, "CLEANUP_TOL", 1e-12)
+        cleaned = cleanup(model, samples)
         assert cleaned is model

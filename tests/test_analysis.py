@@ -61,6 +61,17 @@ class TestErrorGrid:
         assert np.isnan(report.errors).sum() == 1
         assert report.max_error <= 1e-15
 
+    def test_non_finite_oracle_value_excluded_and_counted(self):
+        def oracle(s):
+            s = np.asarray(s, dtype=complex)
+            return np.where(s == 5.0, np.nan, 1.0 / (s + 1.0))
+
+        # 11 x 3 grid over [0,10] x [-1,1] puts a point exactly at s = 5
+        report = error_grid(lambda s: 1.0 / (np.asarray(s) + 1.0), oracle, OMEGA, 11, 3)
+        assert report.n_excluded == 1
+        assert np.isnan(report.errors).sum() == 1
+        assert report.max_error <= 1e-15
+
     def test_csv_and_svg_outputs(self, tmp_path):
         report = error_grid(h_of_s, h_of_s, OMEGA, 20, 10)
         csv_path = tmp_path / "surface.csv"

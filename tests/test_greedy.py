@@ -3,7 +3,7 @@ import pytest
 
 from conftest import conjugate_closed, rational_samples
 from ratapprox import OMEGA, InsufficientDataError, SampleSet, fit_greedy, greedy
-from ratapprox.sampling import conjugate_groups, uniform_random_grid
+from ratapprox.sampling import uniform_random_grid
 
 
 def test_exact_degree_two_data_interpolated():
@@ -36,8 +36,9 @@ def test_groups_ranked_by_worst_error_with_ties_to_the_lower_group(monkeypatch):
     monkeypatch.setattr(greedy, "_fit_current", lambda *args: (Model(), args[-1]))
     result = fit_greedy(SampleSet(pts, np.zeros(pts.size)), order_target=2, seed=0)
     # reference: the worst error per group by a loop over points, where max keeps its
-    # first argument against NaN, then a sort on (-error, group)
-    groups = conjugate_groups(pts)
+    # first argument against NaN, then a sort on (-error, group); the cloud
+    # interleaves each point with its conjugate, so group g is (2g, 2g + 1)
+    groups = [(i, i + 1) for i in range(0, pts.size, 2)]
     started = np.random.default_rng(0).choice(len(groups), size=2, replace=False)
     unused = [g for g in range(len(groups)) if g not in started]
     for step in result.history:

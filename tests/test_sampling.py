@@ -15,7 +15,7 @@ from ratapprox import (
     structured_grid,
     uniform_random_grid,
 )
-from ratapprox.sampling import conjugate_groups
+from ratapprox.sampling import conjugate_mates, group_members
 
 
 def closed_under_conjugation(points):
@@ -149,12 +149,66 @@ class TestSampleSet:
             structured_grid(OMEGA, 3, 3).to_csv(tmp_path / "x.csv")
 
 
+def reference_groups(points):
+    """The dict-loop grouping conjugate_mates replaces: groups in input order."""
+    mates = {}
+    for i, p in enumerate(points):
+        mates.setdefault((p.real, p.imag), []).append(i)
+    taken = np.zeros(points.size, dtype=bool)
+    groups = []
+    for i in range(points.size):
+        if taken[i]:
+            continue
+        p = points[i]
+        taken[i] = True
+        if p.imag == 0.0:
+            groups.append((i,))
+            continue
+        j = [j for j in mates.get((p.real, -p.imag), ()) if not taken[j]][0]
+        taken[j] = True
+        groups.append((i, j))
+    return groups
+
+
+@st.composite
+def closed_sets(draw):
+    """Distinct conjugate-closed points in random order; real ones carry +0.0 or -0.0."""
+    coord = st.integers(-3, 3).map(float) | st.floats(-5.0, 5.0)
+    reals = draw(st.lists(coord, max_size=6, unique=True))
+    uppers = draw(st.lists(st.tuples(coord, st.integers(1, 2).map(float) | st.floats(1e-3, 5.0)),
+                           max_size=8, unique=True))
+    signs = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=len(reals), max_size=len(reals)))
+    pts = [complex(x, y) for x, y in zip(reals, signs)]
+    pts += [complex(x, y) for x, y in uppers] + [complex(x, -y) for x, y in uppers]
+    return np.array(draw(st.permutations(pts)), dtype=complex)
+
+
 class TestConjugateGroups:
     def test_groups_pair_points_exactly(self):
         pts = np.array([1.0 + 1.0j, 2.0 + 0j, 1.0 - 1.0j])
-        groups = conjugate_groups(pts)
-        assert sorted(len(g) for g in groups) == [1, 2]
+        mates = conjugate_mates(pts)
+        assert mates.tolist() == [2, 1, 0]
+        assert group_members(mates, [0, 1]).tolist() == [0, 2, 1]
 
     def test_stray_point_raises(self):
         with pytest.raises(SymmetryError):
-            conjugate_groups(np.array([1.0 + 1.0j, 2.0 + 0j]))
+            conjugate_mates(np.array([1.0 + 1.0j, 2.0 + 0j]))
+        with pytest.raises(SymmetryError):
+            conjugate_mates(np.array([1.0 + 1.0j, 1.0 - 1.0j, 3.0 - 0.5j]))
+
+    def test_repeated_point_raises(self):
+        with pytest.raises(SampleError):
+            conjugate_mates(np.array([1.0 + 1.0j, 1.0 - 1.0j, 1.0 + 1.0j]))
+        with pytest.raises(SampleError):
+            conjugate_mates(np.array([2.0 + 0j, complex(2.0, -0.0)]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(closed_sets())
+    def test_mates_are_the_exact_conjugates_and_give_the_reference_groups(self, pts):
+        mates = conjugate_mates(pts)
+        assert np.array_equal(mates[mates], np.arange(pts.size))
+        assert np.array_equal(pts[mates], pts.conj())
+        leads = np.flatnonzero(mates >= np.arange(pts.size))
+        groups = reference_groups(pts)
+        assert [tuple(group_members(mates, [i]).tolist()) for i in leads] == groups
+        assert group_members(mates, leads).tolist() == [i for g in groups for i in g]
