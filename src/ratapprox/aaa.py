@@ -157,9 +157,10 @@ def fit_aaa(
     Raises
     ------
     SettingError
-        If ``tol`` is not positive or ``max_order`` is below 1.
+        If ``tol`` is not positive (NaN included), ``max_order`` is below 1
+        or ``seed`` is negative.
     InsufficientDataError
-        If the samples carry no values, or there are fewer than 2 of them.
+        If there are fewer than 2 samples.
     SymmetryError
         If ``real_mode`` is set and the samples are not conjugate-closed;
         this is checked before the first step.
@@ -167,14 +168,14 @@ def fit_aaa(
         If the residual matrix runs out of rows (more support points than
         remaining samples) before the tolerance is met.
     """
-    if samples.values is None:
-        raise InsufficientDataError("samples carry no values; run sample_oracle first")
     if len(samples) < 2:
         raise InsufficientDataError("need at least 2 samples")
-    if tol <= 0:
+    if not tol > 0:
         raise SettingError("tol must be positive")
     if max_order < 1:
         raise SettingError("order must be at least 1")
+    if seed is not None and seed < 0:
+        raise SettingError("seed must be non-negative")
     points = samples.points
     values = samples.values
     scale = float(np.max(np.abs(values)))

@@ -129,12 +129,12 @@ def _cmd_sample(args) -> int:
 
     domain = args.domain or OMEGA
     if args.grid == "structured":
-        samples = structured_grid(domain, args.nx, args.ny)
+        points = structured_grid(domain, args.nx, args.ny)
         seed = None
     else:
-        samples = uniform_random_grid(domain, args.pairs, args.seed)
+        points = uniform_random_grid(domain, args.pairs, args.seed)
         seed = args.seed
-    samples = sample_oracle(samples, h_of_s)
+    samples = sample_oracle(points, h_of_s)
     samples.to_csv(args.out, meta=_meta_line(args, seed))
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0

@@ -29,7 +29,13 @@ class SampleError(RatApproxError, ValueError):
 
 
 class SettingError(RatApproxError, ValueError):
-    """A fit setting lies outside its valid range (e.g. an order below 1)."""
+    """A setting lies outside its valid range.
+
+    A fit setting (an order below 1, a tolerance that is not positive, a
+    negative seed or iteration count, Loewner order and tol given
+    together), or a domain whose bounds are not finite or do not enclose
+    an area.
+    """
 
 
 class SymmetryError(RatApproxError, ValueError):

@@ -60,10 +60,10 @@ def fit_greedy(
     Ties are broken towards the lowest sample index, so the procedure is a
     pure function of (samples, order_target, seed).
     """
-    if samples.values is None:
-        raise InsufficientDataError("samples carry no values; run sample_oracle first")
     if order_target < 1:
         raise SettingError("order must be at least 1")
+    if seed < 0:
+        raise SettingError("seed must be non-negative")
     if len(samples) < 2 * order_target:
         raise InsufficientDataError(
             f"{len(samples)} samples cannot support order {order_target}; "

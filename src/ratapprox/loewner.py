@@ -374,8 +374,6 @@ def partition(samples: SampleSet, scheme: str = DEFAULTS["scheme"]) -> DataParti
     """
     if scheme not in PARTITION_SCHEMES:
         raise ValueError(f"unknown partition scheme {scheme!r}; pick one of {PARTITION_SCHEMES}")
-    if samples.values is None:
-        raise PartitionError("samples carry no values; run sample_oracle first")
     if len(samples) < 2:
         raise PartitionError("need at least 2 samples to partition")
     pts = samples.points
@@ -457,7 +455,7 @@ def truncate(
     wide.
     """
     if (order is None) == (tol is None):
-        raise ValueError("specify exactly one of order= and tol=")
+        raise SettingError("specify exactly one of order= and tol=")
     q, k = pencil.shape
     if tol is not None and not 0.0 < tol < 1.0:
         raise SettingError("tol must lie in (0, 1)")

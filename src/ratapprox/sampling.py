@@ -1,17 +1,18 @@
 """Sampling grids over a rectangle of the complex plane.
 
 Two schemes are provided: a structured Cartesian grid and a seeded uniform
-random cloud.  Both enforce conjugate closure by construction so that all
-fitted models can be real-symmetric.
+random cloud.  Both return points, conjugate-closed by construction so that
+all fitted models can be real-symmetric; :func:`sample_oracle` makes them a
+:class:`SampleSet`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError, SampleError, SymmetryError
+from .errors import PoleError, SampleError, SettingError, SymmetryError
 
 CSV_HEADER = "re_s,im_s,re_f,im_f"
 
@@ -31,7 +32,10 @@ def write_csv(path, meta: str | None, header: str, rows, comments=()) -> None:
 
 @dataclass(frozen=True)
 class Domain:
-    """Axis-aligned rectangle [x_min, x_max] x [y_min, y_max] in C."""
+    """Axis-aligned rectangle [x_min, x_max] x [y_min, y_max] in C.
+
+    Bounds that are not finite or enclose no area raise ``SettingError``.
+    """
 
     x_min: float
     x_max: float
@@ -39,8 +43,10 @@ class Domain:
     y_max: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max])):
+            raise SettingError(f"domain bounds must be finite, got {self}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(f"degenerate domain {self}")
+            raise SettingError(f"degenerate domain {self}")
 
     @property
     def y_symmetric(self) -> bool:
@@ -63,7 +69,7 @@ OMEGA = Domain(0.0, 10.0, -1.0, 1.0)
 
 @dataclass
 class SampleSet:
-    """Ordered sample points with optional function values.
+    """Ordered sample points and their function values.
 
     An empty set, a repeated point, values of another shape than the
     points, or a point or value that is NaN or infinite raises
@@ -71,30 +77,24 @@ class SampleSet:
     """
 
     points: np.ndarray
-    values: np.ndarray | None = None
+    values: np.ndarray
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
         if self.points.size == 0:
             raise SampleError("sample set has no points")
         _require_finite(self.points, "point(s)")
-        if self.values is not None:
-            self.values = np.asarray(self.values, dtype=complex)
-            if self.values.shape != self.points.shape:
-                raise SampleError("values shape differs from points shape")
-            _require_finite(self.values, "value(s)")
+        self.values = np.asarray(self.values, dtype=complex)
+        if self.values.shape != self.points.shape:
+            raise SampleError("values shape differs from points shape")
+        _require_finite(self.values, "value(s)")
         if len(np.unique(self.points)) != self.points.size:
             raise SampleError("duplicate sample points")
 
     def __len__(self) -> int:
         return self.points.size
 
-    def with_values(self, values) -> "SampleSet":
-        return replace(self, values=np.asarray(values, dtype=complex))
-
     def to_csv(self, path, meta: str | None = None) -> None:
-        if self.values is None:
-            raise ValueError("sample set has no values to write")
         write_csv(path, meta, CSV_HEADER, (
             f"{p.real:.17g},{p.imag:.17g},{v.real:.17g},{v.imag:.17g}"
             for p, v in zip(self.points, self.values)
@@ -172,12 +172,12 @@ def _symmetric_linspace(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def structured_grid(domain: Domain, nx: int, ny: int) -> SampleSet:
-    """Cartesian product of nx equispaced abscissae and ny ordinates.
+def structured_grid(domain: Domain, nx: int, ny: int) -> np.ndarray:
+    """Cartesian product of nx equispaced abscissae and ny ordinates, abscissa-major.
 
     For a y-symmetric domain ``ny`` must be odd so the real axis is a grid
     row and conjugate closure is exact; an even ``ny`` raises
-    ``SymmetryError``.  Values are left unset.
+    ``SymmetryError``.
     """
     if nx < 2 or ny < 2:
         raise ValueError("structured grid needs nx >= 2 and ny >= 2")
@@ -188,19 +188,21 @@ def structured_grid(domain: Domain, nx: int, ny: int) -> SampleSet:
         )
     xs = np.linspace(domain.x_min, domain.x_max, nx)
     ys = _symmetric_linspace(domain.y_min, domain.y_max, ny)
-    points = (xs[:, None] + 1j * ys[None, :]).ravel()
-    return SampleSet(points=points)
+    return (xs[:, None] + 1j * ys[None, :]).ravel()
 
 
-def uniform_random_grid(domain: Domain, n_pairs: int, seed: int) -> SampleSet:
+def uniform_random_grid(domain: Domain, n_pairs: int, seed: int) -> np.ndarray:
     """``n_pairs`` points uniform over the open upper half of the domain plus conjugates.
 
     Ordinates are drawn in (0, y_max], so no sample lands on the real axis
     and the result is exactly 2 * n_pairs points, interleaved as
-    (p0, conj p0, p1, conj p1, ...).  Fully determined by ``seed``.
+    (p0, conj p0, p1, conj p1, ...).  Fully determined by ``seed``; a
+    negative seed raises ``SettingError``.
     """
     if n_pairs < 1:
         raise ValueError("need n_pairs >= 1")
+    if seed < 0:
+        raise SettingError("seed must be non-negative")
     if not domain.y_symmetric:
         raise SymmetryError(
             "uniform_random_grid mirrors the upper half plane; the domain "
@@ -214,27 +216,21 @@ def uniform_random_grid(domain: Domain, n_pairs: int, seed: int) -> SampleSet:
     points = np.empty(2 * n_pairs, dtype=complex)
     points[0::2] = upper
     points[1::2] = np.conj(upper)
-    return SampleSet(points=points)
+    return points
 
 
-def sample_oracle(samples: SampleSet, oracle) -> SampleSet:
-    """Fill ``samples.values`` with ``oracle(point)`` for every point.
+def sample_oracle(points, oracle) -> SampleSet:
+    """The sample set of ``oracle`` at ``points``, from one vectorised call.
 
-    The oracle may be vectorised (preferred) or scalar-only.  Conjugate
-    pairs carry conjugate values whenever the oracle itself is
-    conjugate-symmetric, which holds for the shipped Bessel oracle exactly.
-    A ``PoleError`` raised by the oracle propagates with the offending
-    point attached.
+    ``oracle`` maps the point array to values of the same shape; another
+    shape raises ``SampleError``.  Conjugate pairs carry conjugate values
+    whenever the oracle is conjugate-symmetric, as the Bessel oracle is
+    exactly.  A non-finite value is a ``PoleError`` with the point attached.
     """
-    try:
-        values = np.asarray(oracle(samples.points), dtype=complex)
-        if values.shape != samples.points.shape:
-            raise TypeError
-    except PoleError:
-        raise
-    except TypeError:
-        values = np.array([oracle(p) for p in samples.points], dtype=complex)
-    if not np.all(np.isfinite(values)):
-        bad = samples.points[~np.isfinite(values)][0]
+    points = np.asarray(points, dtype=complex)
+    values = np.asarray(oracle(points), dtype=complex)
+    nonfinite = ~np.isfinite(values)
+    if values.shape == points.shape and nonfinite.any():
+        bad = points[nonfinite][0]
         raise PoleError(f"oracle returned a non-finite value at s = {bad}", point=complex(bad))
-    return samples.with_values(values)
+    return SampleSet(points, values)

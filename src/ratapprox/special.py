@@ -2,8 +2,8 @@
 
 The target function of the shipped benchmark is H(s) = 1/J0(s) on the
 rectangle [0, 10] x [-1, 1] of the complex plane.  Everything downstream
-treats the oracle as an opaque callable ``s -> complex``, so any other
-function can be fitted the same way.
+treats the oracle as an opaque vectorised callable (an array of points to
+values of the same shape), so any other function can be fitted the same way.
 """
 
 from __future__ import annotations

@@ -166,16 +166,16 @@ def fit_vf(
     Raises
     ------
     SettingError
-        If ``order`` is below 1.
+        If ``order`` is below 1 or ``n_iter`` is negative.
     DivergenceError
         If any pole magnitude exceeds ``DIVERGENCE_RADIUS``.
     InsufficientDataError
         If fewer than 2 (order + 2) samples are supplied.
     """
-    if samples.values is None:
-        raise InsufficientDataError("samples carry no values; run sample_oracle first")
     if order < 1:
         raise SettingError("order must be at least 1")
+    if n_iter < 0:
+        raise SettingError("iters must be non-negative")
     if len(samples) < 2 * (order + 2):
         raise InsufficientDataError(
             f"{len(samples)} samples cannot determine order {order}; "

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ratapprox import OMEGA, SampleSet, h_of_s, sample_oracle, structured_grid
+from ratapprox import OMEGA, h_of_s, sample_oracle, structured_grid
 
 
 def make_rational(degree: int, seed: int, with_offset: bool = False):
@@ -89,8 +89,7 @@ def rational_samples(degree: int, seed: int, n_pairs: int = 24, with_offset: boo
     pts = np.empty(2 * n_pairs, dtype=complex)
     pts[0::2] = upper
     pts[1::2] = np.conj(upper)
-    samples = SampleSet(points=pts)
-    return sample_oracle(samples, f), f, poles, residues, offset
+    return sample_oracle(pts, f), f, poles, residues, offset
 
 
 def conjugate_closed(points, tol=1e-8):

@@ -6,6 +6,7 @@ from conftest import rational_samples
 from ratapprox import (
     BarycentricModel,
     InsufficientDataError,
+    SettingError,
     StagnationError,
     SymmetryError,
     barycentric_poles_zeros,
@@ -98,6 +99,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_aaa(samples, tol=0.0)
 
+    @pytest.mark.parametrize("setting", [{"tol": np.nan}, {"seed": -1}])
+    def test_nan_tol_and_negative_seed_rejected(self, setting):
+        samples, *_ = rational_samples(2, 7, n_pairs=8)
+        with pytest.raises(SettingError, match=next(iter(setting))):
+            fit_aaa(samples, **setting)
+
     def test_order_cap_must_be_positive(self):
         samples, *_ = rational_samples(2, 7, n_pairs=8)
         with pytest.raises(ValueError):
@@ -105,8 +112,8 @@ class TestFit:
 
     def test_input_errors_are_typed(self):
         samples, *_ = rational_samples(2, 7, n_pairs=8)
-        with pytest.raises(InsufficientDataError):
-            fit_aaa(SampleSet(points=samples.points))
+        with pytest.raises(TypeError):
+            SampleSet(points=samples.points)
         with pytest.raises(InsufficientDataError):
             fit_aaa(SampleSet(points=samples.points[:1], values=samples.values[:1]))
         open_set = SampleSet(points=samples.points[::2], values=samples.values[::2])
@@ -164,7 +171,7 @@ class TestEval:
 class TestPolesZeros:
     def test_pole_of_simple_lag_fit(self):
         pts = np.array([0.5, 1.5, 2.5, 3.5, 4.5, 5.5])
-        samples = SampleSet(points=pts.astype(complex)).with_values(1.0 / (pts + 1.0))
+        samples = SampleSet(pts, 1.0 / (pts + 1.0))
         model, _ = fit_aaa(samples, tol=1e-13)
         poles, _ = barycentric_poles_zeros(model)
         assert np.min(np.abs(poles - (-1.0))) <= 1e-10

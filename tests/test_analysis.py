@@ -126,7 +126,7 @@ class TestMatchKnownZeros:
 class TestCompareMethods:
     def test_degenerate_input_flags_errors_but_emits_table(self, tmp_path):
         pts = np.array([1.0 + 0j, 2.0 + 0j, 3.0 + 0j, 4.0 + 0j])
-        samples = SampleSet(points=pts).with_values(1.0 / (pts + 1.0))
+        samples = SampleSet(pts, 1.0 / (pts + 1.0))
         truth = oracle_grid(lambda s: 1.0 / (np.asarray(s, complex) + 1.0), OMEGA, 10, 5)
         table = compare_methods(samples, truth)
         assert len(table.rows) == 4
@@ -162,6 +162,14 @@ class TestCompareMethods:
         header, _, *lines = table.to_text().splitlines()
         assert header.split()[-5:] == ["fit", "[s]", "eval", "[s]", "status"]
         assert lines[0].split()[-3:] == [f"{rows['loewner'].fit_s:.2f}", f"{rows['loewner'].eval_s:.2f}", "ok"]
+
+    @pytest.mark.parametrize("method, bad", [("loewner", {"order": 5, "tol": 1e-8}), ("rloewner", {"seed": -1})])
+    def test_invalid_setting_value_gives_an_error_row(self, small_bessel_samples, method, bad):
+        settings = {**SMALL_FIT_SETTINGS, method: bad}
+        table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 10, 5), settings)
+        assert [r.method for r in table.rows] == list(FIT_DEFAULTS)
+        for r in table.rows:
+            assert r.status.startswith("error: ") if r.method == method else r.status == "ok"
 
     def test_small_benchmark_all_methods_succeed(self, small_bessel_samples):
         table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 40, 15), SMALL_FIT_SETTINGS)
@@ -238,7 +246,7 @@ class TestFit:
         rng = np.random.default_rng(0)
         noise = 1e-9 * (rng.standard_normal(len(medium_bessel_samples))
                         + 1j * rng.standard_normal(len(medium_bessel_samples)))
-        noisy = medium_bessel_samples.with_values(medium_bessel_samples.values + noise)
+        noisy = SampleSet(medium_bessel_samples.points, medium_bessel_samples.values + noise)
         model, history = aaa.fit_aaa(noisy)
         assert model.order == FIT_DEFAULTS["aaa"]["order"]
         assert history[-1].max_error > 1e-13 * np.max(np.abs(noisy.values))
@@ -296,7 +304,7 @@ class TestFit:
 
     def test_one_sample_gives_four_error_rows(self):
         pts = np.array([2.0 + 0.5j])
-        samples = SampleSet(points=pts).with_values(1.0 / (pts + 1.0))
+        samples = SampleSet(pts, 1.0 / (pts + 1.0))
         table = compare_methods(samples, oracle_grid(h_of_s, OMEGA, 10, 5))
         assert [r.method for r in table.rows] == list(FIT_DEFAULTS)
         assert all(r.status.startswith("error") for r in table.rows)

@@ -17,6 +17,7 @@ from ratapprox import aaa, cli, linalg, loewner, vectorfit
 from ratapprox.cli import main
 from ratapprox.errors import PoleError, RatApproxError
 from ratapprox.serialize import load_model, save_model
+from ratapprox.special import SERIES_RADIUS
 
 
 def run(*argv):
@@ -49,6 +50,15 @@ class TestSample:
                 "--out", "s.csv")
             dirs.append(d)
         assert (dirs[0] / "s.csv").read_bytes() == (dirs[1] / "s.csv").read_bytes()
+
+    @pytest.mark.parametrize("grid", ["structured", "uniform"])
+    def test_domain_bounds_every_point(self, tmp_path, grid):
+        out = tmp_path / "s.csv"
+        assert run("sample", "--grid", grid, "--nx", "6", "--ny", "3", "--pairs", "20",
+                   "--domain", "0,5,-1,1", "--out", str(out)) == 0
+        re_s, im_s = np.loadtxt(out, delimiter=",", comments="#", skiprows=2, usecols=(0, 1)).T
+        assert re_s.size == (18 if grid == "structured" else 40)
+        assert np.all((re_s >= 0) & (re_s <= 5) & (im_s >= -1) & (im_s <= 1))
 
 
 class TestFitEvalPolesProject:
@@ -195,7 +205,7 @@ class TestErrors:
         assert run("fit", "--method", "loewner", "--in", str(sample),
                    "--order", "3", "--tol", "0.5", "--out", "x.json") == 1
         payload = json.loads(capsys.readouterr().err.strip())
-        assert payload["error"] == "ValueError"
+        assert payload == {"error": "SettingError", "message": "specify exactly one of order= and tol="}
 
     @pytest.fixture()
     def small_csv(self, tmp_path):
@@ -210,6 +220,10 @@ class TestErrors:
         ("aaa", ["--tol", "0"]),
         ("loewner", ["--order", "0"]),
         ("loewner", ["--tol", "0"]),
+        ("aaa", ["--tol", "nan"]),
+        ("vf", ["--iters", "-1"]),
+        ("rloewner", ["--seed", "-1"]),
+        ("aaa", ["--seed", "-1", "--seed-random"]),
     ])
     def test_zero_is_a_value_not_the_default(self, small_csv, tmp_path, capsys, method, flags):
         out = tmp_path / "m.json"
@@ -222,6 +236,28 @@ class TestErrors:
             assert payload["error"] == "SettingError"
             assert flags[0].lstrip("-") in payload["message"]
         assert not out.exists()
+
+    def test_eval_domain_beyond_the_oracle_radius(self, small_csv, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        assert run("fit", "--method", "loewner", "--in", str(small_csv), "--order", "4", "--out", str(model)) == 0
+        x_max = 1.5 * SERIES_RADIUS
+        assert run("eval", "--model", str(model), "--nx", "5", "--ny", "3", "--domain", f"0,{x_max},-1,1",
+                   "--out-prefix", str(tmp_path / "m")) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "EvaluationDomainError"
+
+    @pytest.mark.parametrize("domain", ["0,inf,-1,1", "1,0,-1,1", "1,2,3"])
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--out", "s.csv"],
+        ["eval", "--model", "m.json", "--out-prefix", "m"],
+        ["trajectories", "--out-prefix", "t"],
+    ])
+    def test_bad_domain_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, domain):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run(*argv, "--domain", domain)
+        assert info.value.code == 2
+        assert "--domain" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("method, flags", [
         ("vf", ["--tol", "1e-3"]),

@@ -25,7 +25,7 @@ def test_order_is_capped_at_the_rank_of_the_data():
 
 def test_groups_ranked_by_worst_error_with_ties_to_the_lower_group(monkeypatch):
     # a stand-in model whose errors tie and go NaN; zero values make each error exact
-    pts = uniform_random_grid(OMEGA, 15, 1).points
+    pts = uniform_random_grid(OMEGA, 15, 1)
     rng = np.random.default_rng(3)
     err = dict(zip(pts, rng.choice([0.0, 1.0, 2.0, np.nan], pts.size)))
 
@@ -97,10 +97,3 @@ def test_insufficient_data_rejected():
     samples, *_ = rational_samples(2, 4, n_pairs=3)
     with pytest.raises(InsufficientDataError):
         fit_greedy(samples, order_target=5, seed=0)
-
-
-def test_values_required():
-    from ratapprox import OMEGA, structured_grid
-
-    with pytest.raises(InsufficientDataError):
-        fit_greedy(structured_grid(OMEGA, 5, 5), order_target=2, seed=0)

@@ -29,7 +29,7 @@ from ratapprox.loewner import DataPartition, StateSpaceModel, modal_form
 
 def real_samples(values_fn, pts):
     pts = np.asarray(pts, dtype=complex)
-    return SampleSet(points=pts).with_values(values_fn(pts))
+    return SampleSet(pts, values_fn(pts))
 
 
 def match_distance(a, b):
@@ -63,16 +63,12 @@ class TestPartition:
         assert not set(part.mu) & set(part.lam)
 
     def test_unpaired_complex_point_impossible(self):
-        samples = SampleSet(points=np.array([1.0 + 1.0j, 2.0 + 0j])).with_values(
-            np.array([1.0 + 0j, 1.0 + 0j])
-        )
+        samples = SampleSet(np.array([1.0 + 1.0j, 2.0 + 0j]), np.array([1.0 + 0j, 1.0 + 0j]))
         with pytest.raises(PartitionError):
             partition(samples)
 
     def test_single_conjugate_pair_impossible(self):
-        samples = SampleSet(points=np.array([1.0 + 1.0j, 1.0 - 1.0j])).with_values(
-            np.array([1.0 + 0j, 1.0 + 0j])
-        )
+        samples = SampleSet(np.array([1.0 + 1.0j, 1.0 - 1.0j]), np.array([1.0 + 0j, 1.0 + 0j]))
         with pytest.raises(PartitionError):
             partition(samples)
 
@@ -342,7 +338,7 @@ class TestModalForm:
     def test_ratapprox_fit_has_a_modal_form_that_keeps_the_dense_maximum(self, medium_bessel_samples):
         model = truncate(build_pencil(partition(medium_bessel_samples)), order=11).model
         assert model.modal is not None
-        pts = structured_grid(OMEGA, 101, 41).points
+        pts = structured_grid(OMEGA, 101, 41)
         vals = h_of_s(pts)
         assert np.max(np.abs(model.eval(pts) - vals)) == np.max(np.abs(model.solve(pts) - vals))
 

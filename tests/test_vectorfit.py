@@ -7,6 +7,7 @@ from ratapprox import (
     InsufficientDataError,
     PoleError,
     PoleResidueModel,
+    SettingError,
     SymmetryError,
     eval_pole_residue,
     fit_vf,
@@ -57,6 +58,11 @@ class TestFit:
         samples, *_ = rational_samples(2, 3, n_pairs=4)
         with pytest.raises(InsufficientDataError):
             fit_vf(samples, order=6, n_iter=3)
+
+    def test_negative_iteration_count_rejected(self):
+        samples, *_ = rational_samples(2, 3, n_pairs=8)
+        with pytest.raises(SettingError, match="iters"):
+            fit_vf(samples, order=2, n_iter=-3)
 
     def test_unpaired_initial_poles_rejected(self):
         samples, *_ = rational_samples(2, 4, n_pairs=12)
