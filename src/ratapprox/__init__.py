@@ -60,7 +60,7 @@ from .sampling import (
     uniform_random_grid,
 )
 from .serialize import load_model, save_model
-from .special import BESSEL_J0_ZEROS, bessel_j0, h_of_s
+from .special import BESSEL_J0_ZEROS, bessel_j0, h_of_s, h_on_grid
 from .vectorfit import PoleResidueModel, eval_pole_residue, fit_vf, pr_poles_zeros
 
 __all__ = [
@@ -107,6 +107,7 @@ __all__ = [
     "fit_greedy",
     "fit_vf",
     "h_of_s",
+    "h_on_grid",
     "load_model",
     "match_known_zeros",
     "oracle_grid",

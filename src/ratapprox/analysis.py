@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aaa, greedy, linalg, loewner, vectorfit
-from .errors import PoleError, RatApproxError
+from .errors import PoleError, RatApproxError, SettingError
 from .sampling import Domain, SampleSet, write_csv
 
 
@@ -42,9 +42,12 @@ class ErrorReport:
         write_heatmap_svg(self, path)
 
 
+def _grid_axes(domain: Domain, nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.linspace(domain.x_min, domain.x_max, nx), np.linspace(domain.y_min, domain.y_max, ny)
+
+
 def _grid_points(domain: Domain, nx: int, ny: int) -> np.ndarray:
-    xs = np.linspace(domain.x_min, domain.x_max, nx)
-    ys = np.linspace(domain.y_min, domain.y_max, ny)
+    xs, ys = _grid_axes(domain, nx, ny)
     return (xs[None, :] + 1j * ys[:, None]).ravel()
 
 
@@ -67,29 +70,37 @@ class OracleGrid:
 def oracle_grid(oracle, domain: Domain, nx: int, ny: int) -> OracleGrid:
     """Evaluate the oracle on the grid once, masking points where it gives no finite value.
 
-    A batch whose oracle call raises ``PoleError`` is evaluated again point
-    by point, and a point that raises is NaN.
+    An oracle with a grid method, an ``on_grid(xs, ys)`` attribute returning
+    the (ny, nx) surface over the grid's abscissae and ordinates, is called
+    once, as :func:`~ratapprox.special.h_of_s` offers
+    :func:`~ratapprox.special.h_on_grid`.  Any other oracle is swept over the
+    points in batches; a batch whose call raises ``PoleError`` is evaluated
+    again point by point, and a point that raises is NaN.  An nx or ny
+    below 2 raises ``SettingError``.
     """
     if nx < 2 or ny < 2:
-        raise ValueError("need nx >= 2 and ny >= 2")
+        raise SettingError(f"the grid needs nx >= 2 and ny >= 2, got {nx} x {ny}")
     pts = _grid_points(domain, nx, ny)
+    on_grid = getattr(oracle, "on_grid", None)
+    if on_grid is not None:
+        values = np.asarray(on_grid(*_grid_axes(domain, nx, ny)), dtype=complex).ravel()
+    else:
+        values = linalg.eval_chunked(lambda chunk: _sweep(oracle, chunk), pts)
+    return OracleGrid(domain=domain, nx=nx, ny=ny, points=pts, values=values, excluded=~np.isfinite(values))
 
-    def sweep(chunk):
-        try:
-            return np.asarray(oracle(chunk), dtype=complex)
-        except PoleError:
-            # rare path: pin down the offending points one by one
-            vals = np.empty(chunk.size, dtype=complex)
-            for k, s in enumerate(chunk):
-                try:
-                    vals[k] = complex(oracle(s))
-                except PoleError:
-                    vals[k] = np.nan
-            return vals
 
-    values = linalg.eval_chunked(sweep, pts)
-    excluded = ~np.isfinite(values)
-    return OracleGrid(domain=domain, nx=nx, ny=ny, points=pts, values=values, excluded=excluded)
+def _sweep(oracle, chunk: np.ndarray) -> np.ndarray:
+    try:
+        return np.asarray(oracle(chunk), dtype=complex)
+    except PoleError:
+        # rare path: pin down the offending points one by one
+        vals = np.empty(chunk.size, dtype=complex)
+        for k, s in enumerate(chunk):
+            try:
+                vals[k] = complex(oracle(s))
+            except PoleError:
+                vals[k] = np.nan
+        return vals
 
 
 def model_error(model, truth: OracleGrid, method_tag: str = "") -> ErrorReport:

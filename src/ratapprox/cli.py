@@ -326,13 +326,17 @@ def _cmd_trajectories(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .analysis import FIT_DEFAULTS, compare_methods, oracle_grid
+    from .errors import SettingError
     from .sampling import OMEGA, SampleSet
     from .special import h_of_s
 
     samples = SampleSet.from_csv(args.infile)
-    orders = [None] * 4 if args.orders is None else [int(t) for t in args.orders.split(",")]
+    try:
+        orders = [None] * 4 if args.orders is None else [int(t) for t in args.orders.split(",")]
+    except ValueError:
+        orders = []
     if len(orders) != 4:
-        raise ValueError("--orders needs four comma-separated integers")
+        raise SettingError(f"--orders needs four comma-separated integers, got {args.orders!r}")
     settings = {method: {"order": order} for method, order in zip(FIT_DEFAULTS, orders)}
     settings["rloewner"]["seed"] = args.seed
     settings["aaa"]["tol"] = args.tol

@@ -33,8 +33,8 @@ class SettingError(RatApproxError, ValueError):
 
     A fit setting (an order below 1, a tolerance that is not positive, a
     negative seed or iteration count, Loewner order and tol given
-    together), or a domain whose bounds are not finite or do not enclose
-    an area.
+    together), a grid size below its minimum, or a domain whose bounds are
+    not finite or do not enclose an area.
     """
 
 

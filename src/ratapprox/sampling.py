@@ -177,10 +177,10 @@ def structured_grid(domain: Domain, nx: int, ny: int) -> np.ndarray:
 
     For a y-symmetric domain ``ny`` must be odd so the real axis is a grid
     row and conjugate closure is exact; an even ``ny`` raises
-    ``SymmetryError``.
+    ``SymmetryError``, and an nx or ny below 2 ``SettingError``.
     """
     if nx < 2 or ny < 2:
-        raise ValueError("structured grid needs nx >= 2 and ny >= 2")
+        raise SettingError(f"structured grid needs nx >= 2 and ny >= 2, got {nx} x {ny}")
     if domain.y_symmetric and ny % 2 == 0:
         raise SymmetryError(
             f"ny = {ny} is even: the real axis would not be a grid row and "
@@ -196,11 +196,11 @@ def uniform_random_grid(domain: Domain, n_pairs: int, seed: int) -> np.ndarray:
 
     Ordinates are drawn in (0, y_max], so no sample lands on the real axis
     and the result is exactly 2 * n_pairs points, interleaved as
-    (p0, conj p0, p1, conj p1, ...).  Fully determined by ``seed``; a
-    negative seed raises ``SettingError``.
+    (p0, conj p0, p1, conj p1, ...).  Fully determined by ``seed``; an
+    ``n_pairs`` below 1 or a negative seed raises ``SettingError``.
     """
     if n_pairs < 1:
-        raise ValueError("need n_pairs >= 1")
+        raise SettingError(f"need n_pairs >= 1, got {n_pairs}")
     if seed < 0:
         raise SettingError("seed must be non-negative")
     if not domain.y_symmetric:
@@ -225,9 +225,12 @@ def sample_oracle(points, oracle) -> SampleSet:
     ``oracle`` maps the point array to values of the same shape; another
     shape raises ``SampleError``.  Conjugate pairs carry conjugate values
     whenever the oracle is conjugate-symmetric, as the Bessel oracle is
-    exactly.  A non-finite value is a ``PoleError`` with the point attached.
+    exactly.  A non-finite point is a ``SampleError``, raised before the
+    oracle is called; a non-finite value is a ``PoleError`` with the point
+    attached.
     """
     points = np.asarray(points, dtype=complex)
+    _require_finite(points, "point(s)")
     values = np.asarray(oracle(points), dtype=complex)
     nonfinite = ~np.isfinite(values)
     if values.shape == points.shape and nonfinite.any():

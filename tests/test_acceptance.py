@@ -25,6 +25,7 @@ from ratapprox import (
     fit_greedy,
     fit_vf,
     h_of_s,
+    oracle_grid,
     partition,
     poles,
     pr_poles_zeros,
@@ -58,10 +59,9 @@ class DenseGrid:
 
 @pytest.fixture(scope="module")
 def dense():
-    xs = np.linspace(OMEGA.x_min, OMEGA.x_max, 500)
-    ys = np.linspace(OMEGA.y_min, OMEGA.y_max, 500)
-    pts = (xs[None, :] + 1j * ys[:, None]).ravel()
-    return DenseGrid(points=pts, values=h_of_s(pts))
+    # the oracle surface repro compares against
+    truth = oracle_grid(h_of_s, OMEGA, 500, 500)
+    return DenseGrid(points=truth.points, values=truth.values)
 
 
 @pytest.fixture(scope="module")

@@ -245,6 +245,21 @@ class TestErrors:
                    "--out-prefix", str(tmp_path / "m")) == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "EvaluationDomainError"
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--in", "s.csv", "--nx", "1"],  # the oracle grid
+        ["sample", "--nx", "1", "--out", "out.csv"],  # the structured grid
+        ["sample", "--grid", "uniform", "--pairs", "0", "--out", "out.csv"],
+        ["trajectories", "--a", "2", "--out-prefix", "t"],
+        ["compare", "--in", "s.csv", "--orders", "1,2"],
+        ["compare", "--in", "s.csv", "--orders", "1,2,x,4"],
+    ])
+    def test_bad_sizes_are_setting_errors(self, small_csv, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(small_csv.parent)
+        before = set(tmp_path.iterdir())
+        assert run(*argv) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "SettingError"
+        assert set(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("domain", ["0,inf,-1,1", "1,0,-1,1", "1,2,3"])
     @pytest.mark.parametrize("argv", [
         ["sample", "--out", "s.csv"],

@@ -112,6 +112,13 @@ class TestSampleOracle:
             sample_oracle(np.array([1.0 + 0j, zero]), h_of_s)
         assert info.value.point == pytest.approx(zero)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_point_is_a_sample_error_before_the_oracle_runs(self, bad):
+        called = []
+        with pytest.raises(SampleError, match="not finite"):
+            sample_oracle(np.array([1.0, bad]), lambda s: called.append(s) or h_of_s(s))
+        assert called == []
+
     def test_non_finite_value_is_a_pole_error_with_point(self):
         with pytest.raises(PoleError) as info:
             sample_oracle(np.array([1.0, 2.0, 3.0]), lambda s: np.where(s == 2.0, np.inf, s))

@@ -1,12 +1,29 @@
 """Oracle tests against an independent arbitrary-precision series."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ratapprox import BESSEL_J0_ZEROS, EvaluationDomainError, PoleError, bessel_j0, h_of_s
+import ratapprox
+from ratapprox import (
+    BESSEL_J0_ZEROS,
+    OMEGA,
+    Domain,
+    EvaluationDomainError,
+    PoleError,
+    bessel_j0,
+    h_of_s,
+    h_on_grid,
+    oracle_grid,
+)
+from ratapprox.special import SERIES_RADIUS
 
 mp.mp.dps = 40
 
@@ -197,3 +214,98 @@ def test_h_pole_error_identifies_point_in_arrays():
     with pytest.raises(PoleError) as info:
         h_of_s(pts)
     assert info.value.point == pytest.approx(2.40482555769577)
+
+
+def grid_axes(domain, nx, ny):
+    return np.linspace(domain.x_min, domain.x_max, nx), np.linspace(domain.y_min, domain.y_max, ny)
+
+
+def mp_j0(points):
+    return np.array([complex(mp.besselj(0, mp.mpc(p))) for p in np.ravel(points)]).reshape(np.shape(points))
+
+
+class TestGridMethod:
+    """``h_on_grid``, the grid method ``oracle_grid`` takes for ``h_of_s``, against the series and mpmath."""
+
+    def test_h_of_s_offers_the_grid_method(self):
+        assert h_of_s.on_grid is h_on_grid
+
+    def test_agrees_with_the_series_on_the_benchmark_surface(self):
+        xs, ys = grid_axes(OMEGA, 500, 500)
+        grid = xs[None, :] + 1j * ys[:, None]
+        ref = bessel_j0(grid)
+        j0 = 1 / h_on_grid(xs, ys)
+        assert j0.shape == (500, 500)
+        assert np.max(np.abs(j0 - ref) / np.abs(ref)) <= 1e-14
+        truth = oracle_grid(h_of_s, OMEGA, 500, 500)
+        assert np.array_equal(truth.values, h_on_grid(xs, ys).ravel())
+        assert truth.points.tobytes() == grid.ravel().tobytes()
+
+    @pytest.mark.parametrize("zero", [z for z in BESSEL_J0_ZEROS if OMEGA.contains(z)])
+    def test_agrees_with_mpmath_next_to_each_zero(self, zero):
+        xs, ys = grid_axes(OMEGA, 500, 500)
+        grid = xs[None, :] + 1j * ys[:, None]
+        iy, ix = np.unravel_index(np.argmin(np.abs(grid - zero)), grid.shape)
+        ref = complex(mp.besselj(0, mp.mpc(grid[iy, ix])))
+        assert abs(1 / h_on_grid(xs, ys)[iy, ix] - ref) <= 1e-14 * abs(ref)
+
+    def test_number_of_terms_follows_the_grid_extent(self):
+        # |x y| up to 196 needs about 30 terms where the benchmark rectangle needs 15;
+        # a fixed 24 is 1.5e-12 off here
+        xs, ys = grid_axes(Domain(0.0, 14.0, -14.0, 14.0), 57, 57)
+        grid = xs[None, :] + 1j * ys[:, None]
+        ref = mp_j0(grid)
+        grid_err = np.abs(1 / h_on_grid(xs, ys) - ref) / np.abs(ref)
+        # next to the zero at 11.79 the long-double series of the real factor J0(x)
+        # is itself about 1e-14 off (see SERIES_RADIUS); the grid may not be worse
+        series_err = np.abs(bessel_j0(grid) - ref) / np.abs(ref)
+        assert np.all(grid_err <= np.maximum(1e-14, 2 * series_err))
+
+    def test_excludes_a_point_on_a_zero_as_the_pointwise_sweep_does(self):
+        domain = Domain(BESSEL_J0_ZEROS[0], 10.0, -1.0, 1.0)
+        truth = oracle_grid(h_of_s, domain, 40, 21)
+        pointwise = oracle_grid(lambda s: h_of_s(s), domain, 40, 21)
+        assert np.flatnonzero(truth.excluded).tolist() == [10 * 40]
+        assert np.array_equal(truth.excluded, pointwise.excluded)
+        assert np.isnan(truth.values[truth.excluded]).all()
+        kept = ~truth.excluded
+        assert np.allclose(truth.values[kept], pointwise.values[kept], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("domain", [Domain(0.0, 15.0, -15.0, 15.0), Domain(-25.0, 10.0, -1.0, 1.0)])
+    def test_a_grid_past_the_series_radius_is_a_domain_error(self, domain):
+        for oracle in (h_of_s, lambda s: h_of_s(s)):
+            with pytest.raises(EvaluationDomainError, match="radius"):
+                oracle_grid(oracle, domain, 5, 5)
+
+    def test_a_grid_reaching_the_series_radius_is_in_range(self):
+        assert abs(12 + 16j) == SERIES_RADIUS  # the corner of the grid
+        assert np.all(np.isfinite(oracle_grid(h_of_s, Domain(0.0, 12.0, -16.0, 16.0), 4, 5).values))
+
+    def test_non_finite_abscissae_are_domain_errors(self):
+        with pytest.raises(EvaluationDomainError, match="not finite"):
+            h_on_grid(np.array([1.0, np.nan]), np.array([0.0, 0.5]))
+        with pytest.raises(EvaluationDomainError, match="not finite"):
+            h_on_grid(np.array([1.0, 2.0]), np.array([0.0, np.inf]))
+
+
+_GRID_PROBE = """
+import hashlib, os, sys
+if len(sys.argv) > 1:
+    os.sched_setaffinity(0, {int(sys.argv[1])})  # before numpy sizes its BLAS pool
+from ratapprox import OMEGA, h_of_s, oracle_grid
+print(hashlib.sha256(oracle_grid(h_of_s, OMEGA, 500, 500).values.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_grid_surface_does_not_depend_on_the_cpu_count():
+    src = str(Path(ratapprox.__file__).resolve().parents[1])
+    # the child takes the BLAS thread count from its affinity, so drop any pin
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")} | {"PYTHONPATH": src}
+
+    def digest(*args):
+        done = subprocess.run([sys.executable, "-c", _GRID_PROBE, *args], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        return done.stdout.strip()
+
+    assert digest(str(min(os.sched_getaffinity(0)))) == digest()
