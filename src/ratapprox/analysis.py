@@ -153,8 +153,11 @@ def detect_cancellations(poles, zeros, rel_tol: float = CANCEL_TOL) -> list[Canc
 
     Pairs are reported while the globally closest remaining pole/zero pair
     satisfies ``|p - z| <= rel_tol * (1 + |p|)``; each pole and zero is used
-    at most once, so shrinking ``rel_tol`` never adds pairs.
+    at most once, so shrinking ``rel_tol`` never adds pairs.  A negative or
+    NaN ``rel_tol`` raises ``SettingError``.
     """
+    if not rel_tol >= 0:
+        raise SettingError(f"cancellation tolerance must be non-negative, got {rel_tol}")
     poles = list(np.asarray(poles, dtype=complex))
     zeros = list(np.asarray(zeros, dtype=complex))
     pairs: list[CancellationPair] = []

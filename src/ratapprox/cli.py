@@ -249,13 +249,13 @@ def _cmd_poles(args) -> int:
     poles, zeros = model.poles_zeros()
     poles = np.sort_complex(poles)
     zeros = np.sort_complex(zeros)
+    pairs = detect_cancellations(poles, zeros, rel_tol=args.cancel_tol)
     print(f"poles ({poles.size}):")
     for p in poles:
         print(f"  {_fmt_value(p)}")
     print(f"zeros ({zeros.size}):")
     for z in zeros:
         print(f"  {_fmt_value(z)}")
-    pairs = detect_cancellations(poles, zeros, rel_tol=args.cancel_tol)
     if pairs:
         print(f"cancellation pairs (tol {args.cancel_tol:g}):")
         for pair in pairs:

@@ -581,12 +581,14 @@ def trajectory_study(
     Step i samples an (i*a) x (i*a) structured grid (the ordinate count is
     bumped to the next odd integer so the real axis stays a grid row), fits
     at fixed ``order`` and records the projected points.  An ``a`` below 3
-    raises ``SettingError``.
+    or an ``n_steps`` below 1 raises ``SettingError``.
     """
     from .sampling import sample_oracle, structured_grid
 
     if a < 3:
         raise SettingError(f"need a >= 3 for a usable coarsest grid, got {a}")
+    if n_steps < 1:
+        raise SettingError(f"need at least 1 step, got {n_steps}")
     steps: list[TrajectoryStep] = []
     for i in range(1, n_steps + 1):
         nx = i * a

@@ -14,8 +14,9 @@ from ratapprox import (
     eval_barycentric,
     fit_aaa,
 )
-from ratapprox import aaa
-from ratapprox.sampling import SampleSet
+from ratapprox import OMEGA, aaa
+from ratapprox.sampling import SampleSet, sample_oracle, uniform_random_grid
+from ratapprox.special import h_of_s
 
 mp.mp.dps = 40
 
@@ -52,7 +53,7 @@ class TestFit:
         # independent re-evaluation over all non-support samples
         mask = ~np.isin(samples.points, model.support_points)
         err = np.abs(eval_barycentric(model, samples.points[mask]) - samples.values[mask])
-        assert history[-1].max_error == pytest.approx(err.max(), rel=1e-12)
+        assert history[-1].max_error == err.max()
 
     def test_deterministic_without_seed(self):
         samples, *_ = rational_samples(3, 3, n_pairs=16)
@@ -87,6 +88,40 @@ class TestFit:
         # promotes the stray point 1 + 1j
         samples = SampleSet(np.array([1.0 + 1.0j, 2.0, 3.0]), np.array([2.0, 2.0, 10.0]))
         with pytest.raises(SymmetryError):
+            fit_aaa(samples, real_mode=True, max_order=1)
+
+    @pytest.mark.parametrize("gap, promoted", [(1e-13, "low"), (1e-9, "high")])
+    def test_residuals_within_the_band_promote_the_lowest_index(self, monkeypatch, gap, promoted):
+        samples, *_ = rational_samples(2, 7, n_pairs=8)
+        values = samples.values
+        start = int(np.argmax(np.abs(values - values.mean())))
+        # the order-1 model is the constant values[start]; bump two other samples
+        worst = int(np.argmax(np.abs(values - values[start])))
+        low, high = [i for i in range(len(samples)) if i not in (start, worst)][:2]
+        bump = np.zeros(len(samples))
+        bump[low], bump[high] = 1.0, 1.0 + gap
+        index = {complex(p): i for i, p in enumerate(samples.points)}
+
+        def stand_in(model, s):
+            at = [index[complex(p)] for p in s]
+            return values[at] + bump[at]
+
+        monkeypatch.setattr(aaa, "eval_barycentric", stand_in)
+        model, history = fit_aaa(samples, max_order=2)
+        assert history[0].max_error == pytest.approx(1.0 + gap, rel=1e-15)
+        assert model.support_points[1] == samples.points[{"low": low, "high": high}[promoted]]
+
+    @pytest.mark.parametrize("cap", range(2, 8))
+    def test_real_mode_never_exceeds_the_order_cap(self, cap):
+        samples = sample_oracle(uniform_random_grid(OMEGA, 50, 1), h_of_s)
+        model, history = fit_aaa(samples, real_mode=True, max_order=cap)
+        # promoted in conjugate pairs: the cap or one below it
+        assert model.order in (cap - 1, cap)
+        assert max(step.order for step in history) == model.order
+
+    def test_real_mode_cap_below_the_first_pair_is_a_setting_error(self):
+        samples = sample_oracle(uniform_random_grid(OMEGA, 50, 1), h_of_s)
+        with pytest.raises(SettingError, match="order cap 1"):
             fit_aaa(samples, real_mode=True, max_order=1)
 
     def test_stagnation_when_samples_run_out(self):

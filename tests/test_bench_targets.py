@@ -37,3 +37,16 @@ def test_compare_methods_calls_each_fit_through_its_module(small_bessel_samples,
     table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 10, 5), SMALL_FIT_SETTINGS)
     assert all(row.status == "ok" for row in table.rows)
     assert sorted(set(called)) == ["fit_aaa", "fit_greedy", "fit_vf", "truncate"]
+
+
+def test_fit_aaa_ranks_through_eval_barycentric(small_bessel_samples, monkeypatch):
+    """The ranking runs inside the traced ``aaa.eval`` span, one call per step."""
+    calls = []
+
+    def spy(model, s, _fn=aaa.eval_barycentric):
+        calls.append(len(s))
+        return _fn(model, s)
+
+    monkeypatch.setattr(aaa, "eval_barycentric", spy)
+    model, history = aaa.fit_aaa(small_bessel_samples, tol=1e-11, max_order=12)
+    assert calls == [len(small_bessel_samples) - step.order for step in history]

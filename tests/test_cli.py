@@ -250,6 +250,7 @@ class TestErrors:
         ["sample", "--nx", "1", "--out", "out.csv"],  # the structured grid
         ["sample", "--grid", "uniform", "--pairs", "0", "--out", "out.csv"],
         ["trajectories", "--a", "2", "--out-prefix", "t"],
+        ["trajectories", "--steps", "0", "--out-prefix", "t"],
         ["compare", "--in", "s.csv", "--orders", "1,2"],
         ["compare", "--in", "s.csv", "--orders", "1,2,x,4"],
     ])
@@ -259,6 +260,16 @@ class TestErrors:
         assert run(*argv) == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "SettingError"
         assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("cancel_tol", ["nan", "-1"])
+    def test_bad_cancel_tol_is_a_setting_error(self, small_csv, tmp_path, capsys, cancel_tol):
+        model = tmp_path / "vf.json"
+        assert run("fit", "--method", "vf", "--in", str(small_csv), "--order", "6", "--out", str(model)) == 0
+        capsys.readouterr()
+        assert run("poles", "--model", str(model), "--cancel-tol", cancel_tol) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err.strip())["error"] == "SettingError"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("domain", ["0,inf,-1,1", "1,0,-1,1", "1,2,3"])
     @pytest.mark.parametrize("argv", [
