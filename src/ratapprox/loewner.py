@@ -17,13 +17,14 @@ points that survive the compression.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import PartitionError, PencilError, PoleError, RankError, SettingError, SymmetryError
+from .errors import PartitionError, PencilError, PoleError, RankError, SampleError, SettingError, SymmetryError
 from .sampling import Domain, SampleSet, conjugate_mates, group_members
 
 PARTITION_SCHEMES = ("alternating", "half_split", "epsilon_paired")
@@ -51,7 +52,11 @@ PROJECTION_RESIDUAL_TOL = 1e-8
 
 @dataclass
 class DataPartition:
-    """Disjoint left (mu, v) and right (lam, w) interpolation data."""
+    """Disjoint left (mu, v) and right (lam, w) interpolation data.
+
+    Points and values of different shapes, or a point or value that is not
+    finite, raise ``SampleError``; an empty side raises ``PartitionError``.
+    """
 
     mu: np.ndarray
     v: np.ndarray
@@ -64,29 +69,41 @@ class DataPartition:
         self.lam = np.asarray(self.lam, dtype=complex)
         self.w = np.asarray(self.w, dtype=complex)
         if self.mu.shape != self.v.shape or self.lam.shape != self.w.shape:
-            raise ValueError("point and value arrays must match in shape")
+            raise SampleError("point and value arrays must match in shape")
         if self.mu.size == 0 or self.lam.size == 0:
             raise PartitionError("both sides of a partition must be non-empty")
+        for name in ("mu", "v", "lam", "w"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise SampleError(f"partition {name} holds a value that is not finite")
 
 
 @dataclass
 class LoewnerPencil:
     """The pencil (L, Ls) with its defining data.
 
+    The pencil is held once, as the row concatenation ``row_concat = [L, Ls]``
+    of shape (q, 2k); ``L`` and ``Ls`` are views of its two halves.
     Direction vectors are all ones in the scalar (SISO) setting; they appear
     explicitly only in the Sylvester identities below.
     """
 
-    L: np.ndarray
-    Ls: np.ndarray
+    row_concat: np.ndarray
     V: np.ndarray
     W: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
 
     @property
+    def L(self) -> np.ndarray:
+        return self.row_concat[:, : self.lam.size]
+
+    @property
+    def Ls(self) -> np.ndarray:
+        return self.row_concat[:, self.lam.size :]
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return self.L.shape
+        return self.mu.size, self.lam.size
 
     @property
     def left_directions(self) -> np.ndarray:
@@ -404,14 +421,23 @@ def partition(samples: SampleSet, scheme: str = DEFAULTS["scheme"]) -> DataParti
 
 
 def build_pencil(part: DataPartition) -> LoewnerPencil:
-    """Assemble the Loewner pencil from a partition by the divided-difference formulas."""
-    diff = part.mu[:, None] - part.lam[None, :]
+    """Assemble the Loewner pencil from a partition by the divided-difference formulas.
+
+    L and Ls are computed in place in the two halves of one (q, 2k) array.
+    """
+    diff = np.subtract.outer(part.mu, part.lam)
     if np.any(diff == 0.0):
         j, i = np.argwhere(diff == 0.0)[0]
         raise PencilError(f"coincident points: mu[{j}] == lam[{i}] == {part.mu[j]}")
-    L = (part.v[:, None] - part.w[None, :]) / diff
-    Ls = (part.mu[:, None] * part.v[:, None] - part.lam[None, :] * part.w[None, :]) / diff
-    return LoewnerPencil(L=L, Ls=Ls, V=part.v.copy(), W=part.w.copy(), mu=part.mu.copy(), lam=part.lam.copy())
+    k = part.lam.size
+    row_concat = np.empty((part.mu.size, 2 * k), dtype=complex)
+    L, Ls = row_concat[:, :k], row_concat[:, k:]
+    np.subtract.outer(part.v, part.w, out=L)
+    L /= diff
+    np.subtract.outer(part.mu * part.v, part.lam * part.w, out=Ls)
+    Ls /= diff
+    return LoewnerPencil(row_concat=row_concat, V=part.v.copy(), W=part.w.copy(),
+                         mu=part.mu.copy(), lam=part.lam.copy())
 
 
 def sylvester_residual(pencil: LoewnerPencil) -> tuple[float, float]:
@@ -423,11 +449,11 @@ def sylvester_residual(pencil: LoewnerPencil) -> tuple[float, float]:
     """
     M = pencil.mu[:, None]
     Lam = pencil.lam[None, :]
-    VR = np.outer(pencil.V, pencil.right_directions)
-    LW = np.outer(pencil.left_directions, pencil.W)
+    # the direction vectors are all ones: V R = V[:, None] and L_dir W = W[None, :] by broadcasting
     scale = np.linalg.norm(pencil.Ls)
-    r1 = np.linalg.norm(M * pencil.L - pencil.L * Lam - (VR - LW))
-    r2 = np.linalg.norm(M * pencil.Ls - pencil.Ls * Lam - (M * VR - LW * Lam))
+    r1 = np.linalg.norm(M * pencil.L - pencil.L * Lam - (pencil.V[:, None] - pencil.W[None, :]))
+    r2 = np.linalg.norm(M * pencil.Ls - pencil.Ls * Lam
+                        - ((pencil.mu * pencil.V)[:, None] - (pencil.W * pencil.lam)[None, :]))
     return r1 / scale, r2 / scale
 
 
@@ -452,17 +478,25 @@ def truncate(
     are ``order + 20`` wide.  With ``tol=`` the [L, Ls] sketch starts 21
     wide and doubles until its last singular value has dropped to ``tol``
     (or the full SVD is taken); the [L; Ls] sketch is then ``order + 20``
-    wide.
+    wide.  The [L, Ls] sketch reads ``pencil.row_concat`` itself; the
+    [L; Ls] sketch reads its adjoint, written once into one (k, 2q) array.
+
+    An ``order`` that is not an integer or is below 1 raises
+    ``SettingError``; one above min(q, k) or above the numerical rank of
+    the data raises ``RankError``.
     """
     if (order is None) == (tol is None):
         raise SettingError("specify exactly one of order= and tol=")
     q, k = pencil.shape
     if tol is not None and not 0.0 < tol < 1.0:
         raise SettingError("tol must lie in (0, 1)")
-    if order is not None and not 1 <= order <= min(q, k):
-        raise RankError(f"order {order} not in [1, min(q, k) = {min(q, k)}]")
+    if order is not None:
+        if not isinstance(order, numbers.Integral) or order < 1:
+            raise SettingError(f"order must be an integer of at least 1, got {order!r}")
+        if order > min(q, k):
+            raise RankError(f"order {order} exceeds min(q, k) = {min(q, k)}")
     rng = np.random.default_rng(_SKETCH_SEED)
-    row_concat = np.hstack([pencil.L, pencil.Ls])
+    row_concat = pencil.row_concat
     width = (order if tol is None else 1) + _OVERSAMPLE
     while True:
         svd_rows = linalg.leading_svd(row_concat, width, rng)
@@ -484,8 +518,11 @@ def truncate(
             "reduce the order",
             rank=numerical_rank,
         )
-    # right vectors of [L; Ls] are the left vectors of its adjoint [L*, Ls*]
-    col_adjoint = np.hstack([pencil.L.conj().T, pencil.Ls.conj().T])
+    # right vectors of [L; Ls] are the left vectors of its adjoint [L*, Ls*],
+    # written straight into one array
+    col_adjoint = np.empty((k, 2 * q), dtype=complex)
+    np.conjugate(pencil.L.T, out=col_adjoint[:, :q])
+    np.conjugate(pencil.Ls.T, out=col_adjoint[:, q:])
     svd_cols = linalg.leading_svd(col_adjoint, order + _OVERSAMPLE, rng)
     Y = svd_rows.U[:, :order]
     X = svd_cols.U[:, :order]

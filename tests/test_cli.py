@@ -229,12 +229,8 @@ class TestErrors:
         out = tmp_path / "m.json"
         assert run("fit", "--method", method, "--in", str(small_csv), *flags, "--out", str(out)) == 1
         payload = json.loads(capsys.readouterr().err.strip())
-        # truncate reports a Loewner order outside [1, rank] as RankError; all are ValueErrors
-        if method == "loewner" and flags[0] == "--order":
-            assert payload["error"] == "RankError"
-        else:
-            assert payload["error"] == "SettingError"
-            assert flags[0].lstrip("-") in payload["message"]
+        assert payload["error"] == "SettingError"
+        assert flags[0].lstrip("-") in payload["message"]
         assert not out.exists()
 
     def test_eval_domain_beyond_the_oracle_radius(self, small_csv, tmp_path, capsys):

@@ -1,16 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import conjugate_closed, conjugate_state_space, rational_samples
+import ratapprox
 from ratapprox import (
     OMEGA,
     PartitionError,
     PencilError,
     PoleError,
     RankError,
+    SampleError,
     SampleSet,
+    SettingError,
     build_pencil,
     h_of_s,
     partition,
@@ -23,7 +31,7 @@ from ratapprox import (
     truncate,
     zeros,
 )
-from ratapprox import linalg
+from ratapprox import linalg, loewner
 from ratapprox.loewner import DataPartition, StateSpaceModel, modal_form
 
 
@@ -94,6 +102,18 @@ class TestPencil:
         assert pencil.L[0, 0] == (v[0] - w[0]) / (mu[0] - lam[0])
         assert pencil.Ls[0, 0] == (mu[0] * v[0] - lam[0] * w[0]) / (mu[0] - lam[0])
 
+    @pytest.mark.parametrize("field, bad", [("v", np.nan), ("w", np.inf), ("mu", complex(np.nan, 1.0)),
+                                            ("lam", -np.inf)])
+    def test_non_finite_partition_rejected(self, field, bad):
+        data = {"mu": [1.0, 2.0], "v": [1.0, 0.5], "lam": [3.0, 4.0], "w": [0.3, 0.2]}
+        data[field] = [data[field][0], bad]
+        with pytest.raises(SampleError, match=field):
+            DataPartition(**data)
+
+    def test_partition_shape_mismatch_is_a_sample_error(self):
+        with pytest.raises(SampleError):
+            DataPartition(mu=[1.0, 2.0], v=[1.0], lam=[3.0], w=[1.0])
+
     def test_coincident_points_rejected(self):
         part = DataPartition(mu=[1.0, 2.0], v=[1.0, 1.0], lam=[2.0], w=[1.0])
         with pytest.raises(PencilError):
@@ -114,6 +134,17 @@ class TestPencil:
         assert np.allclose(
             pencil.Ls * diff, mu[:, None] * v[:, None] - lam[None, :] * w[None, :], atol=1e-12
         )
+
+    def test_sylvester_residual_keeps_the_outer_product_floats(self, structured_pencil):
+        # the formulation with explicit direction vectors, np.outer(..., ones)
+        p = structured_pencil
+        M, Lam = p.mu[:, None], p.lam[None, :]
+        VR = np.outer(p.V, np.ones(p.lam.size))
+        LW = np.outer(np.ones(p.mu.size), p.W)
+        scale = np.linalg.norm(p.Ls)
+        r1 = np.linalg.norm(M * p.L - p.L * Lam - (VR - LW)) / scale
+        r2 = np.linalg.norm(M * p.Ls - p.Ls * Lam - (M * VR - LW * Lam)) / scale
+        assert sylvester_residual(p) == (r1, r2)
 
     def test_sylvester_residuals_tiny(self, small_bessel_samples):
         pencil = build_pencil(partition(small_bessel_samples))
@@ -159,6 +190,23 @@ class TestTruncate:
         with pytest.raises(RankError) as info:
             truncate(build_pencil(partition(samples)), order=9)
         assert info.value.rank == 2
+
+    @pytest.mark.parametrize("order", [0, -3, 2.5, 2.0, "2"])
+    def test_order_below_one_or_not_an_integer_is_a_setting_error(self, order):
+        samples, *_ = rational_samples(2, 7, n_pairs=12)
+        with pytest.raises(SettingError, match="order"):
+            truncate(build_pencil(partition(samples)), order=order)
+
+    def test_numpy_integer_order_accepted(self):
+        samples, *_ = rational_samples(2, 7, n_pairs=12)
+        pencil = build_pencil(partition(samples))
+        got = truncate(pencil, order=np.int64(2)).model
+        assert got.E.tobytes() == truncate(pencil, order=2).model.E.tobytes()
+
+    def test_order_above_the_pencil_size_refused(self):
+        samples, *_ = rational_samples(2, 7, n_pairs=3)
+        with pytest.raises(RankError):
+            truncate(build_pencil(partition(samples)), order=4)
 
     def test_exactly_one_mode_required(self):
         samples, *_ = rational_samples(2, 8, n_pairs=8)
@@ -243,6 +291,44 @@ class TestSketchedTruncation:
         # one doubling (21 -> 42), short of the full 150 values
         assert red.singular_values.size == 42
 
+    @staticmethod
+    def stacked_truncation(pencil, order=None, tol=None):
+        """truncate() as it was written with np.hstack copies of [L, Ls] and [L*, Ls*]."""
+        rng = np.random.default_rng(loewner._SKETCH_SEED)
+        rows = np.hstack([pencil.L, pencil.Ls])
+        width = (order if tol is None else 1) + loewner._OVERSAMPLE
+        while True:
+            svd_rows = linalg.leading_svd(rows, width, rng)
+            sigma = svd_rows.singular_values
+            if tol is None or sigma[-1] <= tol * sigma[0] or sigma.size == min(rows.shape):
+                break
+            width *= 2
+        if tol is not None:
+            order = int(np.nonzero(sigma / sigma[0] <= tol)[0][0])
+        svd_cols = linalg.leading_svd(np.hstack([pencil.L.conj().T, pencil.Ls.conj().T]),
+                                      order + loewner._OVERSAMPLE, rng)
+        Y, X = svd_rows.U[:, :order], svd_cols.U[:, :order]
+        return (-Y.conj().T @ pencil.L @ X, -Y.conj().T @ pencil.Ls @ X, Y.conj().T @ pencil.V,
+                pencil.W @ X, sigma, svd_cols.singular_values, Y, X)
+
+    def assert_stacked_bytes(self, pencil, red, **setting):
+        want = self.stacked_truncation(pencil, **setting)
+        m = red.model
+        got = (m.E, m.A, m.B, m.C, red.singular_values, red.singular_values_stacked, red.Y, red.X)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_order_mode_keeps_the_stacked_bytes(self, structured_pencil, structured_11):
+        assert np.shares_memory(structured_pencil.L, structured_pencil.row_concat)
+        assert np.shares_memory(structured_pencil.Ls, structured_pencil.row_concat)
+        self.assert_stacked_bytes(structured_pencil, structured_11, order=11)
+
+    def test_tolerance_mode_keeps_the_stacked_bytes(self):
+        samples, *_ = rational_samples(26, 0, n_pairs=150)
+        pencil = build_pencil(partition(samples))
+        red = truncate(pencil, tol=1e-10)
+        assert red.singular_values.size == 42  # the sketch doubled once
+        self.assert_stacked_bytes(pencil, red, tol=1e-10)
+
     def test_global_random_state_untouched(self):
         samples, *_ = rational_samples(3, 4, n_pairs=60)
         pencil = build_pencil(partition(samples))
@@ -253,6 +339,40 @@ class TestSketchedTruncation:
         # the sketch path was taken: fewer values than the full SVD's 60
         assert red.singular_values.size == 23
         assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+
+
+_MEMORY_PROBE = """
+import resource
+from ratapprox import OMEGA, build_pencil, h_of_s, partition, sample_oracle, structured_grid, truncate
+
+def rss_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmRSS:"))
+
+part = partition(sample_oracle(structured_grid(OMEGA, 101, 41), h_of_s))
+before = rss_kb()
+pencil = build_pencil(part)
+q, k = pencil.shape
+truncate(pencil, order=11)
+after_order = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+truncate(pencil, tol=1e-11)
+after_tol = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(q, k, before, after_order, after_tol)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc for VmRSS")
+def test_fit_holds_at_most_five_pencil_sized_arrays():
+    # N = 4,141 samples: a 2070 x 2071 pencil, 65 MB per complex array.  The pencil
+    # itself is two of them ([L, Ls]); the adjoint written for the column sketch two more.
+    src = str(Path(ratapprox.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300, check=True)
+    q, k, before, after_order, after_tol = map(int, done.stdout.split())
+    assert (q, k) == (2070, 2071)
+    unit_kb = q * k * 16 / 1024  # ru_maxrss and VmRSS are in kB
+    assert (after_order - before) / unit_kb <= 5
+    assert (after_tol - before) / unit_kb <= 5
 
 
 class TestPolesZeros:
