@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InsufficientDataError, SettingError, StagnationError
+from .errors import InsufficientDataError, SettingError, StagnationError, check_count
 from .sampling import SampleSet, conjugate_mates
 
 #: The AAA fit's settings and their defaults, its row of ``analysis.FIT_DEFAULTS``.
@@ -62,7 +62,8 @@ class BarycentricModel:
     def eval(self, s):
         return eval_barycentric(self, s)
 
-    __call__ = eval
+    def __call__(self, s):
+        return self.eval(s)
 
     def poles_zeros(self) -> tuple[np.ndarray, np.ndarray]:
         """Poles and zeros by :func:`barycentric_poles_zeros`."""
@@ -145,9 +146,10 @@ def fit_aaa(
     Raises
     ------
     SettingError
-        If ``tol`` is not positive (NaN included), ``max_order`` is below 1
-        or ``seed`` is negative, or in ``real_mode`` if ``max_order`` is 1
-        and the first support point is not real.
+        If ``tol`` is not positive (NaN included), ``max_order`` is not an
+        integer of at least 1 or ``seed`` (when given) not an integer of at
+        least 0, or in ``real_mode`` if ``max_order`` is 1 and the first
+        support point is not real.
     InsufficientDataError
         If there are fewer than 2 samples.
     SymmetryError
@@ -161,10 +163,9 @@ def fit_aaa(
         raise InsufficientDataError("need at least 2 samples")
     if not tol > 0:
         raise SettingError("tol must be positive")
-    if max_order < 1:
-        raise SettingError("order must be at least 1")
-    if seed is not None and seed < 0:
-        raise SettingError("seed must be non-negative")
+    check_count("order", max_order, 1)
+    if seed is not None:
+        check_count("seed", seed, 0)
     points = samples.points
     values = samples.values
     scale = float(np.max(np.abs(values)))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aaa, greedy, linalg, loewner, vectorfit
-from .errors import PoleError, RatApproxError, SettingError
+from .errors import PoleError, RatApproxError, SettingError, check_count
 from .sampling import Domain, SampleSet, write_csv
 
 
@@ -76,10 +76,10 @@ def oracle_grid(oracle, domain: Domain, nx: int, ny: int) -> OracleGrid:
     :func:`~ratapprox.special.h_on_grid`.  Any other oracle is swept over the
     points in batches; a batch whose call raises ``PoleError`` is evaluated
     again point by point, and a point that raises is NaN.  An nx or ny
-    below 2 raises ``SettingError``.
+    that is not an integer of at least 2 raises ``SettingError``.
     """
-    if nx < 2 or ny < 2:
-        raise SettingError(f"the grid needs nx >= 2 and ny >= 2, got {nx} x {ny}")
+    check_count("nx", nx, 2)
+    check_count("ny", ny, 2)
     pts = _grid_points(domain, nx, ny)
     on_grid = getattr(oracle, "on_grid", None)
     if on_grid is not None:

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the check of count settings."""
+
+import numbers
 
 
 class RatApproxError(Exception):
@@ -31,11 +33,25 @@ class SampleError(RatApproxError, ValueError):
 class SettingError(RatApproxError, ValueError):
     """A setting lies outside its valid range.
 
-    A fit setting (an order below 1, a tolerance that is not positive, a
-    negative seed or iteration count, Loewner order and tol given
-    together), a grid size below its minimum, or a domain whose bounds are
-    not finite or do not enclose an area.
+    A count setting (an order, an iteration count, a seed or a grid size)
+    that is not an integer or lies below its minimum (see
+    :func:`check_count`), a tolerance that is not positive, Loewner order
+    and tol given together, or a domain whose bounds are not finite or do
+    not enclose an area.
     """
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise ``SettingError`` unless ``value`` is an integer of at least ``minimum``.
+
+    Python and numpy integers pass; a bool, a float (even an integral one
+    such as 3.0) and a string do not.  ``name`` is the setting's name in
+    the message.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise SettingError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise SettingError(f"{name} must be at least {minimum}")
 
 
 class SymmetryError(RatApproxError, ValueError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, PartitionError, RankError, SettingError, SymmetryError
+from .errors import InsufficientDataError, PartitionError, RankError, SymmetryError, check_count
 from .loewner import DataPartition, StateSpaceModel, build_pencil, truncate
 from .sampling import SampleSet, conjugate_mates, group_members
 
@@ -55,15 +55,16 @@ def fit_greedy(
     solve, :meth:`StateSpaceModel.solve`), moves the
     worst conjugate group to the left set and the second worst to the right
     set (keeping closure), and refits.  Stops when every measurement is used
-    or when the selection error stagnates after the target order is reached;
-    the returned model is rebuilt at ``order_target`` from the final sets.
+    or when the selection error stagnates after the target order is reached,
+    and returns the model fitted to the final sets.
     Ties are broken towards the lowest sample index, so the procedure is a
     pure function of (samples, order_target, seed).
+
+    An ``order_target`` that is not an integer of at least 1, or a ``seed``
+    that is not an integer of at least 0, raises ``SettingError``.
     """
-    if order_target < 1:
-        raise SettingError("order must be at least 1")
-    if seed < 0:
-        raise SettingError("seed must be non-negative")
+    check_count("order", order_target, 1)
+    check_count("seed", seed, 0)
     if len(samples) < 2 * order_target:
         raise InsufficientDataError(
             f"{len(samples)} samples cannot support order {order_target}; "
@@ -91,12 +92,13 @@ def fit_greedy(
     history: list[GreedyStep] = []
     best_error = np.inf
     stall = 0
-    step = 0
-    while unused.size:
-        step += 1
+    while True:
         left_idx = group_members(mates, leads[left_groups])
         right_idx = group_members(mates, leads[right_groups])
         model, order = _fit_current(pts, vals, left_idx, right_idx, order_target)
+        if not unused.size or stall >= STALL_STEPS:
+            return GreedyResult(model=model, history=history,
+                                left_points=pts[left_idx], right_points=pts[right_idx])
         unused_idx = group_members(mates, leads[unused])
         # the ranking below needs the LU solve's accuracy: late in the fit the
         # errors of different groups agree to more digits than the modal sum keeps
@@ -112,7 +114,7 @@ def fit_greedy(
         unused = np.setdiff1d(unused, ranked)
         history.append(
             GreedyStep(
-                step=step,
+                step=len(history) + 1,
                 n_left=len(left_idx),
                 n_right=len(right_idx),
                 max_error=max_error,
@@ -125,18 +127,6 @@ def fit_greedy(
             else:
                 stall = 0
             best_error = min(best_error, max_error)
-            if stall >= STALL_STEPS:
-                break
-
-    left_idx = group_members(mates, leads[left_groups])
-    right_idx = group_members(mates, leads[right_groups])
-    model, _ = _fit_current(pts, vals, left_idx, right_idx, order_target)
-    return GreedyResult(
-        model=model,
-        history=history,
-        left_points=pts[left_idx],
-        right_points=pts[right_idx],
-    )
 
 
 def _fit_current(pts, vals, left_idx, right_idx, order_target):

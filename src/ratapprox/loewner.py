@@ -17,14 +17,14 @@ points that survive the compression.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .errors import PartitionError, PencilError, PoleError, RankError, SampleError, SettingError, SymmetryError
+from .errors import (PartitionError, PencilError, PoleError, RankError, SampleError, SettingError,
+                     SymmetryError, check_count)
 from .sampling import Domain, SampleSet, conjugate_mates, group_members
 
 PARTITION_SCHEMES = ("alternating", "half_split", "epsilon_paired")
@@ -84,7 +84,8 @@ class LoewnerPencil:
     The pencil is held once, as the row concatenation ``row_concat = [L, Ls]``
     of shape (q, 2k); ``L`` and ``Ls`` are views of its two halves.
     Direction vectors are all ones in the scalar (SISO) setting; they appear
-    explicitly only in the Sylvester identities below.
+    only in the Sylvester identities of :func:`sylvester_residual` and
+    :func:`projected_points`.
     """
 
     row_concat: np.ndarray
@@ -104,14 +105,6 @@ class LoewnerPencil:
     @property
     def shape(self) -> tuple[int, int]:
         return self.mu.size, self.lam.size
-
-    @property
-    def left_directions(self) -> np.ndarray:
-        return np.ones(self.mu.size)
-
-    @property
-    def right_directions(self) -> np.ndarray:
-        return np.ones(self.lam.size)
 
 
 @dataclass
@@ -174,7 +167,8 @@ class StateSpaceModel:
 
         return linalg.eval_chunked(hybrid, s)
 
-    __call__ = eval
+    def __call__(self, s):
+        return self.eval(s)
 
     def solve(self, s):
         """Evaluate the transfer function by the LU solve at every point, as :meth:`eval` near poles.
@@ -481,7 +475,7 @@ def truncate(
     wide.  The [L, Ls] sketch reads ``pencil.row_concat`` itself; the
     [L; Ls] sketch reads its adjoint, written once into one (k, 2q) array.
 
-    An ``order`` that is not an integer or is below 1 raises
+    An ``order`` that is not an integer of at least 1 raises
     ``SettingError``; one above min(q, k) or above the numerical rank of
     the data raises ``RankError``.
     """
@@ -491,8 +485,7 @@ def truncate(
     if tol is not None and not 0.0 < tol < 1.0:
         raise SettingError("tol must lie in (0, 1)")
     if order is not None:
-        if not isinstance(order, numbers.Integral) or order < 1:
-            raise SettingError(f"order must be an integer of at least 1, got {order!r}")
+        check_count("order", order, 1)
         if order > min(q, k):
             raise RankError(f"order {order} exceeds min(q, k) = {min(q, k)}")
     rng = np.random.default_rng(_SKETCH_SEED)
@@ -526,18 +519,16 @@ def truncate(
     svd_cols = linalg.leading_svd(col_adjoint, order + _OVERSAMPLE, rng)
     Y = svd_rows.U[:, :order]
     X = svd_cols.U[:, :order]
-    E = -Y.conj().T @ pencil.L @ X
-    A = -Y.conj().T @ pencil.Ls @ X
-    B = Y.conj().T @ pencil.V
-    C = pencil.W @ X
-    model = StateSpaceModel(E=E, A=A, B=B, C=C)
+    Lh, Lsh, Vh, Wh = _project(pencil, Y, X)
+    # negation is exact, so -(Y* L X) has the bits of (-Y*) L X
+    model = StateSpaceModel(E=-Lh, A=-Lsh, B=Vh, C=Wh)
     return LoewnerReduction(
         model=model,
         singular_values=sigma,
         singular_values_stacked=svd_cols.singular_values,
         Y=Y,
         X=X,
-        e_condition=float(np.linalg.cond(E)),
+        e_condition=float(np.linalg.cond(model.E)),
     )
 
 
@@ -556,6 +547,12 @@ def zeros(model: StateSpaceModel) -> np.ndarray:
     return linalg.descriptor_zeros(model.A, model.E, model.B, model.C, 0.0)
 
 
+def _project(pencil: LoewnerPencil, Y: np.ndarray, X: np.ndarray):
+    """The projected data Y* L X, Y* Ls X, Y* V and W X."""
+    Yh = Y.conj().T
+    return Yh @ pencil.L @ X, Yh @ pencil.Ls @ X, Yh @ pencil.V, pencil.W @ X
+
+
 def projected_points(pencil: LoewnerPencil, Y: np.ndarray, X: np.ndarray) -> ProjectedPoints:
     """Projected interpolation points of a reduction.
 
@@ -569,12 +566,9 @@ def projected_points(pencil: LoewnerPencil, Y: np.ndarray, X: np.ndarray) -> Pro
     (Lsh - Ldh Wh, Lh).  Both identities are verified to
     ``PROJECTION_RESIDUAL_TOL`` before eigenvalues are returned.
     """
-    Lh = Y.conj().T @ pencil.L @ X
-    Lsh = Y.conj().T @ pencil.Ls @ X
-    Vh = Y.conj().T @ pencil.V
-    Ldh = Y.conj().T @ pencil.left_directions.astype(complex)
-    Wh = pencil.W @ X
-    Rh = pencil.right_directions.astype(complex) @ X
+    Lh, Lsh, Vh, Wh = _project(pencil, Y, X)
+    Ldh = Y.conj().T @ np.ones(pencil.mu.size, dtype=complex)
+    Rh = np.ones(pencil.lam.size, dtype=complex) @ X
     rhs_r = Lsh - np.outer(Vh, Rh)
     rhs_l = Lsh - np.outer(Ldh, Wh)
     scale = np.linalg.norm(Lsh)
@@ -617,15 +611,15 @@ def trajectory_study(
 
     Step i samples an (i*a) x (i*a) structured grid (the ordinate count is
     bumped to the next odd integer so the real axis stays a grid row), fits
-    at fixed ``order`` and records the projected points.  An ``a`` below 3
-    or an ``n_steps`` below 1 raises ``SettingError``.
+    at fixed ``order`` and records the projected points.  An ``a`` that is
+    not an integer of at least 3 (the coarsest usable grid), or an
+    ``n_steps`` that is not an integer of at least 1, raises
+    ``SettingError``.
     """
     from .sampling import sample_oracle, structured_grid
 
-    if a < 3:
-        raise SettingError(f"need a >= 3 for a usable coarsest grid, got {a}")
-    if n_steps < 1:
-        raise SettingError(f"need at least 1 step, got {n_steps}")
+    check_count("a", a, 3)
+    check_count("n_steps", n_steps, 1)
     steps: list[TrajectoryStep] = []
     for i in range(1, n_steps + 1):
         nx = i * a

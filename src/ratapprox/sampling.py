@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError, SampleError, SettingError, SymmetryError
+from .errors import PoleError, SampleError, SettingError, SymmetryError, check_count
 
 CSV_HEADER = "re_s,im_s,re_f,im_f"
 
@@ -177,10 +177,11 @@ def structured_grid(domain: Domain, nx: int, ny: int) -> np.ndarray:
 
     For a y-symmetric domain ``ny`` must be odd so the real axis is a grid
     row and conjugate closure is exact; an even ``ny`` raises
-    ``SymmetryError``, and an nx or ny below 2 ``SettingError``.
+    ``SymmetryError``, and an nx or ny that is not an integer of at least 2
+    ``SettingError``.
     """
-    if nx < 2 or ny < 2:
-        raise SettingError(f"structured grid needs nx >= 2 and ny >= 2, got {nx} x {ny}")
+    check_count("nx", nx, 2)
+    check_count("ny", ny, 2)
     if domain.y_symmetric and ny % 2 == 0:
         raise SymmetryError(
             f"ny = {ny} is even: the real axis would not be a grid row and "
@@ -197,12 +198,11 @@ def uniform_random_grid(domain: Domain, n_pairs: int, seed: int) -> np.ndarray:
     Ordinates are drawn in (0, y_max], so no sample lands on the real axis
     and the result is exactly 2 * n_pairs points, interleaved as
     (p0, conj p0, p1, conj p1, ...).  Fully determined by ``seed``; an
-    ``n_pairs`` below 1 or a negative seed raises ``SettingError``.
+    ``n_pairs`` that is not an integer of at least 1, or a seed that is not
+    an integer of at least 0, raises ``SettingError``.
     """
-    if n_pairs < 1:
-        raise SettingError(f"need n_pairs >= 1, got {n_pairs}")
-    if seed < 0:
-        raise SettingError("seed must be non-negative")
+    check_count("n_pairs", n_pairs, 1)
+    check_count("seed", seed, 0)
     if not domain.y_symmetric:
         raise SymmetryError(
             "uniform_random_grid mirrors the upper half plane; the domain "

@@ -190,14 +190,9 @@ def h_of_s(s):
     """
     j = bessel_j0(s)
     mag = np.abs(j)
-    if np.ndim(mag) == 0:
-        if mag < POLE_THRESHOLD:
-            raise PoleError(f"1/J0 has a pole at s = {complex(s)}", point=complex(s))
-        return 1.0 / j
     if np.any(mag < POLE_THRESHOLD):
-        flat = np.asarray(s, dtype=complex).ravel()
-        bad = flat[np.argmin(np.abs(np.ravel(j)))]
-        raise PoleError(f"1/J0 has a pole at s = {bad}", point=complex(bad))
+        bad = complex(np.ravel(s)[np.argmin(mag)])
+        raise PoleError(f"1/J0 has a pole at s = {bad}", point=bad)
     return 1.0 / j
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DivergenceError, InsufficientDataError, PoleError, SettingError, SymmetryError
+from .errors import DivergenceError, InsufficientDataError, PoleError, SymmetryError, check_count
 
 #: Iteration stops early once the largest relative pole movement drops below this.
 MOVE_TOL = 1e-10
@@ -60,7 +60,8 @@ class PoleResidueModel:
     def eval(self, s):
         return eval_pole_residue(self, s)
 
-    __call__ = eval
+    def __call__(self, s):
+        return self.eval(s)
 
     def poles_zeros(self) -> tuple[np.ndarray, np.ndarray]:
         """Poles and zeros by :func:`pr_poles_zeros`."""
@@ -166,16 +167,15 @@ def fit_vf(
     Raises
     ------
     SettingError
-        If ``order`` is below 1 or ``n_iter`` is negative.
+        If ``order`` is not an integer of at least 1 or ``n_iter`` (the
+        ``iters`` setting) not an integer of at least 0.
     DivergenceError
         If any pole magnitude exceeds ``DIVERGENCE_RADIUS``.
     InsufficientDataError
         If fewer than 2 (order + 2) samples are supplied.
     """
-    if order < 1:
-        raise SettingError("order must be at least 1")
-    if n_iter < 0:
-        raise SettingError("iters must be non-negative")
+    check_count("order", order, 1)
+    check_count("iters", n_iter, 0)
     if len(samples) < 2 * (order + 2):
         raise InsufficientDataError(
             f"{len(samples)} samples cannot determine order {order}; "

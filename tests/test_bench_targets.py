@@ -9,13 +9,15 @@ reading zero.
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from conftest import SMALL_FIT_SETTINGS  # noqa: E402
 from layers import all_targets  # noqa: E402
 
 from ratapprox import OMEGA, aaa, greedy, loewner, vectorfit  # noqa: E402
-from ratapprox.analysis import compare_methods, oracle_grid  # noqa: E402
+from ratapprox.analysis import compare_methods, fit, model_error, oracle_grid  # noqa: E402
 from ratapprox.special import h_of_s  # noqa: E402
 
 
@@ -50,3 +52,21 @@ def test_fit_aaa_ranks_through_eval_barycentric(small_bessel_samples, monkeypatc
     monkeypatch.setattr(aaa, "eval_barycentric", spy)
     model, history = aaa.fit_aaa(small_bessel_samples, tol=1e-11, max_order=12)
     assert calls == [len(small_bessel_samples) - step.order for step in history]
+
+
+@pytest.mark.parametrize("method", ["loewner", "aaa", "vf"])
+def test_calling_a_model_runs_the_eval_of_its_class(method, small_bessel_samples, monkeypatch):
+    """The trace wraps ``StateSpaceModel.eval`` on the class; ``model(s)`` must reach it."""
+    model, _ = fit(method, small_bessel_samples, **SMALL_FIT_SETTINGS[method])
+    calls = []
+
+    def spy(self, s, _fn=type(model).eval):
+        calls.append(len(s))
+        return _fn(self, s)
+
+    monkeypatch.setattr(type(model), "eval", spy)
+    pts = small_bessel_samples.points
+    assert model(pts).tobytes() == spy(model, pts).tobytes()
+    truth = oracle_grid(h_of_s, OMEGA, 10, 5)
+    model_error(model, truth)
+    assert calls == [pts.size, pts.size, truth.points.size]

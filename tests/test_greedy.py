@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import conjugate_closed, rational_samples
-from ratapprox import OMEGA, InsufficientDataError, SampleSet, fit_greedy, greedy
+from ratapprox import OMEGA, InsufficientDataError, SampleSet, build_pencil, fit_greedy, greedy, truncate
+from ratapprox.loewner import DataPartition
 from ratapprox.sampling import uniform_random_grid
 
 
@@ -97,3 +98,15 @@ def test_insufficient_data_rejected():
     samples, *_ = rational_samples(2, 4, n_pairs=3)
     with pytest.raises(InsufficientDataError):
         fit_greedy(samples, order_target=5, seed=0)
+
+
+@pytest.mark.parametrize("order_target, seed", [(11, 0), (6, 3)])
+def test_model_is_the_truncation_of_the_returned_sets(medium_bessel_samples, order_target, seed):
+    result = fit_greedy(medium_bessel_samples, order_target=order_target, seed=seed)
+    value_at = dict(zip(medium_bessel_samples.points.tolist(), medium_bessel_samples.values))
+    part = DataPartition(mu=result.left_points, v=[value_at[z] for z in result.left_points.tolist()],
+                         lam=result.right_points, w=[value_at[z] for z in result.right_points.tolist()])
+    rebuilt = truncate(build_pencil(part), order=result.model.order).model
+    assert result.model.order == order_target
+    for name in ("E", "A", "B", "C"):
+        assert getattr(result.model, name).tobytes() == getattr(rebuilt, name).tobytes()

@@ -542,6 +542,36 @@ class TestProjectedPoints:
         assert np.all(OMEGA.contains(proj.lambda_hat))
         assert np.all(OMEGA.contains(proj.mu_hat))
 
+    @staticmethod
+    def inlined_points(pencil, Y, X):
+        """projected_points() as it was written, with its own projection and all-ones directions."""
+        Lh = Y.conj().T @ pencil.L @ X
+        Lsh = Y.conj().T @ pencil.Ls @ X
+        Vh = Y.conj().T @ pencil.V
+        Ldh = Y.conj().T @ np.ones(pencil.mu.size).astype(complex)
+        Wh = pencil.W @ X
+        Rh = np.ones(pencil.lam.size).astype(complex) @ X
+        rhs_r = Lsh - np.outer(Vh, Rh)
+        rhs_l = Lsh - np.outer(Ldh, Wh)
+        return (linalg.finite_generalized_eigenvalues(rhs_r, Lh),
+                linalg.finite_generalized_eigenvalues(rhs_l, Lh))
+
+    def assert_inlined_bytes(self, pencil, red):
+        proj = projected_points(pencil, red.Y, red.X)
+        want = self.inlined_points(pencil, red.Y, red.X)
+        assert proj.lambda_hat.tobytes() == want[0].tobytes()
+        assert proj.mu_hat.tobytes() == want[1].tobytes()
+
+    def test_keeps_the_inlined_bytes_at_order_11(self, structured_pencil, structured_11):
+        self.assert_inlined_bytes(structured_pencil, structured_11)
+
+    def test_keeps_the_inlined_bytes_past_a_doubled_sketch(self):
+        samples, *_ = rational_samples(26, 0, n_pairs=150)
+        pencil = build_pencil(partition(samples))
+        red = truncate(pencil, tol=1e-10)
+        assert red.model.order > 20
+        self.assert_inlined_bytes(pencil, red)
+
 
 class TestTrajectoryStudy:
     def test_first_step_matches_direct_fit(self):
