@@ -87,14 +87,36 @@ def leading_svd(a, width: int, rng: np.random.Generator) -> SvdResult:
     When ``width >= min(m, n) // 2`` the sketch would cost about as much as
     the full decomposition, so the full thin SVD is returned instead (all
     ``min(m, n)`` triplets) and ``rng`` is not touched.
+
+    It is :func:`draw_sketch` followed by :func:`sketch_svd`; callers that
+    run several sketches at once draw all their test matrices first, so
+    each gets the numbers it would get in a serial run.
     """
     a = np.asarray(a)
+    return sketch_svd(a, draw_sketch(a.shape, width, rng))
+
+
+def draw_sketch(shape: tuple[int, int], width: int, rng: np.random.Generator) -> np.ndarray | None:
+    """The Gaussian test matrix :func:`leading_svd` draws for a matrix of ``shape``.
+
+    None where ``width`` calls for the full SVD; then ``rng`` is not touched.
+    """
     if width < 1:
         raise ValueError(f"sketch width must be positive, got {width}")
-    m, n = a.shape
+    m, n = shape
     if width >= min(m, n) // 2:
+        return None
+    return rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+
+
+def sketch_svd(a, omega: np.ndarray | None) -> SvdResult:
+    """The leading singular triplets of ``a`` from the test matrix ``omega`` of :func:`draw_sketch`.
+
+    ``omega`` None gives the full thin SVD.
+    """
+    a = np.asarray(a)
+    if omega is None:
         return svd(a)
-    omega = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
     q, _ = np.linalg.qr(a @ omega)
     for _ in range(_POWER_STEPS):
         # a^H q as (q^H a)^H: no conjugated copy of the large matrix
@@ -165,7 +187,8 @@ def _helper_pool() -> ThreadPoolExecutor:
 def _share(run, starts: range) -> None:
     """Call ``run(lo)`` for every ``lo`` in ``starts`` on this thread and helper threads.
 
-    All threads take starts from one iterator in order; after a failure no
+    This thread takes the first start before any helper is asked, then all
+    threads take starts from one iterator in order; after a failure no
     thread takes a new start.  Every start before a failing one has been
     taken, so once the started calls have returned, the exception of the
     smallest failing start is the one a serial loop would raise.
@@ -180,23 +203,25 @@ def _share(run, starts: range) -> None:
     stop = threading.Event()
     failed = {}
 
-    def work():
-        while not stop.is_set():
-            with lock:
-                lo = next(todo, None)
-            if lo is None:
-                return
+    def take():
+        with lock:
+            return None if stop.is_set() else next(todo, None)
+
+    def work(lo):
+        while lo is not None:
             try:
                 run(lo)
             except Exception as exc:  # noqa: BLE001 - re-raised below, in start order
                 failed[lo] = exc
                 stop.set()
+            lo = take()
 
+    first = take()
     pool = _helper_pool()
     # each helper runs in a copy of the caller's context, which holds numpy's errstate
-    futures = [pool.submit(contextvars.copy_context().run, work) for _ in range(helpers)]
+    futures = [pool.submit(contextvars.copy_context().run, lambda: work(take())) for _ in range(helpers)]
     try:
-        work()
+        work(first)
     finally:
         stop.set()
         for future in futures:

@@ -382,9 +382,10 @@ def partition(samples: SampleSet, scheme: str = DEFAULTS["scheme"]) -> DataParti
       opposite sides, so every left point has a right point at grid
       distance.  The first group of each adjacent pair becomes a right
       (column) point.
+
+    Another scheme raises ``SettingError``.
     """
-    if scheme not in PARTITION_SCHEMES:
-        raise ValueError(f"unknown partition scheme {scheme!r}; pick one of {PARTITION_SCHEMES}")
+    _check_scheme(scheme)
     if len(samples) < 2:
         raise PartitionError("need at least 2 samples to partition")
     pts = samples.points
@@ -412,6 +413,11 @@ def partition(samples: SampleSet, scheme: str = DEFAULTS["scheme"]) -> DataParti
     right = group_members(mates, leads[~left_sides])
     vals = samples.values
     return DataPartition(mu=pts[left], v=vals[left], lam=pts[right], w=vals[right])
+
+
+def _check_scheme(scheme) -> None:
+    if scheme not in PARTITION_SCHEMES:
+        raise SettingError(f"unknown partition scheme {scheme!r}; pick one of {PARTITION_SCHEMES}")
 
 
 def build_pencil(part: DataPartition) -> LoewnerPencil:
@@ -468,12 +474,19 @@ def truncate(
 
     Only the leading singular subspaces are computed, by randomized
     subspace iteration (:func:`linalg.leading_svd`) seeded afresh on every
-    call, so equal pencils give equal bytes.  With ``order=`` both sketches
-    are ``order + 20`` wide.  With ``tol=`` the [L, Ls] sketch starts 21
-    wide and doubles until its last singular value has dropped to ``tol``
-    (or the full SVD is taken); the [L; Ls] sketch is then ``order + 20``
-    wide.  The [L, Ls] sketch reads ``pencil.row_concat`` itself; the
-    [L; Ls] sketch reads its adjoint, written once into one (k, 2q) array.
+    call, so equal pencils give equal bytes.  The [L, Ls] sketch reads
+    ``pencil.row_concat`` itself; the [L; Ls] sketch reads its adjoint,
+    written once into one (k, 2q) array.
+
+    With ``order=`` both sketches are ``order + 20`` wide and independent,
+    so they run at once, one on the calling thread and one on the helper
+    thread of :func:`linalg.eval_chunked` where the process may use a
+    second CPU (none under ``taskset -c 0``).  Both test matrices are drawn
+    from the one generator first, in the serial order, so the bytes do not
+    depend on the number of threads.  With ``tol=`` the [L, Ls] sketch
+    starts 21 wide and doubles until its last singular value has dropped
+    to ``tol`` (or the full SVD is taken); the [L; Ls] sketch, whose width
+    ``order + 20`` depends on the order that picks, then runs after it.
 
     An ``order`` that is not an integer of at least 1 raises
     ``SettingError``; one above min(q, k) or above the numerical rank of
@@ -489,14 +502,18 @@ def truncate(
         if order > min(q, k):
             raise RankError(f"order {order} exceeds min(q, k) = {min(q, k)}")
     rng = np.random.default_rng(_SKETCH_SEED)
-    row_concat = pencil.row_concat
-    width = (order if tol is None else 1) + _OVERSAMPLE
-    while True:
-        svd_rows = linalg.leading_svd(row_concat, width, rng)
+    svd_cols = None
+    if tol is None:
+        svd_rows, svd_cols = _sketch_both(pencil, order + _OVERSAMPLE, rng)
         sigma = svd_rows.singular_values
-        if tol is None or sigma[-1] <= tol * sigma[0] or sigma.size == min(row_concat.shape):
-            break
-        width *= 2
+    else:
+        width = 1 + _OVERSAMPLE
+        while True:
+            svd_rows = linalg.leading_svd(pencil.row_concat, width, rng)
+            sigma = svd_rows.singular_values
+            if sigma[-1] <= tol * sigma[0] or sigma.size == min(q, 2 * k):
+                break
+            width *= 2
     if sigma[0] == 0.0:
         raise RankError("pencil has rank zero: all samples identical?")
     if tol is not None:
@@ -511,12 +528,8 @@ def truncate(
             "reduce the order",
             rank=numerical_rank,
         )
-    # right vectors of [L; Ls] are the left vectors of its adjoint [L*, Ls*],
-    # written straight into one array
-    col_adjoint = np.empty((k, 2 * q), dtype=complex)
-    np.conjugate(pencil.L.T, out=col_adjoint[:, :q])
-    np.conjugate(pencil.Ls.T, out=col_adjoint[:, q:])
-    svd_cols = linalg.leading_svd(col_adjoint, order + _OVERSAMPLE, rng)
+    if svd_cols is None:
+        svd_cols = linalg.leading_svd(_column_adjoint(pencil), order + _OVERSAMPLE, rng)
     Y = svd_rows.U[:, :order]
     X = svd_cols.U[:, :order]
     Lh, Lsh, Vh, Wh = _project(pencil, Y, X)
@@ -530,6 +543,40 @@ def truncate(
         X=X,
         e_condition=float(np.linalg.cond(model.E)),
     )
+
+
+def _column_adjoint(pencil: LoewnerPencil, out: np.ndarray | None = None) -> np.ndarray:
+    """The adjoint [L*, Ls*] of the column stack [L; Ls], written straight into one (k, 2q) array.
+
+    Right vectors of [L; Ls] are the left vectors of this adjoint.
+    """
+    q, k = pencil.shape
+    if out is None:
+        out = np.empty((k, 2 * q), dtype=complex)
+    np.conjugate(pencil.L.T, out=out[:, :q])
+    np.conjugate(pencil.Ls.T, out=out[:, q:])
+    return out
+
+
+def _sketch_both(pencil: LoewnerPencil, width: int, rng: np.random.Generator):
+    """The sketches of [L, Ls] and of the adjoint of [L; Ls], run at once by :func:`linalg._share`.
+
+    Both test matrices are drawn first, rows then columns, so each holds
+    the numbers of a serial run.  The adjoint is allocated here, on the
+    calling thread, and written by the column task.
+    """
+    q, k = pencil.shape
+    omegas = (linalg.draw_sketch(pencil.row_concat.shape, width, rng),
+              linalg.draw_sketch((k, 2 * q), width, rng))
+    col_adjoint = np.empty((k, 2 * q), dtype=complex)
+    results = [None, None]
+
+    def run(side):
+        matrix = pencil.row_concat if side == 0 else _column_adjoint(pencil, out=col_adjoint)
+        results[side] = linalg.sketch_svd(matrix, omegas[side])
+
+    linalg._share(run, range(2))
+    return results
 
 
 def poles(model: StateSpaceModel) -> np.ndarray:
@@ -612,14 +659,16 @@ def trajectory_study(
     Step i samples an (i*a) x (i*a) structured grid (the ordinate count is
     bumped to the next odd integer so the real axis stays a grid row), fits
     at fixed ``order`` and records the projected points.  An ``a`` that is
-    not an integer of at least 3 (the coarsest usable grid), or an
-    ``n_steps`` that is not an integer of at least 1, raises
-    ``SettingError``.
+    not an integer of at least 3 (the coarsest usable grid), an
+    ``n_steps`` or ``order`` that is not an integer of at least 1, or an
+    unknown ``scheme`` raises ``SettingError`` before the oracle is called.
     """
     from .sampling import sample_oracle, structured_grid
 
     check_count("a", a, 3)
     check_count("n_steps", n_steps, 1)
+    check_count("order", order, 1)
+    _check_scheme(scheme)
     steps: list[TrajectoryStep] = []
     for i in range(1, n_steps + 1):
         nx = i * a

@@ -164,7 +164,8 @@ class TestCompareMethods:
         assert header.split()[-5:] == ["fit", "[s]", "eval", "[s]", "status"]
         assert lines[0].split()[-3:] == [f"{rows['loewner'].fit_s:.2f}", f"{rows['loewner'].eval_s:.2f}", "ok"]
 
-    @pytest.mark.parametrize("method, bad", [("loewner", {"order": 5, "tol": 1e-8}), ("rloewner", {"seed": -1})])
+    @pytest.mark.parametrize("method, bad", [("loewner", {"order": 5, "tol": 1e-8}), ("rloewner", {"seed": -1}),
+                                             ("loewner", {"scheme": "bogus"})])
     def test_invalid_setting_value_gives_an_error_row(self, small_bessel_samples, method, bad):
         settings = {**SMALL_FIT_SETTINGS, method: bad}
         table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 10, 5), settings)

@@ -30,6 +30,8 @@ SETTINGS = [
      lambda v, o: loewner.trajectory_study(o, OMEGA, a=v, n_steps=1, order=2)),
     ("trajectory_study.n_steps", "n_steps", 1, 1,
      lambda v, o: loewner.trajectory_study(o, OMEGA, a=3, n_steps=v, order=2)),
+    ("trajectory_study.order", "order", 1, 2,
+     lambda v, o: loewner.trajectory_study(o, OMEGA, a=3, n_steps=1, order=v)),
     ("structured_grid.nx", "nx", 2, 3, lambda v, o: sampling.structured_grid(OMEGA, v, 3)),
     ("structured_grid.ny", "ny", 2, 3, lambda v, o: sampling.structured_grid(OMEGA, 3, v)),
     ("oracle_grid.nx", "nx", 2, 3, lambda v, o: oracle_grid(o, OMEGA, v, 3)),
@@ -43,6 +45,7 @@ WORK = [
     (loewner, "build_pencil"),
     (greedy, "build_pencil"),
     (linalg, "leading_svd"),
+    (linalg, "draw_sketch"),
     (aaa, "_solve_weights"),
     (vectorfit, "initial_poles_auto"),
     (vectorfit, "_basis"),

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import conjugate_closed, conjugate_state_space, rational_samples
 import ratapprox
 from ratapprox import (
     OMEGA,
+    ComputationError,
     PartitionError,
     PencilError,
     PoleError,
@@ -69,6 +71,12 @@ class TestPartition:
         part = partition(samples, "alternating")
         assert part.mu.size + part.lam.size == 2121
         assert not set(part.mu) & set(part.lam)
+
+    def test_unknown_scheme_is_a_setting_error(self):
+        samples, *_ = rational_samples(2, 7, n_pairs=4)
+        with pytest.raises(SettingError, match="unknown partition scheme 'bogus'") as info:
+            partition(samples, "bogus")
+        assert isinstance(info.value, ValueError)
 
     def test_unpaired_complex_point_impossible(self):
         samples = SampleSet(np.array([1.0 + 1.0j, 2.0 + 0j]), np.array([1.0 + 0j, 1.0 + 0j]))
@@ -341,6 +349,111 @@ class TestSketchedTruncation:
         assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A helper pool of this test's own, as on a host with two CPUs."""
+    monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(linalg, "_pool", None)
+    yield
+    if linalg._pool is not None:
+        linalg._pool.shutdown(wait=True)
+
+
+class TestSharedSketches:
+    """With order= the two sketches run at once; errors come out as from the serial run."""
+
+    def test_error_in_the_column_sketch_on_the_helper_keeps_its_type(self, two_cpus, monkeypatch):
+        samples, *_ = rational_samples(4, 3, n_pairs=120)
+        pencil = build_pencil(partition(samples))
+        column_started = threading.Event()
+        threads = {}
+        sketch_svd = linalg.sketch_svd
+
+        def failing_columns(a, omega):
+            if a is pencil.row_concat:
+                # hold the rows until the column sketch has been taken by the other thread
+                assert column_started.wait(timeout=30)
+                threads["rows"] = threading.current_thread().name
+                return sketch_svd(a, omega)
+            threads["columns"] = threading.current_thread().name
+            column_started.set()
+            raise ComputationError("SVD did not converge")
+
+        monkeypatch.setattr(linalg, "sketch_svd", failing_columns)
+        with pytest.raises(ComputationError, match="^SVD did not converge$") as info:
+            truncate(pencil, order=4)
+        assert type(info.value) is ComputationError
+        assert threads["rows"] == threading.current_thread().name
+        assert threads["columns"].startswith("ratapprox-eval")
+
+    def test_order_above_the_numerical_rank_is_the_serial_rank_error(self, two_cpus, monkeypatch):
+        samples, *_ = rational_samples(2, 7, n_pairs=100)
+        pencil = build_pencil(partition(samples))
+
+        def rank_error():
+            with pytest.raises(RankError) as info:
+                truncate(pencil, order=5)  # sketched on both sides: 25 columns of 100 x 200
+            return type(info.value), str(info.value), info.value.rank
+
+        shared = rank_error()
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)
+        assert rank_error() == shared
+        assert shared[0] is RankError and shared[2] == 2
+        assert shared[1].startswith("order 5 exceeds the numerical rank 2 of the data (sigma_5/sigma_1 = ")
+
+
+_SKETCH_PROBE = """
+import hashlib, json, os, sys, threading
+if len(sys.argv) > 1:
+    os.sched_setaffinity(0, {int(sys.argv[1])})  # before numpy sizes its BLAS pool
+from ratapprox import OMEGA, h_of_s, linalg, loewner, sample_oracle, structured_grid, uniform_random_grid
+from ratapprox.analysis import FIT_DEFAULTS, fit
+from ratapprox.serialize import model_to_dict
+
+threads = set()
+sketch_svd = linalg.sketch_svd
+
+def spy(a, omega):
+    threads.add(threading.current_thread().name)
+    return sketch_svd(a, omega)
+
+linalg.sketch_svd = spy
+digest = hashlib.sha256()
+for points in (structured_grid(OMEGA, 101, 21), uniform_random_grid(OMEGA, 300, 0)):
+    samples = sample_oracle(points, h_of_s)
+    pencil = loewner.build_pencil(loewner.partition(samples))
+    for setting in ({"order": 11}, {"tol": 1e-11}):
+        red = loewner.truncate(pencil, **setting)
+        m = red.model
+        for array in (m.E, m.A, m.B, m.C, red.singular_values, red.singular_values_stacked, red.Y, red.X):
+            digest.update(array.tobytes())
+    for method in FIT_DEFAULTS:
+        digest.update(json.dumps(model_to_dict(fit(method, samples)[0])).encode())
+helped = any(name.startswith("ratapprox-eval") for name in threads)
+print(int(helped), linalg._cpu_count(), digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+@pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs")
+def test_shared_sketches_give_the_bytes_of_one_cpu():
+    src = str(Path(ratapprox.__file__).resolve().parents[1])
+
+    def probe(*args):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", _SKETCH_PROBE, *args], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        helped, cpus, digest = done.stdout.split()
+        return int(helped), int(cpus), digest
+
+    helped, cpus, pinned_digest = probe(str(min(os.sched_getaffinity(0))))
+    assert (helped, cpus) == (0, 1)
+    helped, cpus, digest = probe()
+    assert helped == 1 and cpus >= 2
+    assert digest == pinned_digest
+
+
 _MEMORY_PROBE = """
 import resource
 from ratapprox import OMEGA, build_pencil, h_of_s, partition, sample_oracle, structured_grid, truncate
@@ -574,6 +687,18 @@ class TestProjectedPoints:
 
 
 class TestTrajectoryStudy:
+    def test_unknown_scheme_raises_before_any_sample(self):
+        # a bad order is checked as early: tests/test_count_settings.py
+        points = []
+
+        def oracle(s):
+            points.append(np.size(s))
+            return h_of_s(s)
+
+        with pytest.raises(SettingError, match="unknown partition scheme"):
+            trajectory_study(oracle, OMEGA, a=10, n_steps=2, scheme="bogus")
+        assert sum(points) == 0
+
     def test_first_step_matches_direct_fit(self):
         steps = trajectory_study(h_of_s, OMEGA, a=6, n_steps=2, order=5)
         samples = sample_oracle(structured_grid(OMEGA, 6, 7), h_of_s)
