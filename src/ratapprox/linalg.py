@@ -163,10 +163,12 @@ def pole_residue_sum(points: np.ndarray, poles: np.ndarray, residues: np.ndarray
     ``(k, r)`` gives ``k`` sums per point, as an array of shape ``(k, n)``,
     from one set of divisions.  Each sum is an elementwise product reduced
     along its row, never a matrix product, so a point's value does not
-    depend on the other points evaluated with it.
+    depend on the other points evaluated with it.  A sum that overflows is
+    the IEEE infinity or nan that its arithmetic gives, without a warning.
     """
-    cauchy = 1.0 / (points[:, None] - poles[None, :])
-    return (cauchy * np.asarray(residues)[..., None, :]).sum(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cauchy = 1.0 / (points[:, None] - poles[None, :])
+        return (cauchy * np.asarray(residues)[..., None, :]).sum(axis=-1)
 
 
 def _cpu_count() -> int:

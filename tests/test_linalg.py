@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,16 @@ def spiky_oracle(poles, slow_point=None):
         return 1.0 / (s - 50.0)
 
     return oracle
+
+
+def test_pole_residue_sum_gives_ieee_values_without_a_warning():
+    # at 0.25 the two terms are 4e308 and -4e308: each overflows, and their sum is nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linalg.pole_residue_sum(np.array([0.25 + 0j, 5.0 + 0j]), np.array([0.0, 0.5 + 0j]),
+                                      np.array([1e308, 1e308 + 0j]))
+    assert np.isnan(got[0].real)
+    assert abs(got[1] - (1e308 / 5.0 + 1e308 / 4.5)) <= 1e-15 * abs(got[1])
 
 
 class TestPooledEval:

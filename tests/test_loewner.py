@@ -33,7 +33,7 @@ from ratapprox import (
     truncate,
     zeros,
 )
-from ratapprox import linalg, loewner
+from ratapprox import analysis, linalg, loewner
 from ratapprox.loewner import DataPartition, StateSpaceModel, modal_form
 
 
@@ -542,6 +542,27 @@ def inside_discs(model, pts):
     return np.any(np.abs(pts[:, None] - modal.poles[None, :]) <= modal.radii, axis=1)
 
 
+@pytest.fixture(scope="module")
+def benchmark_surface():
+    """The 101 x 21 benchmark samples and a 250 x 250 oracle surface over the rectangle."""
+    samples = sample_oracle(structured_grid(OMEGA, 101, 21), h_of_s)
+    return samples, analysis.oracle_grid(h_of_s, OMEGA, 250, 250)
+
+
+def with_checked_discs(model, monkeypatch):
+    """A copy of ``model`` whose modal form keeps the discs of the probe check, before any shrinks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(loewner, "_shrunk_radii", lambda model, poles, residues, delta, radii: radii)
+        copy = StateSpaceModel(E=model.E, A=model.A, B=model.B, C=model.C)
+        assert copy.modal is not None
+    return copy
+
+
+def exact_modal_sum(monkeypatch, poles, residues):
+    """Make the LU solve return the modal sum, so that only geometry and floors stop the discs."""
+    monkeypatch.setattr(loewner, "_solve", lambda model, pts: linalg.pole_residue_sum(pts, poles, residues))
+
+
 class TestModalForm:
     @settings(max_examples=30, deadline=None)
     @given(degree=st.integers(2, 8), seed=st.integers(0, 10_000))
@@ -574,6 +595,63 @@ class TestModalForm:
         pts = structured_grid(OMEGA, 101, 41)
         vals = h_of_s(pts)
         assert np.max(np.abs(model.eval(pts) - vals)) == np.max(np.abs(model.solve(pts) - vals))
+
+    @pytest.mark.parametrize("method", ["loewner", "rloewner"])
+    def test_shrunk_discs_keep_the_dense_maximum_with_few_lu_points(self, method, benchmark_surface,
+                                                                     monkeypatch):
+        samples, truth = benchmark_surface
+        model, _ = analysis.fit(method, samples)
+        checked = with_checked_discs(model, monkeypatch)
+        assert np.all(model.modal.radii <= checked.modal.radii)
+        solve, solved = loewner._solve, []
+
+        def spy(solved_model, chunk):
+            solved.append(chunk.size)
+            return solve(solved_model, chunk)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(loewner, "_solve", spy)
+            got = analysis.model_error(model, truth)
+        # the checked discs hold about a quarter of the grid
+        assert sum(solved) <= 0.02 * truth.points.size
+        want = analysis.model_error(checked, truth)
+        assert (got.max_error, got.argmax_point) == (want.max_error, want.argmax_point)
+
+    def test_shrinking_keeps_zero_and_infinite_radii(self, monkeypatch):
+        lone = StateSpaceModel(E=[[2.0]], A=[[-1.0 + 0.5j]], B=[1.5], C=[0.7])
+        assert lone.modal.radii.tolist() == [np.inf]
+        pts = np.linspace(-3, 3, 97) + 1j * np.linspace(-2, 2, 97)
+        assert lone.eval(pts).tobytes() == lone.solve(pts).tobytes()
+        with pytest.raises(PoleError):
+            lone.eval(-0.5 + 0.25j)
+        # the pole at 2j has no residue and a zero disc
+        model = StateSpaceModel(E=np.eye(3), A=np.diag([1j, 2j, 3j]), B=np.array([1.0, 0.0, 1.0]),
+                                C=np.ones(3))
+        checked = with_checked_discs(model, monkeypatch)
+        assert model.modal.radii[1] == checked.modal.radii[1] == 0.0
+        assert np.all(model.modal.radii <= checked.modal.radii)
+        pts = np.linspace(-4, 4, 97) + 1j * np.linspace(-4, 8, 97)[::-1]
+        outside = ~inside_discs(checked, pts)
+        assert outside.any()
+        assert model.eval(pts[outside]).tobytes() == checked.eval(pts[outside]).tobytes()
+        with pytest.raises(PoleError):
+            model.eval(2j)
+
+    @pytest.mark.parametrize("outer, shrunk", [(1.3, 0.4), (1.15, 0.2)])
+    def test_disc_stops_where_its_halved_circle_lies_inside_another(self, monkeypatch, outer, shrunk):
+        # poles 0 and 1; the disc of 0 is at its floor delta and keeps its radius
+        poles, residues = np.array([0.0, 1.0 + 0j]), np.array([1.0, 0.5 + 0j])
+        model = StateSpaceModel(E=np.eye(2), A=np.diag(poles), B=np.ones(2), C=residues)
+        exact_modal_sum(monkeypatch, poles, residues)
+        radii = loewner._shrunk_radii(model, poles, residues, np.array([outer, 0.0]), np.array([outer, 0.4]))
+        assert radii.tolist() == [outer, shrunk]
+
+    def test_discs_stop_above_the_pole_uncertainty(self, monkeypatch):
+        poles, residues = np.array([0.0, 1.0 + 0j]), np.array([1.0, 0.5 + 0j])
+        model = StateSpaceModel(E=np.eye(2), A=np.diag(poles), B=np.ones(2), C=residues)
+        exact_modal_sum(monkeypatch, poles, residues)
+        radii = loewner._shrunk_radii(model, poles, residues, np.array([1e-3, 1e-3]), np.array([0.4, 0.4]))
+        assert radii.tolist() == [0.4 / 256] * 2
 
     @staticmethod
     def assert_lu_everywhere(model):

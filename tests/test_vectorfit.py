@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -93,6 +95,14 @@ class TestEval:
         model = PoleResidueModel(poles=[-1.0 + 0j], residues=[1.0 + 0j], d=0.0, h=0.0)
         with pytest.raises(PoleError):
             eval_pole_residue(model, -1.0)
+
+    def test_overflowing_sum_is_infinite_without_a_warning(self):
+        model = PoleResidueModel(poles=[1 + 1j, 1 - 1j], residues=[1e308, 1e308], d=0.0, h=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = eval_pole_residue(model, 1.5 + 1j)
+        # 1e308 / 0.5 overflows; the mate's term 1e308 / (0.5 + 2j) does not
+        assert value.real == np.inf and np.isfinite(value.imag)
 
     def test_matches_extended_precision_reference(self):
         rng = np.random.default_rng(3)
