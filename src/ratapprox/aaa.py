@@ -11,6 +11,7 @@ residual f(s) d(s) - n(s) over all remaining samples.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,11 @@ class BarycentricModel:
     def order(self) -> int:
         return self.support_points.size
 
+    @functools.cached_property
+    def quotient_weights(self) -> np.ndarray:
+        """The rows ``[w f; w]`` of the numerator and denominator sums, computed once per model."""
+        return np.stack([self.weights * self.support_values, self.weights])
+
     def eval(self, s):
         return eval_barycentric(self, s)
 
@@ -81,18 +87,23 @@ def eval_barycentric(model: BarycentricModel, s):
 
     At a support point the removable singularity is resolved to the stored
     value.  Where the denominator vanishes exactly away from support points
-    the result is complex infinity.
+    the result is complex infinity.  Elsewhere the value is the IEEE result
+    of the quotient, without a warning; a NaN point gives NaN.
     """
     zj = model.support_points
-    numerator_denominator = np.stack([model.weights * model.support_values, model.weights])
+    stacked = model.quotient_weights
 
     def quotient(chunk):
+        diff = chunk[..., None] - zj
+        num_den = linalg.cauchy_sum(diff[..., None, :], stacked)
+        num, den = num_den[..., 0], num_den[..., 1]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            num, den = linalg.pole_residue_sum(chunk, zj, numerator_denominator)
-            vals = num / den
-        at, support = np.nonzero(chunk[:, None] == zj)  # support points are distinct
-        vals[at] = model.support_values[support]
-        vals[np.isnan(vals)] = np.inf
+            vals = np.asarray(num / den)  # a scalar point's quotient as a writable 0-d array
+        vals[den == 0] = np.inf
+        at = diff == 0  # for finite points the same test as chunk == zj
+        if at.any():
+            support = at.any(axis=-1)  # support points are distinct: one hit at most
+            vals[support] = model.support_values[np.argmax(at[support], axis=-1)]
         return vals
 
     return linalg.eval_chunked(quotient, s)

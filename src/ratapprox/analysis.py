@@ -344,7 +344,11 @@ def _ramp_color(t: float) -> str:
 
 
 def write_heatmap_svg(report: ErrorReport, path) -> None:
-    """Log10 error heatmap; the surface is block-averaged down to ``HEATMAP_CELLS``."""
+    """Log10 error heatmap; the surface is block-averaged down to ``HEATMAP_CELLS``.
+
+    The colour ramp runs from the decade below the smallest block mean to
+    the decade above the largest, both printed in the legend.
+    """
     err = report.errors.reshape(report.ny, report.nx)
     bx = max(1, int(np.ceil(report.nx / HEATMAP_CELLS[0])))
     by = max(1, int(np.ceil(report.ny / HEATMAP_CELLS[1])))
@@ -358,9 +362,10 @@ def write_heatmap_svg(report: ErrorReport, path) -> None:
     if np.all(np.isnan(logs)):
         # zero or fully excluded surface: render flat at a nominal floor
         logs = np.full_like(logs, -16.0)
-    lo = float(np.nanmin(logs))
-    hi = float(np.nanmax(logs))
-    span = (hi - lo) if hi > lo else 1.0
+    # the ramp spans whole decades, so a change within a decade recolours only its own cells
+    lo = int(np.floor(np.nanmin(logs)))
+    hi = max(int(np.ceil(np.nanmax(logs))), lo + 1)
+    span = hi - lo
     cell_w, cell_h = 4, 4
     width = nx_c * cell_w
     height = ny_c * cell_h + 18
@@ -383,7 +388,7 @@ def write_heatmap_svg(report: ErrorReport, path) -> None:
             )
     parts.append(
         f'<text x="2" y="{height - 5}" font-size="10" font-family="monospace">'
-        f"log10|err| in [{lo:.2f}, {hi:.2f}], max {report.max_error:.3e} at "
+        f"log10|err| in [{lo}, {hi}], max {report.max_error:.3e} at "
         f"{report.argmax_point:.4f}</text>"
     )
     parts.append("</svg>")

@@ -129,18 +129,22 @@ def sketch_svd(a, omega: np.ndarray | None) -> SvdResult:
 def eval_chunked(kernel, s):
     """Evaluate ``kernel`` at the points ``s`` in batches of ``_EVAL_CHUNK``.
 
-    ``kernel`` maps a 1-D complex array of points to their values.  Scalar
-    ``s`` gives a complex scalar, array ``s`` a complex array of its shape.
-    Batches are spread over the calling thread and one helper thread per
-    further CPU in this process's affinity mask (``taskset -c 0`` gives no
-    helper); each value depends only on its own batch, so the result does
-    not depend on the number of threads.  When batches raise, the exception
-    of the first failing batch is raised, as in a serial loop.
-    Points that fit in one batch go to ``kernel`` at once on the calling
-    thread, so the nested single-batch calls made by kernels never touch
-    the pool.
+    ``kernel`` maps a 0-d or 1-D complex array of points to values of its
+    shape.  Scalar ``s`` goes to ``kernel`` as a 0-d array on the calling
+    thread, with no batching, and gives a Python complex.  Array ``s`` gives
+    a complex array of its shape: its points are raveled into batches, spread
+    over the calling thread and one helper thread per further CPU in this
+    process's affinity mask (``taskset -c 0`` gives no helper); each value
+    depends only on its own batch, so the result does not depend on the
+    number of threads.  When batches raise, the exception of the first
+    failing batch is raised, as in a serial loop.  Points that fit in one
+    batch go to ``kernel`` at once on the calling thread, so the nested
+    single-batch calls made by kernels never touch the pool.
     """
-    pts = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    s = np.asarray(s, dtype=complex)
+    if s.ndim == 0:
+        return complex(kernel(s))
+    pts = s.ravel()
     starts = range(0, pts.size, _EVAL_CHUNK)
     if len(starts) == 1:
         out = np.asarray(kernel(pts), dtype=complex)
@@ -151,24 +155,30 @@ def eval_chunked(kernel, s):
             out[lo : lo + _EVAL_CHUNK] = kernel(pts[lo : lo + _EVAL_CHUNK])
 
         _share(run, starts)
-    if np.ndim(s) == 0:
-        return complex(out[0])
-    return out.reshape(np.shape(s))
+    return out.reshape(s.shape)
+
+
+def cauchy_sum(diff: np.ndarray, residues) -> np.ndarray:
+    """``sum_j residues[..., j] / diff[..., j]``, the Cauchy sum over the last axis.
+
+    ``diff`` holds the differences ``points[..., None] - poles`` the caller
+    has already formed, and ``residues`` broadcasts against it: shape
+    ``(r,)`` gives one sum per point, and ``diff[..., None, :]`` against a
+    stack of shape ``(k, r)`` gives ``k`` sums per point, in the last axis,
+    from one set of divisions.  Each sum is an elementwise product reduced
+    along its row, never a matrix product, so a point's value does not
+    depend on the other points evaluated with it, nor on whether it comes
+    alone, as ``diff`` of shape ``(r,)``.  A zero difference or a sum that
+    overflows gives the IEEE infinity or nan of its arithmetic, without a
+    warning.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return ((1.0 / diff) * residues).sum(axis=-1)
 
 
 def pole_residue_sum(points: np.ndarray, poles: np.ndarray, residues: np.ndarray) -> np.ndarray:
-    """``sum_j residues[..., j] / (points - poles[j])`` at each of the 1-D ``points``.
-
-    ``residues`` of shape ``(r,)`` gives one sum per point; a stack of shape
-    ``(k, r)`` gives ``k`` sums per point, as an array of shape ``(k, n)``,
-    from one set of divisions.  Each sum is an elementwise product reduced
-    along its row, never a matrix product, so a point's value does not
-    depend on the other points evaluated with it.  A sum that overflows is
-    the IEEE infinity or nan that its arithmetic gives, without a warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        cauchy = 1.0 / (points[:, None] - poles[None, :])
-        return (cauchy * np.asarray(residues)[..., None, :]).sum(axis=-1)
+    """``sum_j residues[j] / (points - poles[j])`` at each of the ``points``, by :func:`cauchy_sum`."""
+    return cauchy_sum(points[..., None] - poles, residues)
 
 
 def _cpu_count() -> int:

@@ -157,12 +157,14 @@ class StateSpaceModel:
             return self.solve(s)
 
         def hybrid(chunk):
-            near = np.any(np.abs(chunk[:, None] - modal.poles[None, :]) <= modal.radii, axis=1)
-            if not near.any():
-                return linalg.pole_residue_sum(chunk, modal.poles, modal.residues)
-            out = np.empty(chunk.size, dtype=complex)
-            out[~near] = linalg.pole_residue_sum(chunk[~near], modal.poles, modal.residues)
-            out[near] = _solve(self, chunk[near])
+            diff = chunk[..., None] - modal.poles
+            in_disc = np.abs(diff) <= modal.radii
+            if not in_disc.any():
+                return linalg.cauchy_sum(diff, modal.residues)
+            near = in_disc.any(axis=-1)
+            out = np.empty(chunk.shape, dtype=complex)
+            out[~near] = linalg.cauchy_sum(diff[~near], modal.residues)
+            out[near] = _solve(self, chunk[near])  # a 0-d chunk in a disc: a batch of one
             return out
 
         return linalg.eval_chunked(hybrid, s)
@@ -176,7 +178,7 @@ class StateSpaceModel:
         Accurate to a few units of roundoff away from the poles, where the
         modal sum of :meth:`eval` may be off by u cond(V).
         """
-        return linalg.eval_chunked(lambda chunk: _solve(self, chunk), s)
+        return linalg.eval_chunked(lambda chunk: _solve(self, chunk.reshape(-1)).reshape(chunk.shape), s)
 
     def poles_zeros(self) -> tuple[np.ndarray, np.ndarray]:
         """Poles and zeros by :func:`poles` and :func:`zeros`."""
@@ -184,16 +186,20 @@ class StateSpaceModel:
 
 
 def _solve(model: StateSpaceModel, chunk: np.ndarray) -> np.ndarray:
-    """C (sE - A)^{-1} B at each point of ``chunk`` by one batched LU solve."""
-    if model.order == 1:
-        # numpy's batched solve rounds a 1 x 1 system differently in a batch of one
-        pencil = chunk * model.E[0, 0] - model.A[0, 0]
-        if np.any(pencil == 0):
-            bad = complex(chunk[np.argmax(pencil == 0)])
-            raise PoleError(f"sE - A is singular at s = {bad}", point=bad)
-        return model.C[0] * (model.B[0] / pencil)
-    mats = np.multiply.outer(chunk, model.E)  # one r x r x chunk array, no temporary
-    mats -= model.A
+    """C (sE - A)^{-1} B at each point of the 1-D ``chunk`` by one batched LU solve.
+
+    A non-finite point gets the IEEE result of the arithmetic, without a warning.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        if model.order == 1:
+            # numpy's batched solve rounds a 1 x 1 system differently in a batch of one
+            pencil = chunk * model.E[0, 0] - model.A[0, 0]
+            if np.any(pencil == 0):
+                bad = complex(chunk[np.argmax(pencil == 0)])
+                raise PoleError(f"sE - A is singular at s = {bad}", point=bad)
+            return model.C[0] * (model.B[0] / pencil)
+        mats = np.multiply.outer(chunk, model.E)  # one r x r x chunk array, no temporary
+        mats -= model.A
     try:
         xs = np.linalg.solve(mats, np.broadcast_to(model.B[:, None], (chunk.size, model.order, 1)))
     except np.linalg.LinAlgError:

@@ -240,14 +240,22 @@ def fit_vf(
 
 
 def eval_pole_residue(model: PoleResidueModel, s):
-    """Direct summation of the pole-residue form."""
+    """Direct summation of the pole-residue form.
+
+    Raises ``PoleError`` at a point that is exactly a pole.  Elsewhere the
+    value is the IEEE result of the sum, without a warning: a NaN point
+    gives NaN, and so does ``s h`` at an infinite point with ``h = 0``.
+    """
 
     def summed(chunk):
-        diff = chunk[:, None] - model.poles[None, :]
-        if np.any(diff == 0.0):
-            bad = chunk[np.nonzero(np.any(diff == 0.0, axis=1))[0][0]]
-            raise PoleError(f"evaluation exactly at pole s = {bad}", point=complex(bad))
-        return linalg.pole_residue_sum(chunk, model.poles, model.residues) + model.d + chunk * model.h
+        diff = chunk[..., None] - model.poles
+        at_pole = diff == 0.0
+        if at_pole.any():
+            bad = complex(chunk[at_pole.any(axis=-1)][0])
+            raise PoleError(f"evaluation exactly at pole s = {bad}", point=bad)
+        sums = linalg.cauchy_sum(diff, model.residues)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sums + model.d + chunk * model.h
 
     return linalg.eval_chunked(summed, s)
 

@@ -202,6 +202,28 @@ class TestEval:
         alone = np.array([eval_barycentric(model, complex(z)) for z in batch])
         assert alone.tobytes() == got.tobytes()
 
+    def test_fitted_model_scalars_equal_the_array_bitwise(self):
+        samples, *_ = rational_samples(6, 14, n_pairs=30)
+        model, _ = fit_aaa(samples, tol=1e-13)
+        rng = np.random.default_rng(15)
+        pts = np.concatenate([rng.uniform(0.0, 10.0, 200) + 1j * rng.uniform(-1.0, 1.0, 200),
+                              model.support_points])
+        got = model.eval(pts)
+        assert got[200:].tobytes() == model.support_values.tobytes()
+        alone = np.array([model.eval(z) for z in pts])
+        assert alone.tobytes() == got.tobytes()
+
+    def test_numerator_and_denominator_weights_are_computed_once(self):
+        rng = np.random.default_rng(16)
+        model = BarycentricModel(support_points=rng.standard_normal(4) + 0j,
+                                 support_values=rng.standard_normal(4) + 0j,
+                                 weights=rng.standard_normal(4) + 0j)
+        model.eval(0.5j)
+        stacked = model.quotient_weights
+        model.eval(np.array([0.25j, 1.5]))
+        assert model.quotient_weights is stacked
+        assert stacked.tobytes() == np.stack([model.weights * model.support_values, model.weights]).tobytes()
+
 
 class TestPolesZeros:
     def test_pole_of_simple_lag_fit(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,24 @@ class TestErrorGrid:
         assert len(lines) == 2 + 200
         svg = svg_path.read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+    def test_heatmap_ramp_spans_whole_decades(self, tmp_path):
+        rng = np.random.default_rng(19)
+        errors = 10.0 ** rng.uniform(-12.0, -4.5, 20 * 10)
+        errors[37] = 2e-13  # the smallest block, low in its decade
+        fills = []
+        for scale in (1.0, 1.5):
+            surface = errors.copy()
+            surface[37] *= scale
+            report = analysis.ErrorReport(domain=OMEGA, nx=20, ny=10, max_error=float(surface.max()),
+                                          argmax_point=0j, errors=surface, method_tag="t")
+            report.to_svg(tmp_path / "map.svg")
+            svg = (tmp_path / "map.svg").read_text()
+            assert "log10|err| in [-13, -4]" in svg
+            fills.append(re.findall(r'fill="(#[0-9a-f]{6})"', svg))
+        changed = [k for k, (a, b) in enumerate(zip(*fills)) if a != b]
+        # cell 37 (row 1, column 17 from the bottom) is drawn in the last row but one
+        assert changed == [(10 - 1 - 37 // 20) * 20 + 37 % 20]
 
 
 class TestCancellations:

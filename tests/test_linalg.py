@@ -314,8 +314,24 @@ def test_pole_residue_sum_gives_ieee_values_without_a_warning():
     assert abs(got[1] - (1e308 / 5.0 + 1e308 / 4.5)) <= 1e-15 * abs(got[1])
 
 
+def test_cauchy_sum_of_a_stack_and_of_one_point_equal_its_rows_bitwise():
+    rng = np.random.default_rng(7)
+    pts = random_complex(rng, 50, 1).ravel()
+    diff = pts[:, None] - random_complex(rng, 9, 1).ravel()
+    stack = random_complex(rng, 2, 9)
+    both = linalg.cauchy_sum(diff[..., None, :], stack)
+    assert both.shape == (50, 2)
+    for k in range(2):
+        assert both[:, k].tobytes() == linalg.cauchy_sum(diff, stack[k]).tobytes()
+    alone = np.array([linalg.cauchy_sum(row, stack[0]) for row in diff])
+    assert alone.tobytes() == both[:, 0].tobytes()
+
+
+FORMS = ["state_space", "barycentric", "pole_residue"]
+
+
 class TestPooledEval:
-    @pytest.mark.parametrize("model", three_model_forms(), ids=["state_space", "barycentric", "pole_residue"])
+    @pytest.mark.parametrize("model", three_model_forms(), ids=FORMS)
     def test_equals_serial_loop_bitwise(self, pooled, model):
         pts = random_complex(np.random.default_rng(6), 100, 1).ravel()
         got = model.eval(pts.reshape(4, 25))
@@ -405,6 +421,71 @@ class TestPooledEval:
             sys.setswitchinterval(interval)
         assert sorted(seen) == list(range(0, 3000, 3))
         assert np.array_equal(got, pts * 2 + 1)
+
+
+class TestScalarEval:
+    """A scalar point goes to the kernel of its model form alone, on the calling thread."""
+
+    @pytest.mark.parametrize("model", three_model_forms(), ids=FORMS)
+    def test_scalar_equals_array_bitwise(self, model):
+        pts = random_complex(np.random.default_rng(8), 300, 1).ravel()
+        arr = model.eval(pts)
+        alone = np.array([model.eval(complex(z)) for z in pts])
+        assert alone.tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize("kind", [complex, np.complex128, np.float64, int, np.asarray])
+    @pytest.mark.parametrize("model", three_model_forms(), ids=FORMS)
+    def test_every_scalar_type_gives_a_python_complex(self, model, kind):
+        got = model.eval(kind(3))
+        assert type(got) is complex
+        assert np.array([got]).tobytes() == model.eval(np.array([3.0 + 0j])).tobytes()
+
+    @pytest.mark.parametrize("model", three_model_forms(), ids=FORMS)
+    def test_arrays_keep_their_shape(self, model):
+        pts = random_complex(np.random.default_rng(9), 4, 5)
+        got = model.eval(pts)
+        assert got.shape == (4, 5) and got.dtype == complex
+        assert got.tobytes() == model.eval(pts.ravel()).tobytes()
+        assert model.eval(np.empty((0, 3), dtype=complex)).shape == (0, 3)
+
+    @pytest.mark.parametrize("model", three_model_forms(), ids=FORMS)
+    def test_a_scalar_never_reaches_the_pool(self, pooled, monkeypatch, model):
+        shared = []
+        share = linalg._share
+        monkeypatch.setattr(linalg, "_share", lambda run, starts: (shared.append(starts), share(run, starts)))
+        model.eval(np.arange(20, dtype=complex))
+        assert shared == [range(0, 20, 7)]  # the spy sees the batches of an array
+        for z in (0.5 + 0.25j, np.complex128(2.0), np.asarray(1.5j)):
+            model.eval(z)
+        assert shared == [range(0, 20, 7)]
+
+
+NON_FINITE = [complex(np.nan, 0.0), complex(np.nan, 1.0), complex(np.inf, 0.0)]
+
+
+def non_finite_cases():
+    """(evaluate, check of the value at s = inf) for every form and evaluation path."""
+    state_space, barycentric, pole_residue = three_model_forms()
+    order_1 = loewner.StateSpaceModel(E=np.eye(1), A=np.array([[2j]]), B=np.ones(1), C=np.ones(1))
+    return [
+        (state_space.eval, lambda v: v == 0),  # every modal term is 1/inf = 0
+        (state_space.solve, np.isnan),  # inf * E has 0 * inf entries
+        (order_1.eval, np.isnan),  # a lone pole's disc is the whole plane: the LU solve
+        (barycentric.eval, lambda v: v == np.inf),  # the denominator is exactly zero
+        (pole_residue.eval, lambda v: v.real == np.inf and np.isnan(v.imag)),  # s h with h > 0
+    ]
+
+
+@pytest.mark.parametrize(("evaluate", "at_infinity"), non_finite_cases(),
+                         ids=["modal", "solve", "order_1", "barycentric", "pole_residue"])
+def test_non_finite_points_give_ieee_values_without_a_warning(evaluate, at_infinity):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = np.array([evaluate(z) for z in NON_FINITE])
+        arr = evaluate(np.array(NON_FINITE + [0.5 + 0.25j]))
+    assert np.isnan(alone[:2]).all() and np.isnan(arr[:2]).all()
+    assert at_infinity(alone[2]) and at_infinity(arr[2])
+    assert np.isfinite(arr[3])
 
 
 _THREAD_PROBE = """

@@ -527,6 +527,30 @@ class TestEval:
         with pytest.raises(PoleError):
             model.eval(complex(pole))
 
+    def test_scalars_in_and_out_of_the_discs_equal_the_array_bitwise(self):
+        model, *_ = conjugate_state_space(5, 21)
+        pts = modal_and_lu_points(model, np.random.default_rng(22))
+        near = inside_discs(model, pts)
+        assert near.any() and not near.all()
+        alone = np.array([model.eval(complex(z)) for z in pts])
+        assert alone.tobytes() == model.eval(pts).tobytes()
+        assert alone[near].tobytes() == model.solve(pts[near]).tobytes()
+        solved = np.array([model.solve(complex(z)) for z in pts])
+        assert solved.tobytes() == model.solve(pts).tobytes()
+
+    def test_order_1_scalars_equal_the_array_bitwise(self):
+        model = StateSpaceModel(E=[[0.7 - 0.2j]], A=[[1.3 + 2.1j]], B=[0.9 + 0.1j], C=[1.1 - 0.4j])
+        assert model.modal is not None and model.modal.radii[0] == np.inf  # the LU solve everywhere
+        pts = np.array([1.0, 1j]) @ np.random.default_rng(23).uniform(-5.0, 5.0, (2, 40))
+        for evaluate in (model.eval, model.solve):
+            alone = np.array([evaluate(complex(z)) for z in pts])
+            assert alone.tobytes() == evaluate(pts).tobytes()
+        exact = StateSpaceModel(E=[[0.5]], A=[[1.0 + 2.0j]], B=[0.9 + 0.1j], C=[1.1 - 0.4j])
+        for where in (2.0 + 4.0j, np.array([1.0, 2.0 + 4.0j, 3.0])):
+            with pytest.raises(PoleError) as info:
+                exact.eval(where)
+            assert info.value.point == 2.0 + 4.0j
+
 
 def modal_and_lu_points(model, rng, n=60):
     """Random points around the model's poles: inside and outside their LU discs."""

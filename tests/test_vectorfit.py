@@ -96,6 +96,20 @@ class TestEval:
         with pytest.raises(PoleError):
             eval_pole_residue(model, -1.0)
 
+    def test_fitted_model_scalars_equal_the_array_bitwise(self):
+        samples, *_ = rational_samples(6, 17, n_pairs=30)
+        model, _ = fit_vf(samples, order=6, n_iter=10)
+        rng = np.random.default_rng(18)
+        pts = rng.uniform(0.0, 10.0, 300) + 1j * rng.uniform(-1.0, 1.0, 300)
+        alone = np.array([model.eval(complex(z)) for z in pts])
+        assert alone.tobytes() == model.eval(pts).tobytes()
+        # a pole raises the same point alone and in an array
+        pole = model.poles[3]
+        for where in (complex(pole), pole, np.array([0.5 + 0j, pole, model.poles[0]])):
+            with pytest.raises(PoleError) as info:
+                model.eval(where)
+            assert info.value.point == pole
+
     def test_overflowing_sum_is_infinite_without_a_warning(self):
         model = PoleResidueModel(poles=[1 + 1j, 1 - 1j], residues=[1e308, 1e308], d=0.0, h=0.0)
         with warnings.catch_warnings():
