@@ -165,9 +165,13 @@ def _cmd_fit(args) -> int:
         sv_path = _side_path(args.out, "singular_values.csv")
         sigma = history.singular_values
         q, k = history.Y.shape[0], history.X.shape[0]
+        if history.shift is None:
+            matrix = f"{min(q, 2 * k)} singular values of [L, Ls]"
+        else:
+            matrix = f"{min(q, k)} singular values of x L - Ls at x = {history.shift:.17g}"
         write_csv(sv_path, meta_line, "index,sigma,sigma_normalized",
                   (f"{i + 1},{s:.17g},{s / sigma[0]:.17g}" for i, s in enumerate(sigma)),
-                  comments=[f"leading {sigma.size} of {min(q, 2 * k)} singular values of [L, Ls]"])
+                  comments=[f"leading {sigma.size} of {matrix}"])
         print(f"{done}; model -> {args.out}, singular values -> {sv_path}")
         return 0
 

@@ -81,42 +81,21 @@ def leading_svd(a, width: int, rng: np.random.Generator) -> SvdResult:
     (SIAM Review 53, 2011, Alg. 4.4): a complex Gaussian sketch of ``width``
     columns drawn from ``rng``, re-orthonormalised after every product with
     ``a`` or its adjoint, then the exact SVD of the projected ``width x n``
-    matrix.  The trailing triplets of the sketch are the least accurate, so
-    callers oversample beyond the triplets they use.
+    matrix.  ``U`` holds the leading left and ``V`` the leading right
+    singular vectors.  The trailing triplets of the sketch are the least
+    accurate, so callers oversample beyond the triplets they use.
 
-    When ``width >= min(m, n) // 2`` the sketch would cost about as much as
-    the full decomposition, so the full thin SVD is returned instead (all
+    Where :func:`takes_full_svd` holds, the sketch would cost about as much
+    as the full decomposition, so the full thin SVD is returned instead (all
     ``min(m, n)`` triplets) and ``rng`` is not touched.
-
-    It is :func:`draw_sketch` followed by :func:`sketch_svd`; callers that
-    run several sketches at once draw all their test matrices first, so
-    each gets the numbers it would get in a serial run.
-    """
-    a = np.asarray(a)
-    return sketch_svd(a, draw_sketch(a.shape, width, rng))
-
-
-def draw_sketch(shape: tuple[int, int], width: int, rng: np.random.Generator) -> np.ndarray | None:
-    """The Gaussian test matrix :func:`leading_svd` draws for a matrix of ``shape``.
-
-    None where ``width`` calls for the full SVD; then ``rng`` is not touched.
     """
     if width < 1:
         raise ValueError(f"sketch width must be positive, got {width}")
-    m, n = shape
-    if width >= min(m, n) // 2:
-        return None
-    return rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
-
-
-def sketch_svd(a, omega: np.ndarray | None) -> SvdResult:
-    """The leading singular triplets of ``a`` from the test matrix ``omega`` of :func:`draw_sketch`.
-
-    ``omega`` None gives the full thin SVD.
-    """
     a = np.asarray(a)
-    if omega is None:
+    if takes_full_svd(a.shape, width):
         return svd(a)
+    n = a.shape[1]
+    omega = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
     q, _ = np.linalg.qr(a @ omega)
     for _ in range(_POWER_STEPS):
         # a^H q as (q^H a)^H: no conjugated copy of the large matrix
@@ -124,6 +103,14 @@ def sketch_svd(a, omega: np.ndarray | None) -> SvdResult:
         q, _ = np.linalg.qr(a @ z)
     small = svd(q.conj().T @ a)
     return SvdResult(U=q @ small.U, singular_values=small.singular_values, V=small.V)
+
+
+def takes_full_svd(shape: tuple[int, int], width: int) -> bool:
+    """Whether :func:`leading_svd` of ``width`` takes the full SVD of a matrix of ``shape``.
+
+    It does when ``width >= min(m, n) // 2``.
+    """
+    return width >= min(shape) // 2
 
 
 def eval_chunked(kernel, s):
@@ -172,6 +159,9 @@ def cauchy_sum(diff: np.ndarray, residues) -> np.ndarray:
     overflows gives the IEEE infinity or nan of its arithmetic, without a
     warning.
     """
+    # residues get the axes of diff: numpy multiplies a (1, 1) array by a (1,) one
+    # in another loop, with other last bits, than it does every other shape
+    residues = residues.reshape((1,) * (diff.ndim - residues.ndim) + residues.shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return ((1.0 / diff) * residues).sum(axis=-1)
 

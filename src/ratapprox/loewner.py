@@ -415,12 +415,14 @@ class ProjectedPoints:
 class LoewnerReduction:
     """Everything produced by :func:`truncate`.
 
-    ``singular_values`` belong to the row concatenation [L, Ls] used for
-    order selection; ``singular_values_stacked`` to the column stack.  Both
-    hold only the leading values that truncation computed, the width of
-    its sketch (``order + 20`` of them with ``order=``), or all of them
-    when the pencil is small enough for a full SVD.
-    Y and X are the retained left/right singular-vector blocks, kept so
+    ``shift`` is the real x of the one matrix x L - Ls that a sketched
+    pencil is projected with, and ``singular_values`` are its leading
+    singular values, used for order selection: the width of the sketch
+    (``order + 20`` of them with ``order=``), or all ``min(q, k)`` where
+    that matrix is small enough for a full SVD.  ``shift`` is None for a
+    pencil small enough for the full SVD of the row concatenation [L, Ls];
+    then ``singular_values`` are all of that matrix's.
+    Y and X are the retained left/right projection blocks, kept so
     projected interpolation points can be formed later.  ``e_condition``
     reports cond(E); it is legitimately huge when the data carries a
     constant or polynomial part (the feedthrough lives in E's null space).
@@ -428,9 +430,9 @@ class LoewnerReduction:
 
     model: StateSpaceModel
     singular_values: np.ndarray
-    singular_values_stacked: np.ndarray
     Y: np.ndarray
     X: np.ndarray
+    shift: float | None = None
     e_condition: float = np.nan
 
 
@@ -529,28 +531,38 @@ def truncate(
     """SVD-truncate the pencil to a state-space model.
 
     Exactly one of ``order`` (reduce to fixed order r) and ``tol`` (smallest
-    r with ``sigma_{r+1}/sigma_1 <= tol``, sigma taken from the row
-    concatenation [L, Ls]) must be given.
+    r with ``sigma_{r+1}/sigma_1 <= tol``, sigma taken from the matrix that
+    gives the projection, below) must be given.  With projectors Y (q x r)
+    and X (k x r) the realization is E = -Y* L X, A = -Y* Ls X, B = Y* V,
+    C = W X.
 
-    The projectors are Y, the leading left singular vectors of [L, Ls], and
-    X, the leading right singular vectors of [L; Ls]; the realization is
-    E = -Y* L X, A = -Y* Ls X, B = Y* V, C = W X.
+    A pencil is sketched where :func:`linalg.leading_svd` of [L, Ls] would
+    not take the full SVD at the sketch's first width (``order + 20`` with
+    ``order=``, 21 with ``tol=``).  Then Y and X are the leading left and
+    right singular vectors of one matrix, x L - Ls, written once into one
+    (q, k) array (Mayo and Antoulas, *A framework for the solution of the
+    generalized realization problem*, Linear Algebra Appl. 425, 2007).  The
+    shift x is the real part of the partition point (mu, then lam; the first
+    on ties) of smallest |value|, which lies far from the poles of the data;
+    it is real, so conjugate-closed data give a conjugate-closed model.  If
+    the data are those of a rational function of order n, x L - Ls has rank
+    n, like the pencil, except where x lies on a pole of the data (only a
+    real pole can hold a real x): there it loses a direction, so its n-th
+    singular value falls to roundoff, ``order=n`` raises ``RankError`` and
+    ``tol=`` picks a lower order.  With ``order=`` the sketch is
+    ``order + 20`` wide; with ``tol=`` it starts 21 wide and doubles until
+    its last singular value has dropped to ``tol`` (or the full SVD is
+    taken), and Y and X come from that last sketch.
 
-    Only the leading singular subspaces are computed, by randomized
-    subspace iteration (:func:`linalg.leading_svd`) seeded afresh on every
-    call, so equal pencils give equal bytes.  The [L, Ls] sketch reads
-    ``pencil.row_concat`` itself; the [L; Ls] sketch reads its adjoint,
-    written once into one (k, 2q) array.
+    A smaller pencil keeps the two-sided projection: Y from the full SVD of
+    the row concatenation [L, Ls] (``pencil.row_concat`` itself), X from
+    the leading right singular vectors of the column stack [L; Ls], by a
+    sketch ``order + 20`` wide of its adjoint (or its full SVD).  The
+    recursive Loewner fit's pencils are of this size; its greedy ranking
+    follows the last bits of its models.
 
-    With ``order=`` both sketches are ``order + 20`` wide and independent,
-    so they run at once, one on the calling thread and one on the helper
-    thread of :func:`linalg.eval_chunked` where the process may use a
-    second CPU (none under ``taskset -c 0``).  Both test matrices are drawn
-    from the one generator first, in the serial order, so the bytes do not
-    depend on the number of threads.  With ``tol=`` the [L, Ls] sketch
-    starts 21 wide and doubles until its last singular value has dropped
-    to ``tol`` (or the full SVD is taken); the [L; Ls] sketch, whose width
-    ``order + 20`` depends on the order that picks, then runs after it.
+    Every sketch is seeded afresh from a fixed seed on every call and runs
+    on the calling thread, so equal pencils give equal bytes.
 
     An ``order`` that is not an integer of at least 1 raises
     ``SettingError``; one above min(q, k) or above the numerical rank of
@@ -566,18 +578,35 @@ def truncate(
         if order > min(q, k):
             raise RankError(f"order {order} exceeds min(q, k) = {min(q, k)}")
     rng = np.random.default_rng(_SKETCH_SEED)
-    svd_cols = None
-    if tol is None:
-        svd_rows, svd_cols = _sketch_both(pencil, order + _OVERSAMPLE, rng)
-        sigma = svd_rows.singular_values
+    width = (1 if order is None else order) + _OVERSAMPLE
+    if linalg.takes_full_svd(pencil.row_concat.shape, width):
+        shift = None
+        rows = linalg.svd(pencil.row_concat)
+        sigma = rows.singular_values
+        order = _checked_order(sigma, order, tol, q, k)
+        Y = rows.U[:, :order]
+        X = linalg.leading_svd(_column_adjoint(pencil), order + _OVERSAMPLE, rng).U[:, :order]
     else:
-        width = 1 + _OVERSAMPLE
-        while True:
-            svd_rows = linalg.leading_svd(pencil.row_concat, width, rng)
-            sigma = svd_rows.singular_values
-            if sigma[-1] <= tol * sigma[0] or sigma.size == min(q, 2 * k):
-                break
-            width *= 2
+        shift = _shift(pencil)
+        shifted = _shifted_svd(pencil, shift, width, tol, rng)
+        sigma = shifted.singular_values
+        order = _checked_order(sigma, order, tol, q, k)
+        Y, X = shifted.U[:, :order], shifted.V[:, :order]
+    Lh, Lsh, Vh, Wh = _project(pencil, Y, X)
+    # -(Y* L X), not (-Y*) L X: the two differ in the sign of exact zeros
+    model = StateSpaceModel(E=-Lh, A=-Lsh, B=Vh, C=Wh)
+    return LoewnerReduction(
+        model=model,
+        singular_values=sigma,
+        Y=Y,
+        X=X,
+        shift=shift,
+        e_condition=float(np.linalg.cond(model.E)),
+    )
+
+
+def _checked_order(sigma: np.ndarray, order: int | None, tol: float | None, q: int, k: int) -> int:
+    """``order``, or the order ``tol`` picks from ``sigma``; ``RankError`` above the numerical rank."""
     if sigma[0] == 0.0:
         raise RankError("pencil has rank zero: all samples identical?")
     if tol is not None:
@@ -592,55 +621,43 @@ def truncate(
             "reduce the order",
             rank=numerical_rank,
         )
-    if svd_cols is None:
-        svd_cols = linalg.leading_svd(_column_adjoint(pencil), order + _OVERSAMPLE, rng)
-    Y = svd_rows.U[:, :order]
-    X = svd_cols.U[:, :order]
-    Lh, Lsh, Vh, Wh = _project(pencil, Y, X)
-    # negation is exact, so -(Y* L X) has the bits of (-Y*) L X
-    model = StateSpaceModel(E=-Lh, A=-Lsh, B=Vh, C=Wh)
-    return LoewnerReduction(
-        model=model,
-        singular_values=sigma,
-        singular_values_stacked=svd_cols.singular_values,
-        Y=Y,
-        X=X,
-        e_condition=float(np.linalg.cond(model.E)),
-    )
+    return order
 
 
-def _column_adjoint(pencil: LoewnerPencil, out: np.ndarray | None = None) -> np.ndarray:
+def _shift(pencil: LoewnerPencil) -> float:
+    """The real part of the partition point (mu, then lam; the first on ties) of smallest |value|."""
+    points = np.concatenate([pencil.mu, pencil.lam])
+    values = np.concatenate([pencil.V, pencil.W])
+    return float(points[np.argmin(np.abs(values))].real)
+
+
+def _shifted_svd(pencil: LoewnerPencil, shift: float, width: int, tol: float | None,
+                 rng: np.random.Generator) -> linalg.SvdResult:
+    """The leading singular triplets of x L - Ls, written once into one (q, k) array.
+
+    With ``tol`` the sketch doubles from ``width`` until its last singular
+    value has dropped to ``tol`` or the full SVD is taken.
+    """
+    shifted = np.multiply(pencil.L, shift)
+    shifted -= pencil.Ls
+    while True:
+        res = linalg.leading_svd(shifted, width, rng)
+        sigma = res.singular_values
+        if tol is None or sigma[-1] <= tol * sigma[0] or sigma.size == min(shifted.shape):
+            return res
+        width *= 2
+
+
+def _column_adjoint(pencil: LoewnerPencil) -> np.ndarray:
     """The adjoint [L*, Ls*] of the column stack [L; Ls], written straight into one (k, 2q) array.
 
     Right vectors of [L; Ls] are the left vectors of this adjoint.
     """
     q, k = pencil.shape
-    if out is None:
-        out = np.empty((k, 2 * q), dtype=complex)
+    out = np.empty((k, 2 * q), dtype=complex)
     np.conjugate(pencil.L.T, out=out[:, :q])
     np.conjugate(pencil.Ls.T, out=out[:, q:])
     return out
-
-
-def _sketch_both(pencil: LoewnerPencil, width: int, rng: np.random.Generator):
-    """The sketches of [L, Ls] and of the adjoint of [L; Ls], run at once by :func:`linalg._share`.
-
-    Both test matrices are drawn first, rows then columns, so each holds
-    the numbers of a serial run.  The adjoint is allocated here, on the
-    calling thread, and written by the column task.
-    """
-    q, k = pencil.shape
-    omegas = (linalg.draw_sketch(pencil.row_concat.shape, width, rng),
-              linalg.draw_sketch((k, 2 * q), width, rng))
-    col_adjoint = np.empty((k, 2 * q), dtype=complex)
-    results = [None, None]
-
-    def run(side):
-        matrix = pencil.row_concat if side == 0 else _column_adjoint(pencil, out=col_adjoint)
-        results[side] = linalg.sketch_svd(matrix, omegas[side])
-
-    linalg._share(run, range(2))
-    return results
 
 
 def poles(model: StateSpaceModel) -> np.ndarray:

@@ -94,6 +94,16 @@ class TestFitEvalPolesProject:
         assert "poles (8):" in captured
         assert "2.40482555769577 ->" in captured
 
+    def test_sketched_loewner_fit_writes_the_singular_values_of_the_shifted_pencil(self, tmp_path):
+        samples_path, model_path = tmp_path / "s.csv", tmp_path / "m.json"
+        run("sample", "--grid", "structured", "--nx", "101", "--ny", "21", "--out", str(samples_path))
+        assert run("fit", "--method", "loewner", "--in", str(samples_path), "--order", "11",
+                   "--out", str(model_path)) == 0
+        sv_lines = (tmp_path / "m.singular_values.csv").read_text().splitlines()
+        # the 1060 x 1061 pencil is sketched: 31 values of the one matrix x L - Ls
+        assert sv_lines[1] == "# leading 31 of 1060 singular values of x L - Ls at x = 0"
+        assert len(sv_lines) == 3 + 31
+
     def test_project_reports_compression(self, sample_csv, capsys):
         assert run("project", "--in", str(sample_csv), "--order", "8") == 0
         out = capsys.readouterr().out

@@ -45,7 +45,7 @@ WORK = [
     (loewner, "build_pencil"),
     (greedy, "build_pencil"),
     (linalg, "leading_svd"),
-    (linalg, "draw_sketch"),
+    (linalg, "svd"),
     (aaa, "_solve_weights"),
     (vectorfit, "initial_poles_auto"),
     (vectorfit, "_basis"),

@@ -1,7 +1,8 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugate_closed, conjugate_state_space, rational_samples
+from conftest import conjugate_closed, conjugate_state_space, make_rational, rational_samples
 import ratapprox
 from ratapprox import (
+    BESSEL_J0_ZEROS,
     OMEGA,
     ComputationError,
     PartitionError,
@@ -31,10 +33,12 @@ from ratapprox import (
     sylvester_residual,
     trajectory_study,
     truncate,
+    uniform_random_grid,
     zeros,
 )
-from ratapprox import analysis, linalg, loewner
+from ratapprox import analysis, greedy, linalg, loewner
 from ratapprox.loewner import DataPartition, StateSpaceModel, modal_form
+from ratapprox.serialize import model_to_dict
 
 
 def real_samples(values_fn, pts):
@@ -245,30 +249,79 @@ def structured_11(structured_pencil):
 
 @pytest.fixture(scope="module")
 def full_svds(structured_pencil):
-    """The two full thin SVDs that truncation used to take: of [L, Ls] and [L; Ls]."""
+    """The two full thin SVDs of the two-sided projection: of [L, Ls] and [L; Ls]."""
     return (
         linalg.svd(np.hstack([structured_pencil.L, structured_pencil.Ls])),
         linalg.svd(np.vstack([structured_pencil.L, structured_pencil.Ls])),
     )
 
 
+def two_sided_truncation(pencil, order=None, tol=None):
+    """truncate() as written before the one-SVD projection, with np.hstack copies of [L, Ls] and [L*, Ls*]."""
+    rng = np.random.default_rng(loewner._SKETCH_SEED)
+    rows = np.hstack([pencil.L, pencil.Ls])
+    width = (order if tol is None else 1) + loewner._OVERSAMPLE
+    while True:
+        svd_rows = linalg.leading_svd(rows, width, rng)
+        sigma = svd_rows.singular_values
+        if tol is None or sigma[-1] <= tol * sigma[0] or sigma.size == min(rows.shape):
+            break
+        width *= 2
+    order = loewner._checked_order(sigma, order, tol, *pencil.shape)  # with its rank guard
+    svd_cols = linalg.leading_svd(np.hstack([pencil.L.conj().T, pencil.Ls.conj().T]),
+                                  order + loewner._OVERSAMPLE, rng)
+    Y, X = svd_rows.U[:, :order], svd_cols.U[:, :order]
+    return projection(pencil, Y, X) + (sigma, Y, X)
+
+
+def shifted_truncation(pencil, shift, order=None, tol=None):
+    """truncate() of a sketched pencil, written out: one sketch of shift * L - Ls gives Y and X."""
+    rng = np.random.default_rng(loewner._SKETCH_SEED)
+    shifted = shift * pencil.L - pencil.Ls
+    width = (order if tol is None else 1) + loewner._OVERSAMPLE
+    while True:
+        res = linalg.leading_svd(shifted, width, rng)
+        sigma = res.singular_values
+        if tol is None or sigma[-1] <= tol * sigma[0] or sigma.size == min(shifted.shape):
+            break
+        width *= 2
+    order = loewner._checked_order(sigma, order, tol, *pencil.shape)  # with its rank guard
+    Y, X = res.U[:, :order], res.V[:, :order]
+    return projection(pencil, Y, X) + (sigma, Y, X)
+
+
+def projection(pencil, Y, X):
+    """E, A, B and C of truncate()'s realization.
+
+    E and A negate the projected blocks: (-Y*) L X would give -0.0 where
+    -(Y* L X) gives 0.0, and the x = 0 projection of the benchmark pencil
+    has exact zeros.
+    """
+    Yh = Y.conj().T
+    return -(Yh @ pencil.L @ X), -(Yh @ pencil.Ls @ X), Yh @ pencil.V, pencil.W @ X
+
+
+def reduction_bytes(red):
+    m = red.model
+    return [a.tobytes() for a in (m.E, m.A, m.B, m.C, red.singular_values, red.Y, red.X)]
+
+
 class TestSketchedTruncation:
-    """truncate() computes only the leading singular subspaces (randomized sketch)."""
+    """A pencil too large for a full SVD is projected with one sketch of x L - Ls."""
 
     def test_sketch_width_is_order_plus_oversampling(self, structured_pencil, structured_11):
         assert structured_pencil.shape == (1060, 1061)
         assert structured_11.singular_values.size == 31
-        assert structured_11.singular_values_stacked.size == 31
+        assert structured_11.Y.shape == (1060, 11) and structured_11.X.shape == (1061, 11)
 
-    def test_leading_singular_values_match_full_svd(self, structured_11, full_svds):
-        full_rows, full_cols = (res.singular_values for res in full_svds)
-        rows = structured_11.singular_values
-        cols = structured_11.singular_values_stacked
-        assert np.abs(rows[:12] - full_rows[:12]).max() <= 1e-13 * full_rows[0]
-        assert np.abs(cols[:12] - full_cols[:12]).max() <= 1e-13 * full_cols[0]
+    def test_leading_singular_values_match_full_svd(self, structured_pencil, structured_11):
+        full = linalg.svd(structured_11.shift * structured_pencil.L - structured_pencil.Ls).singular_values
+        sigma = structured_11.singular_values
+        assert np.abs(sigma[:12] - full[:12]).max() <= 1e-13 * full[0]
 
-    def test_in_domain_poles_match_full_svd_model(self, structured_pencil, structured_11, full_svds):
-        # the realization of truncate() with projectors from the full SVDs
+    def test_in_domain_poles_match_the_two_sided_full_svd_model(self, structured_pencil, structured_11,
+                                                               full_svds):
+        # the realization with Y and X from the full SVDs of [L, Ls] and [L; Ls]
         Y = full_svds[0].U[:, :11]
         X = full_svds[1].V[:, :11]
         reference = poles(StateSpaceModel(
@@ -292,50 +345,27 @@ class TestSketchedTruncation:
     def test_tolerance_mode_doubles_the_sketch_past_twenty(self):
         samples, *_ = rational_samples(26, 0, n_pairs=150)
         pencil = build_pencil(partition(samples))
-        full = linalg.svd(np.hstack([pencil.L, pencil.Ls])).singular_values
-        expected = int(np.nonzero(full / full[0] <= 1e-10)[0][0])
         red = truncate(pencil, tol=1e-10)
+        full = linalg.svd(red.shift * pencil.L - pencil.Ls).singular_values
+        expected = int(np.nonzero(full / full[0] <= 1e-10)[0][0])
         assert red.model.order == expected > 20
         # one doubling (21 -> 42), short of the full 150 values
         assert red.singular_values.size == 42
 
-    @staticmethod
-    def stacked_truncation(pencil, order=None, tol=None):
-        """truncate() as it was written with np.hstack copies of [L, Ls] and [L*, Ls*]."""
-        rng = np.random.default_rng(loewner._SKETCH_SEED)
-        rows = np.hstack([pencil.L, pencil.Ls])
-        width = (order if tol is None else 1) + loewner._OVERSAMPLE
-        while True:
-            svd_rows = linalg.leading_svd(rows, width, rng)
-            sigma = svd_rows.singular_values
-            if tol is None or sigma[-1] <= tol * sigma[0] or sigma.size == min(rows.shape):
-                break
-            width *= 2
-        if tol is not None:
-            order = int(np.nonzero(sigma / sigma[0] <= tol)[0][0])
-        svd_cols = linalg.leading_svd(np.hstack([pencil.L.conj().T, pencil.Ls.conj().T]),
-                                      order + loewner._OVERSAMPLE, rng)
-        Y, X = svd_rows.U[:, :order], svd_cols.U[:, :order]
-        return (-Y.conj().T @ pencil.L @ X, -Y.conj().T @ pencil.Ls @ X, Y.conj().T @ pencil.V,
-                pencil.W @ X, sigma, svd_cols.singular_values, Y, X)
-
-    def assert_stacked_bytes(self, pencil, red, **setting):
-        want = self.stacked_truncation(pencil, **setting)
-        m = red.model
-        got = (m.E, m.A, m.B, m.C, red.singular_values, red.singular_values_stacked, red.Y, red.X)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-
-    def test_order_mode_keeps_the_stacked_bytes(self, structured_pencil, structured_11):
+    def test_order_mode_keeps_the_bytes_of_the_written_out_projection(self, structured_pencil,
+                                                                       structured_11):
         assert np.shares_memory(structured_pencil.L, structured_pencil.row_concat)
         assert np.shares_memory(structured_pencil.Ls, structured_pencil.row_concat)
-        self.assert_stacked_bytes(structured_pencil, structured_11, order=11)
+        want = shifted_truncation(structured_pencil, 0.0, order=11)
+        assert reduction_bytes(structured_11) == [a.tobytes() for a in want]
 
-    def test_tolerance_mode_keeps_the_stacked_bytes(self):
+    def test_tolerance_mode_keeps_the_bytes_of_the_written_out_projection(self):
         samples, *_ = rational_samples(26, 0, n_pairs=150)
         pencil = build_pencil(partition(samples))
         red = truncate(pencil, tol=1e-10)
         assert red.singular_values.size == 42  # the sketch doubled once
-        self.assert_stacked_bytes(pencil, red, tol=1e-10)
+        want = shifted_truncation(pencil, red.shift, tol=1e-10)
+        assert reduction_bytes(red) == [a.tobytes() for a in want]
 
     def test_global_random_state_untouched(self):
         samples, *_ = rational_samples(3, 4, n_pairs=60)
@@ -348,76 +378,196 @@ class TestSketchedTruncation:
         assert red.singular_values.size == 23
         assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
 
+    def test_order_above_the_numerical_rank_is_a_rank_error(self):
+        samples, *_ = rational_samples(2, 7, n_pairs=100)
+        pencil = build_pencil(partition(samples))
+        with pytest.raises(RankError) as info:
+            truncate(pencil, order=5)  # a sketch of 25 columns of the 100 x 100 x L - Ls
+        assert info.value.rank == 2
+        assert str(info.value).startswith("order 5 exceeds the numerical rank 2 of the data (sigma_5/sigma_1 = ")
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """A helper pool of this test's own, as on a host with two CPUs."""
-    monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(linalg, "_pool", None)
-    yield
-    if linalg._pool is not None:
-        linalg._pool.shutdown(wait=True)
-
-
-class TestSharedSketches:
-    """With order= the two sketches run at once; errors come out as from the serial run."""
-
-    def test_error_in_the_column_sketch_on_the_helper_keeps_its_type(self, two_cpus, monkeypatch):
+    def test_an_svd_error_keeps_its_type(self, monkeypatch):
         samples, *_ = rational_samples(4, 3, n_pairs=120)
         pencil = build_pencil(partition(samples))
-        column_started = threading.Event()
-        threads = {}
-        sketch_svd = linalg.sketch_svd
 
-        def failing_columns(a, omega):
-            if a is pencil.row_concat:
-                # hold the rows until the column sketch has been taken by the other thread
-                assert column_started.wait(timeout=30)
-                threads["rows"] = threading.current_thread().name
-                return sketch_svd(a, omega)
-            threads["columns"] = threading.current_thread().name
-            column_started.set()
+        def failing(a):
             raise ComputationError("SVD did not converge")
 
-        monkeypatch.setattr(linalg, "sketch_svd", failing_columns)
+        monkeypatch.setattr(linalg, "svd", failing)
         with pytest.raises(ComputationError, match="^SVD did not converge$") as info:
             truncate(pencil, order=4)
         assert type(info.value) is ComputationError
-        assert threads["rows"] == threading.current_thread().name
-        assert threads["columns"].startswith("ratapprox-eval")
 
-    def test_order_above_the_numerical_rank_is_the_serial_rank_error(self, two_cpus, monkeypatch):
-        samples, *_ = rational_samples(2, 7, n_pairs=100)
+
+class TestSmallPencils:
+    """A pencil small enough for the full SVD of [L, Ls] keeps the two-sided projection, byte for byte."""
+
+    @pytest.mark.parametrize("order", [8, 11])
+    def test_order_mode_keeps_the_two_sided_bytes(self, small_bessel_samples, order):
+        pencil = build_pencil(partition(small_bessel_samples))
+        red = truncate(pencil, order=order)
+        # order + 20 >= min(52, 106) // 2
+        assert pencil.shape == (52, 53) and red.shift is None
+        assert red.singular_values.size == 52  # all of [L, Ls]'s
+        assert reduction_bytes(red) == [a.tobytes() for a in two_sided_truncation(pencil, order=order)]
+
+    def test_tolerance_mode_keeps_the_two_sided_bytes(self):
+        samples, *_ = rational_samples(4, 5, n_pairs=20)
         pencil = build_pencil(partition(samples))
+        red = truncate(pencil, tol=1e-10)
+        # the first width, 21, >= min(20, 40) // 2
+        assert pencil.shape == (20, 20) and red.shift is None and red.model.order == 4
+        assert reduction_bytes(red) == [a.tobytes() for a in two_sided_truncation(pencil, tol=1e-10)]
 
-        def rank_error():
-            with pytest.raises(RankError) as info:
-                truncate(pencil, order=5)  # sketched on both sides: 25 columns of 100 x 200
-            return type(info.value), str(info.value), info.value.rank
+    def test_a_sketched_column_side_keeps_the_two_sided_bytes(self):
+        # order 6: 26 >= min(40, 200) // 2, so [L, Ls] takes the full SVD, while the
+        # 100 x 80 adjoint of [L; Ls] is sketched (26 < 80 // 2)
+        f, *_ = make_rational(6, 2)
+        rng = np.random.default_rng(2)
+        mu = rng.uniform(0.0, 10.0, 40) + 1j * rng.uniform(-1.0, 1.0, 40)
+        lam = rng.uniform(0.0, 10.0, 100) + 1j * rng.uniform(-1.0, 1.0, 100)
+        pencil = build_pencil(DataPartition(mu=mu, v=f(mu), lam=lam, w=f(lam)))
+        red = truncate(pencil, order=6)
+        assert red.shift is None and red.singular_values.size == 40
+        assert reduction_bytes(red) == [a.tobytes() for a in two_sided_truncation(pencil, order=6)]
 
-        shared = rank_error()
-        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)
-        assert rank_error() == shared
-        assert shared[0] is RankError and shared[2] == 2
-        assert shared[1].startswith("order 5 exceeds the numerical rank 2 of the data (sigma_5/sigma_1 = ")
+    def test_every_recursive_fit_pencil_keeps_the_two_sided_projection(self, monkeypatch):
+        samples = sample_oracle(structured_grid(OMEGA, 41, 9), h_of_s)
+        shifts = []
+
+        def spy(pencil, **setting):
+            red = truncate(pencil, **setting)
+            shifts.append(red.shift)
+            want = two_sided_truncation(pencil, **setting)
+            assert reduction_bytes(red) == [a.tobytes() for a in want]
+            return red
+
+        monkeypatch.setattr(greedy, "truncate", spy)
+        greedy.fit_greedy(samples, order_target=11, seed=0)
+        assert len(shifts) > 10 and set(shifts) == {None}
+
+
+@pytest.fixture(scope="module")
+def repro_fits():
+    """Both repro sample sets, their pencils, and a 500 x 500 oracle surface with its off-pole mask.
+
+    Off the poles means outside discs of radius 0.05 around the first three zeros of J0.
+    """
+    truth = analysis.oracle_grid(h_of_s, OMEGA, 500, 500)
+    off_pole = np.all(np.abs(truth.points[:, None] - BESSEL_J0_ZEROS[:3]) > 0.05, axis=1)
+    sets = {"structured": structured_grid(OMEGA, 101, 21), "uniform": uniform_random_grid(OMEGA, 1000, 0)}
+    pencils = {name: build_pencil(partition(sample_oracle(pts, h_of_s))) for name, pts in sets.items()}
+    return pencils, truth, off_pole
+
+
+def smallest_value_point(pencil):
+    """The partition point (mu, then lam; the first on ties) of smallest |value|."""
+    points = np.concatenate([pencil.mu, pencil.lam])
+    return complex(points[np.argmin(np.abs(np.concatenate([pencil.V, pencil.W])))])
+
+
+class TestShift:
+    """The shift x of x L - Ls: its rule, and what the fit keeps for other real shifts."""
+
+    def test_shift_is_the_real_part_of_the_point_of_smallest_value(self, repro_fits):
+        pencils, *_ = repro_fits
+        for pencil in pencils.values():
+            red = truncate(pencil, order=11)
+            assert type(red.shift) is float and red.shift == smallest_value_point(pencil).real
+        assert truncate(pencils["structured"], order=11).shift == 0.0  # J0 is largest at +-i
+
+    def test_poles_are_conjugate_closed_for_a_real_shift_only(self, repro_fits, monkeypatch):
+        pencils, *_ = repro_fits
+        for pencil in pencils.values():
+            assert conjugate_closed(poles(truncate(pencil, order=11).model), tol=1e-6)
+        # the point itself, complex, as the shift: the model is no longer conjugate-closed
+        monkeypatch.setattr(loewner, "_shift", smallest_value_point)
+        assert not conjugate_closed(poles(truncate(pencils["structured"], order=11).model), tol=1e-6)
+
+    @pytest.mark.parametrize("rule", ["smallest value", "zero", "mean real part"])
+    def test_off_pole_maximum_keeps_within_five_percent(self, repro_fits, monkeypatch, rule):
+        # the off-pole maxima of the two-sided projection, one BLAS thread, numpy 2.4.6, scipy 1.17.1
+        two_sided = {"structured": 2.687e-10, "uniform": 2.909e-10}
+        shifts = {"zero": lambda pencil: 0.0,
+                  "mean real part": lambda pencil: float(np.mean(np.concatenate([pencil.mu, pencil.lam]).real))}
+        if rule in shifts:
+            monkeypatch.setattr(loewner, "_shift", shifts[rule])
+        pencils, truth, off_pole = repro_fits
+        for name, pencil in pencils.items():
+            model = truncate(pencil, order=11).model
+            err = np.abs(model.eval(truth.points) - truth.values)
+            assert np.nanmax(err[off_pole]) <= 1.05 * two_sided[name]
+
+    def test_a_shift_on_a_pole_of_the_data_loses_a_direction(self):
+        # 1/(s + 2) plus a conjugate pair; the samples of smallest |value| sit at -2 +- 200i
+        f = lambda s: 1.0 / (s + 2.0) + (1.0 + 1.0j) / (s - 4.0 - 2.0j) + (1.0 - 1.0j) / (s - 4.0 + 2.0j)
+        upper = np.random.default_rng(3).uniform(0.0, 10.0, 60) + 1j * np.random.default_rng(4).uniform(0.1, 1.0, 60)
+        upper = np.append(upper, -2.0 + 200.0j)
+        samples = sample_oracle(np.concatenate([upper, upper.conj()]), f)
+        pencil = build_pencil(partition(samples))
+        assert loewner._shift(pencil) == -2.0
+        with pytest.raises(RankError) as info:
+            truncate(pencil, order=3)
+        assert info.value.rank == 2
+        assert truncate(pencil, tol=1e-10).model.order == 2
+
+
+class TestNoSharedWork:
+    def test_truncate_never_shares_work(self, monkeypatch):
+        # as on a host with two CPUs
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+        shared = []
+        monkeypatch.setattr(linalg, "_share", lambda run, starts: shared.append(starts))
+        samples, *_ = rational_samples(4, 3, n_pairs=120)
+        pencil = build_pencil(partition(samples))
+        for setting in ({"order": 4}, {"tol": 1e-10}):
+            assert truncate(pencil, **setting).shift is not None
+        assert shared == []
+
+
+def repro_model_digests():
+    """Digests of the recursive-Loewner, AAA and VF models on both repro grids, seeds 0 to 3."""
+    digests = []
+    structured = sample_oracle(structured_grid(OMEGA, 101, 21), h_of_s)
+    for seed in range(4):
+        uniform = sample_oracle(uniform_random_grid(OMEGA, 1000, seed), h_of_s)
+        cases = [(uniform, "rloewner"), (uniform, "aaa"), (uniform, "vf"), (structured, "rloewner")]
+        if seed == 0:
+            cases += [(structured, "aaa"), (structured, "vf")]  # their fits take no seed
+        for samples, method in cases:
+            settings_ = {"seed": seed} if method == "rloewner" else {}
+            model = analysis.fit(method, samples, **settings_)[0]
+            digests.append(hashlib.sha256(json.dumps(model_to_dict(model)).encode()).hexdigest())
+    return digests
+
+
+def test_recursive_loewner_aaa_and_vf_models_keep_the_bytes_of_the_two_sided_truncation(monkeypatch):
+    # the reference: every pencil projected as before the one-SVD projection, and the
+    # Cauchy sum as it was before its residues got the axes of the differences
+    got = repro_model_digests()
+
+    def cauchy_sum(diff, residues):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return ((1.0 / diff) * residues).sum(axis=-1)
+
+    def reference(pencil, order=None, tol=None):
+        E, A, B, C, sigma, Y, X = two_sided_truncation(pencil, order=order, tol=tol)
+        return loewner.LoewnerReduction(model=StateSpaceModel(E=E, A=A, B=B, C=C), singular_values=sigma,
+                                        Y=Y, X=X)
+
+    monkeypatch.setattr(linalg, "cauchy_sum", cauchy_sum)
+    monkeypatch.setattr(greedy, "truncate", reference)
+    assert repro_model_digests() == got
 
 
 _SKETCH_PROBE = """
-import hashlib, json, os, sys, threading
+import hashlib, json, os, sys
 if len(sys.argv) > 1:
     os.sched_setaffinity(0, {int(sys.argv[1])})  # before numpy sizes its BLAS pool
 from ratapprox import OMEGA, h_of_s, linalg, loewner, sample_oracle, structured_grid, uniform_random_grid
 from ratapprox.analysis import FIT_DEFAULTS, fit
 from ratapprox.serialize import model_to_dict
 
-threads = set()
-sketch_svd = linalg.sketch_svd
-
-def spy(a, omega):
-    threads.add(threading.current_thread().name)
-    return sketch_svd(a, omega)
-
-linalg.sketch_svd = spy
 digest = hashlib.sha256()
 for points in (structured_grid(OMEGA, 101, 21), uniform_random_grid(OMEGA, 300, 0)):
     samples = sample_oracle(points, h_of_s)
@@ -425,67 +575,68 @@ for points in (structured_grid(OMEGA, 101, 21), uniform_random_grid(OMEGA, 300, 
     for setting in ({"order": 11}, {"tol": 1e-11}):
         red = loewner.truncate(pencil, **setting)
         m = red.model
-        for array in (m.E, m.A, m.B, m.C, red.singular_values, red.singular_values_stacked, red.Y, red.X):
+        for array in (m.E, m.A, m.B, m.C, red.singular_values, red.Y, red.X):
             digest.update(array.tobytes())
     for method in FIT_DEFAULTS:
         digest.update(json.dumps(model_to_dict(fit(method, samples)[0])).encode())
-helped = any(name.startswith("ratapprox-eval") for name in threads)
-print(int(helped), linalg._cpu_count(), digest.hexdigest())
+# the recursive fit's rankings of more than one batch start the helper pool where there is a second CPU
+print(int(linalg._pool is not None), linalg._cpu_count(), digest.hexdigest())
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 @pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
                     reason="needs two CPUs")
-def test_shared_sketches_give_the_bytes_of_one_cpu():
+def test_fits_give_the_bytes_of_one_cpu():
     src = str(Path(ratapprox.__file__).resolve().parents[1])
 
     def probe(*args):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
         done = subprocess.run([sys.executable, "-c", _SKETCH_PROBE, *args], env=env, capture_output=True,
                               text=True, timeout=300, check=True)
-        helped, cpus, digest = done.stdout.split()
-        return int(helped), int(cpus), digest
+        pooled, cpus, digest = done.stdout.split()
+        return int(pooled), int(cpus), digest
 
-    helped, cpus, pinned_digest = probe(str(min(os.sched_getaffinity(0))))
-    assert (helped, cpus) == (0, 1)
-    helped, cpus, digest = probe()
-    assert helped == 1 and cpus >= 2
+    pooled, cpus, pinned_digest = probe(str(min(os.sched_getaffinity(0))))
+    assert (pooled, cpus) == (0, 1)
+    pooled, cpus, digest = probe()
+    assert pooled == 1 and cpus >= 2
     assert digest == pinned_digest
 
 
 _MEMORY_PROBE = """
-import resource
 from ratapprox import OMEGA, build_pencil, h_of_s, partition, sample_oracle, structured_grid, truncate
 
-def rss_kb():
+def status_kb(field):
     with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmRSS:"))
+        return next(int(line.split()[1]) for line in status if line.startswith(field + ":"))
 
 part = partition(sample_oracle(structured_grid(OMEGA, 101, 41), h_of_s))
-before = rss_kb()
+before = status_kb("VmRSS")
 pencil = build_pencil(part)
 q, k = pencil.shape
 truncate(pencil, order=11)
-after_order = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+after_order = status_kb("VmHWM")
 truncate(pencil, tol=1e-11)
-after_tol = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+after_tol = status_kb("VmHWM")
 print(q, k, before, after_order, after_tol)
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc for VmRSS")
-def test_fit_holds_at_most_five_pencil_sized_arrays():
+def test_fit_holds_at_most_four_pencil_sized_arrays():
     # N = 4,141 samples: a 2070 x 2071 pencil, 65 MB per complex array.  The pencil
-    # itself is two of them ([L, Ls]); the adjoint written for the column sketch two more.
+    # itself is two of them ([L, Ls]); x L - Ls, written for the sketch, one more.
+    # The peak is the child's own VmHWM: its ru_maxrss would also hold the peak of
+    # this test process, which Linux keeps across the child's exec.
     src = str(Path(ratapprox.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=300, check=True)
     q, k, before, after_order, after_tol = map(int, done.stdout.split())
     assert (q, k) == (2070, 2071)
-    unit_kb = q * k * 16 / 1024  # ru_maxrss and VmRSS are in kB
-    assert (after_order - before) / unit_kb <= 5
-    assert (after_tol - before) / unit_kb <= 5
+    unit_kb = q * k * 16 / 1024  # VmRSS and VmHWM are in kB
+    assert (after_order - before) / unit_kb <= 4
+    assert (after_tol - before) / unit_kb <= 4
 
 
 class TestPolesZeros:

@@ -110,6 +110,15 @@ class TestEval:
                 model.eval(where)
             assert info.value.point == pole
 
+    def test_order_1_point_has_the_same_bits_alone_and_in_a_batch(self):
+        # numpy multiplies a (1, 1) array by a (1,) one in another loop than every other
+        # shape; with one pole and one point that product gave -1 - 1.0000000000000002j
+        model = PoleResidueModel(poles=[2.0 + 1.0j], residues=[1.0 + 3.0j], d=0.0, h=0.0)
+        alone = np.array([model.eval(0j)])
+        assert alone.tobytes() == np.array([-1.0 - 1.0j]).tobytes()
+        for n in (1, 2, 5):
+            assert model.eval(np.zeros(n)).tobytes() == np.repeat(alone, n).tobytes()
+
     def test_overflowing_sum_is_infinite_without_a_warning(self):
         model = PoleResidueModel(poles=[1 + 1j, 1 - 1j], residues=[1e308, 1e308], d=0.0, h=0.0)
         with warnings.catch_warnings():
