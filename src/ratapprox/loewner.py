@@ -583,14 +583,14 @@ def truncate(
         shift = None
         rows = linalg.svd(pencil.row_concat)
         sigma = rows.singular_values
-        order = _checked_order(sigma, order, tol, q, k)
+        order = _checked_order(sigma, order, tol, min(q, k))
         Y = rows.U[:, :order]
         X = linalg.leading_svd(_column_adjoint(pencil), order + _OVERSAMPLE, rng).U[:, :order]
     else:
         shift = _shift(pencil)
         shifted = _shifted_svd(pencil, shift, width, tol, rng)
         sigma = shifted.singular_values
-        order = _checked_order(sigma, order, tol, q, k)
+        order = _checked_order(sigma, order, tol, min(q, k))
         Y, X = shifted.U[:, :order], shifted.V[:, :order]
     Lh, Lsh, Vh, Wh = _project(pencil, Y, X)
     # -(Y* L X), not (-Y*) L X: the two differ in the sign of exact zeros
@@ -605,14 +605,17 @@ def truncate(
     )
 
 
-def _checked_order(sigma: np.ndarray, order: int | None, tol: float | None, q: int, k: int) -> int:
-    """``order``, or the order ``tol`` picks from ``sigma``; ``RankError`` above the numerical rank."""
+def _checked_order(sigma: np.ndarray, order: int | None, tol: float | None, largest: int) -> int:
+    """``order``, or the order up to ``largest`` that ``tol`` picks from ``sigma``.
+
+    ``RankError`` where that order exceeds the numerical rank.
+    """
     if sigma[0] == 0.0:
         raise RankError("pencil has rank zero: all samples identical?")
     if tol is not None:
         below = np.nonzero(sigma / sigma[0] <= tol)[0]
-        order = int(below[0]) if below.size else min(q, k)
-        order = max(1, min(order, min(q, k)))
+        order = int(below[0]) if below.size else largest
+        order = max(1, min(order, largest))
     if sigma[order - 1] / sigma[0] < RANK_GUARD:
         numerical_rank = int(np.sum(sigma / sigma[0] >= RANK_GUARD))
         raise RankError(

@@ -267,7 +267,7 @@ def two_sided_truncation(pencil, order=None, tol=None):
         if tol is None or sigma[-1] <= tol * sigma[0] or sigma.size == min(rows.shape):
             break
         width *= 2
-    order = loewner._checked_order(sigma, order, tol, *pencil.shape)  # with its rank guard
+    order = loewner._checked_order(sigma, order, tol, min(pencil.shape))  # with its rank guard
     svd_cols = linalg.leading_svd(np.hstack([pencil.L.conj().T, pencil.Ls.conj().T]),
                                   order + loewner._OVERSAMPLE, rng)
     Y, X = svd_rows.U[:, :order], svd_cols.U[:, :order]
@@ -285,7 +285,7 @@ def shifted_truncation(pencil, shift, order=None, tol=None):
         if tol is None or sigma[-1] <= tol * sigma[0] or sigma.size == min(shifted.shape):
             break
         width *= 2
-    order = loewner._checked_order(sigma, order, tol, *pencil.shape)  # with its rank guard
+    order = loewner._checked_order(sigma, order, tol, min(pencil.shape))  # with its rank guard
     Y, X = res.U[:, :order], res.V[:, :order]
     return projection(pencil, Y, X) + (sigma, Y, X)
 
@@ -384,7 +384,8 @@ class TestSketchedTruncation:
         with pytest.raises(RankError) as info:
             truncate(pencil, order=5)  # a sketch of 25 columns of the 100 x 100 x L - Ls
         assert info.value.rank == 2
-        assert str(info.value).startswith("order 5 exceeds the numerical rank 2 of the data (sigma_5/sigma_1 = ")
+        assert str(info.value).startswith(
+            "order 5 exceeds the numerical rank 2 of the data (sigma_5/sigma_1 = ")
 
     def test_an_svd_error_keeps_its_type(self, monkeypatch):
         samples, *_ = rational_samples(4, 3, n_pairs=120)
@@ -489,7 +490,7 @@ class TestShift:
         # the off-pole maxima of the two-sided projection, one BLAS thread, numpy 2.4.6, scipy 1.17.1
         two_sided = {"structured": 2.687e-10, "uniform": 2.909e-10}
         shifts = {"zero": lambda pencil: 0.0,
-                  "mean real part": lambda pencil: float(np.mean(np.concatenate([pencil.mu, pencil.lam]).real))}
+                  "mean real part": lambda pencil: float(np.concatenate([pencil.mu, pencil.lam]).real.mean())}
         if rule in shifts:
             monkeypatch.setattr(loewner, "_shift", shifts[rule])
         pencils, truth, off_pole = repro_fits
@@ -501,7 +502,8 @@ class TestShift:
     def test_a_shift_on_a_pole_of_the_data_loses_a_direction(self):
         # 1/(s + 2) plus a conjugate pair; the samples of smallest |value| sit at -2 +- 200i
         f = lambda s: 1.0 / (s + 2.0) + (1.0 + 1.0j) / (s - 4.0 - 2.0j) + (1.0 - 1.0j) / (s - 4.0 + 2.0j)
-        upper = np.random.default_rng(3).uniform(0.0, 10.0, 60) + 1j * np.random.default_rng(4).uniform(0.1, 1.0, 60)
+        rng = np.random.default_rng(3)
+        upper = rng.uniform(0.0, 10.0, 60) + 1j * rng.uniform(0.1, 1.0, 60)
         upper = np.append(upper, -2.0 + 200.0j)
         samples = sample_oracle(np.concatenate([upper, upper.conj()]), f)
         pencil = build_pencil(partition(samples))
