@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aaa, greedy, linalg, loewner, vectorfit
-from .errors import PoleError, RatApproxError, SettingError, check_count
+from .errors import PoleError, RatApproxError, SampleError, SettingError, check_count
 from .sampling import Domain, SampleSet, write_csv
 
 
@@ -76,22 +76,31 @@ def oracle_grid(oracle, domain: Domain, nx: int, ny: int) -> OracleGrid:
     :func:`~ratapprox.special.h_on_grid`.  Any other oracle is swept over the
     points in batches; a batch whose call raises ``PoleError`` is evaluated
     again point by point, and a point that raises is NaN.  An nx or ny
-    that is not an integer of at least 2 raises ``SettingError``.
+    that is not an integer of at least 2 raises ``SettingError``; a grid
+    surface or a batch of values of another shape than its points raises
+    ``SampleError``.
     """
     check_count("nx", nx, 2)
     check_count("ny", ny, 2)
     pts = _grid_points(domain, nx, ny)
     on_grid = getattr(oracle, "on_grid", None)
     if on_grid is not None:
-        values = np.asarray(on_grid(*_grid_axes(domain, nx, ny)), dtype=complex).ravel()
+        surface = np.asarray(on_grid(*_grid_axes(domain, nx, ny)), dtype=complex)
+        _require_shape(surface, (ny, nx))
+        values = surface.ravel()
     else:
         values = linalg.eval_chunked(lambda chunk: _sweep(oracle, chunk), pts)
     return OracleGrid(domain=domain, nx=nx, ny=ny, points=pts, values=values, excluded=~np.isfinite(values))
 
 
+def _require_shape(values: np.ndarray, shape: tuple) -> None:
+    if values.shape != shape:
+        raise SampleError(f"oracle gave values of shape {values.shape} for points of shape {shape}")
+
+
 def _sweep(oracle, chunk: np.ndarray) -> np.ndarray:
     try:
-        return np.asarray(oracle(chunk), dtype=complex)
+        vals = np.asarray(oracle(chunk), dtype=complex)
     except PoleError:
         # rare path: pin down the offending points one by one
         vals = np.empty(chunk.size, dtype=complex)
@@ -101,6 +110,8 @@ def _sweep(oracle, chunk: np.ndarray) -> np.ndarray:
             except PoleError:
                 vals[k] = np.nan
         return vals
+    _require_shape(vals, chunk.shape)
+    return vals
 
 
 def model_error(model, truth: OracleGrid, method_tag: str = "") -> ErrorReport:

@@ -10,10 +10,6 @@ real parameters.
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +27,8 @@ INFINITY_CUTOFF = 1e8
 RESIDUAL_TOL = 1e-6
 
 #: Points per batch in :func:`eval_chunked`.  A state-space batch holds
-#: chunk * r * r complex numbers per work array (about 4 MB at r = 11), and
-#: every evaluating thread holds one batch.
+#: chunk * r * r complex numbers per work array (about 4 MB at r = 11).
 _EVAL_CHUNK = 2048
-
-#: Helper threads of :func:`eval_chunked`, created on first use.
-_pool = None
-_pool_lock = threading.Lock()
 
 
 @dataclass
@@ -117,31 +108,20 @@ def eval_chunked(kernel, s):
     """Evaluate ``kernel`` at the points ``s`` in batches of ``_EVAL_CHUNK``.
 
     ``kernel`` maps a 0-d or 1-D complex array of points to values of its
-    shape.  Scalar ``s`` goes to ``kernel`` as a 0-d array on the calling
-    thread, with no batching, and gives a Python complex.  Array ``s`` gives
-    a complex array of its shape: its points are raveled into batches, spread
-    over the calling thread and one helper thread per further CPU in this
-    process's affinity mask (``taskset -c 0`` gives no helper); each value
-    depends only on its own batch, so the result does not depend on the
-    number of threads.  When batches raise, the exception of the first
-    failing batch is raised, as in a serial loop.  Points that fit in one
-    batch go to ``kernel`` at once on the calling thread, so the nested
-    single-batch calls made by kernels never touch the pool.
+    shape.  Scalar ``s`` goes to ``kernel`` as a 0-d array, with no
+    batching, and gives a Python complex.  Array ``s`` gives a complex array
+    of its shape: its points are raveled and passed to ``kernel`` one batch
+    at a time, in order, on the calling thread.  Each value depends only on
+    its own batch, and an exception propagates from the first failing batch.
+    Empty ``s`` calls no kernel.
     """
     s = np.asarray(s, dtype=complex)
     if s.ndim == 0:
         return complex(kernel(s))
     pts = s.ravel()
-    starts = range(0, pts.size, _EVAL_CHUNK)
-    if len(starts) == 1:
-        out = np.asarray(kernel(pts), dtype=complex)
-    else:
-        out = np.empty(pts.size, dtype=complex)
-
-        def run(lo):
-            out[lo : lo + _EVAL_CHUNK] = kernel(pts[lo : lo + _EVAL_CHUNK])
-
-        _share(run, starts)
+    out = np.empty(pts.size, dtype=complex)
+    for lo in range(0, pts.size, _EVAL_CHUNK):
+        out[lo : lo + _EVAL_CHUNK] = kernel(pts[lo : lo + _EVAL_CHUNK])
     return out.reshape(s.shape)
 
 
@@ -169,70 +149,6 @@ def cauchy_sum(diff: np.ndarray, residues) -> np.ndarray:
 def pole_residue_sum(points: np.ndarray, poles: np.ndarray, residues: np.ndarray) -> np.ndarray:
     """``sum_j residues[j] / (points - poles[j])`` at each of the ``points``, by :func:`cauchy_sum`."""
     return cauchy_sum(points[..., None] - poles, residues)
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _helper_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _cpu_count() - 1), thread_name_prefix="ratapprox-eval")
-        return _pool
-
-
-def _share(run, starts: range) -> None:
-    """Call ``run(lo)`` for every ``lo`` in ``starts`` on this thread and helper threads.
-
-    This thread takes the first start before any helper is asked, then all
-    threads take starts from one iterator in order; after a failure no
-    thread takes a new start.  Every start before a failing one has been
-    taken, so once the started calls have returned, the exception of the
-    smallest failing start is the one a serial loop would raise.
-    """
-    helpers = min(_cpu_count(), len(starts)) - 1
-    if helpers <= 0:
-        for lo in starts:
-            run(lo)
-        return
-    todo = iter(starts)
-    lock = threading.Lock()
-    stop = threading.Event()
-    failed = {}
-
-    def take():
-        with lock:
-            return None if stop.is_set() else next(todo, None)
-
-    def work(lo):
-        while lo is not None:
-            try:
-                run(lo)
-            except Exception as exc:  # noqa: BLE001 - re-raised below, in start order
-                failed[lo] = exc
-                stop.set()
-            lo = take()
-
-    first = take()
-    pool = _helper_pool()
-    # each helper runs in a copy of the caller's context, which holds numpy's errstate
-    futures = [pool.submit(contextvars.copy_context().run, lambda: work(take())) for _ in range(helpers)]
-    try:
-        work(first)
-    finally:
-        stop.set()
-        for future in futures:
-            # a helper that never started (pool busy, e.g. with the caller's
-            # own outer evaluation) is not waited for: its starts are all taken
-            if not future.cancel():
-                future.result()
-    if failed:
-        raise failed[min(failed)]
 
 
 def least_squares(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -152,7 +152,7 @@ class StateSpaceModel:
 
         Raises ``PoleError`` when sE - A is singular at some requested point.
         """
-        modal = self.modal  # on the calling thread, before the batches are shared out
+        modal = self.modal
         if modal is None:
             return self.solve(s)
 
@@ -561,8 +561,8 @@ def truncate(
     recursive Loewner fit's pencils are of this size; its greedy ranking
     follows the last bits of its models.
 
-    Every sketch is seeded afresh from a fixed seed on every call and runs
-    on the calling thread, so equal pencils give equal bytes.
+    Every sketch is seeded afresh from a fixed seed on every call, so equal
+    pencils give equal bytes.
 
     An ``order`` that is not an integer of at least 1 raises
     ``SettingError``; one above min(q, k) or above the numerical rank of

@@ -144,7 +144,7 @@ def h_on_grid(xs, ys) -> np.ndarray:
     at once, and the number of terms K follows the grid's largest |x| and
     |y|.  The values agree with :func:`h_of_s` to about 1e-14 relative in
     J0.  A point where |J0| < ``POLE_THRESHOLD`` is NaN instead of raising
-    ``PoleError``.
+    ``PoleError``.  An empty axis gives an empty surface.
 
     Raises
     ------
@@ -154,6 +154,8 @@ def h_on_grid(xs, ys) -> np.ndarray:
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if xs.size == 0 or ys.size == 0:
+        return np.empty((ys.size, xs.size), dtype=complex)
     corner = np.array([complex(xs[np.argmax(np.abs(xs))], ys[np.argmax(np.abs(ys))])], dtype=np.clongdouble)
     _require_in_disc(corner, np.abs(corner))
     terms = _neumann_terms(abs(corner[0].real), abs(corner[0].imag))

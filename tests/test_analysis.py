@@ -13,6 +13,7 @@ from ratapprox import (
     InsufficientDataError,
     PoleError,
     RatApproxError,
+    SampleError,
     SampleSet,
     SettingError,
     build_pencil,
@@ -20,6 +21,7 @@ from ratapprox import (
     detect_cancellations,
     error_grid,
     h_of_s,
+    h_on_grid,
     match_known_zeros,
     partition,
     truncate,
@@ -73,6 +75,21 @@ class TestErrorGrid:
         assert report.n_excluded == 1
         assert np.isnan(report.errors).sum() == 1
         assert report.max_error <= 1e-15
+
+    # a 10 x 10 grid is one batch of the sweep, a 100 x 100 grid five
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_one_value_for_every_batch_is_a_sample_error(self, n):
+        with pytest.raises(SampleError, match=r"shape \(\)"):
+            oracle_grid(lambda s: 1 + 0j, OMEGA, n, n)
+
+    @pytest.mark.parametrize("reshape", [np.transpose, np.ravel], ids=["transposed", "flat"])
+    def test_a_grid_surface_of_another_shape_is_a_sample_error(self, reshape):
+        def oracle(s):
+            return h_of_s(s)
+
+        oracle.on_grid = lambda xs, ys: reshape(h_on_grid(xs, ys))
+        with pytest.raises(SampleError, match="shape"):
+            oracle_grid(oracle, OMEGA, 10, 5)
 
     def test_csv_and_svg_outputs(self, tmp_path):
         report = error_grid(h_of_s, h_of_s, OMEGA, 20, 10)

@@ -1,8 +1,6 @@
 import os
 import subprocess
 import sys
-import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -250,29 +248,14 @@ class TestConjugatePairs:
 
 
 @pytest.fixture
-def pooled(monkeypatch):
-    """Batches of 7 points shared by the calling thread and 3 helpers of a pool of this test's own."""
+def batches_of_7(monkeypatch):
+    """Batches of 7 points."""
     monkeypatch.setattr(linalg, "_EVAL_CHUNK", 7)
-    monkeypatch.setattr(linalg, "_cpu_count", lambda: 4)
-    monkeypatch.setattr(linalg, "_pool", None)
-    yield
-    if linalg._pool is not None:
-        linalg._pool.shutdown(wait=True)
 
 
 def serial(evaluate, pts):
     """The reference: one single-batch call per batch, joined."""
     return np.concatenate([evaluate(pts[lo : lo + 7]) for lo in range(0, pts.size, 7)])
-
-
-def finish_within(seconds, fn):
-    """Run ``fn`` on its own thread and return its result, failing if it has not returned in time."""
-    box = []
-    worker = threading.Thread(target=lambda: box.append(fn()), daemon=True)
-    worker.start()
-    worker.join(timeout=seconds)
-    assert not worker.is_alive(), f"no result within {seconds} s"
-    return box[0]
 
 
 def three_model_forms():
@@ -289,13 +272,11 @@ def three_model_forms():
     ]
 
 
-def spiky_oracle(poles, slow_point=None):
+def spiky_oracle(poles):
     """1/(s - 50), raising PoleError for any batch that holds one of ``poles``."""
 
     def oracle(s):
         s = np.asarray(s, dtype=complex)
-        if slow_point is not None and np.any(s == slow_point):
-            time.sleep(0.05)  # this batch finishes after the ones taken later
         hit = np.isin(s, poles)
         if np.any(hit):
             raise PoleError("pole", point=complex(s[hit][0]) if s.ndim else complex(s))
@@ -330,9 +311,9 @@ def test_cauchy_sum_of_a_stack_and_of_one_point_equal_its_rows_bitwise():
 FORMS = ["state_space", "barycentric", "pole_residue"]
 
 
-class TestPooledEval:
+class TestBatchedEval:
     @pytest.mark.parametrize("model", three_model_forms(), ids=FORMS)
-    def test_equals_serial_loop_bitwise(self, pooled, model):
+    def test_equals_serial_loop_bitwise(self, batches_of_7, model):
         pts = random_complex(np.random.default_rng(6), 100, 1).ravel()
         got = model.eval(pts.reshape(4, 25))
         assert got.shape == (4, 25)
@@ -342,7 +323,7 @@ class TestPooledEval:
         assert model.eval(pts[12:14].reshape(2, 1)).tobytes() == got.ravel()[12:14].tobytes()
         assert model.eval(complex(pts[40])) == got.ravel()[40]
 
-    def test_one_batch_is_one_kernel_call(self, pooled):
+    def test_one_batch_is_one_kernel_call(self, batches_of_7):
         calls = []
 
         def kernel(chunk):
@@ -356,55 +337,30 @@ class TestPooledEval:
         assert linalg.eval_chunked(kernel, np.array([], dtype=complex)).shape == (0,)
         assert calls == [6]  # an empty input calls no kernel
 
-    def test_oracle_grid_equals_serial_run(self, pooled, monkeypatch):
+    def test_oracle_grid_marks_only_the_poles(self, batches_of_7):
         # 11 x 3 grid over [0, 10] x [-1, 1]: 2 - 1j is index 2 (batch 0),
-        # 5 + 0j is index 16 (batch 2); batch 0 is made to finish last
+        # 5 + 0j is index 16 (batch 2); both batches are evaluated point by point
         poles = np.array([2 - 1j, 5 + 0j])
-        grid = oracle_grid(spiky_oracle(poles, slow_point=0 - 1j), OMEGA, 11, 3)
+        grid = oracle_grid(spiky_oracle(poles), OMEGA, 11, 3)
         assert np.flatnonzero(grid.excluded).tolist() == [2, 16]
         assert np.flatnonzero(np.isnan(grid.values)).tolist() == [2, 16]
-        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)
-        ref = oracle_grid(spiky_oracle(poles), OMEGA, 11, 3)
-        assert np.array_equal(grid.excluded, ref.excluded)
-        assert grid.values.tobytes() == ref.values.tobytes()
+        kept = ~grid.excluded
+        assert grid.values[kept].tobytes() == (1.0 / (grid.points[kept] - 50.0)).tobytes()
 
-    def test_earliest_failing_batch_raises(self, pooled):
+    def test_earliest_failing_batch_raises(self, batches_of_7):
         pts = np.arange(40, dtype=complex)
-        # batch 1 (points 7..13) fails late, batch 4 (points 28..34) at once
+        # batch 1 (points 7..13) and batch 4 (points 28..34) fail
         with pytest.raises(PoleError) as info:
-            linalg.eval_chunked(spiky_oracle([30, 10], slow_point=7), pts)
+            linalg.eval_chunked(spiky_oracle([30, 10]), pts)
         assert info.value.point == 10
 
-    def test_helpers_keep_the_callers_errstate(self, pooled):
-        seen = []
-
-        def kernel(chunk):
-            time.sleep(0.01)  # long enough for the helpers to take batches too
-            seen.append((threading.get_ident(), np.geterr()["divide"]))
-            return chunk
-
-        with np.errstate(divide="raise"):
-            linalg.eval_chunked(kernel, np.arange(42, dtype=complex))
-        assert len({ident for ident, _ in seen}) > 1
-        assert {mode for _, mode in seen} == {"raise"}
-
-    def test_model_eval_as_oracle_does_not_deadlock(self, pooled):
+    def test_model_eval_as_oracle_equals_serial_run(self, batches_of_7):
         model = three_model_forms()[0]
-        grid = finish_within(60, lambda: oracle_grid(model.eval, OMEGA, 13, 9))
+        grid = oracle_grid(model.eval, OMEGA, 13, 9)
         assert grid.values.tobytes() == serial(model.eval, grid.points).tobytes()
         assert not grid.excluded.any()
 
-    def test_single_batch_starts_no_thread(self, pooled):
-        model = three_model_forms()[0]
-        before = threading.active_count()
-        model.eval(np.arange(7, dtype=complex))
-        model.eval(3.0)
-        assert linalg._pool is None
-        assert threading.active_count() == before
-
-    def test_every_batch_evaluated_once_under_contention(self, pooled, monkeypatch):
-        # more threads than cores and a short switch interval
-        monkeypatch.setattr(linalg, "_cpu_count", lambda: 8)
+    def test_every_batch_evaluated_once_in_order(self, monkeypatch):
         monkeypatch.setattr(linalg, "_EVAL_CHUNK", 3)
         seen = []
 
@@ -413,13 +369,8 @@ class TestPooledEval:
             return chunk * 2 + 1
 
         pts = np.arange(3000, dtype=complex)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = finish_within(60, lambda: linalg.eval_chunked(kernel, pts))
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(seen) == list(range(0, 3000, 3))
+        got = linalg.eval_chunked(kernel, pts)
+        assert seen == list(range(0, 3000, 3))
         assert np.array_equal(got, pts * 2 + 1)
 
 
@@ -449,15 +400,20 @@ class TestScalarEval:
         assert model.eval(np.empty((0, 3), dtype=complex)).shape == (0, 3)
 
     @pytest.mark.parametrize("model", three_model_forms(), ids=FORMS)
-    def test_a_scalar_never_reaches_the_pool(self, pooled, monkeypatch, model):
-        shared = []
-        share = linalg._share
-        monkeypatch.setattr(linalg, "_share", lambda run, starts: (shared.append(starts), share(run, starts)))
+    def test_a_scalar_reaches_the_kernel_once_as_a_0d_array(self, batches_of_7, monkeypatch, model):
+        shapes = []
+        eval_chunked = linalg.eval_chunked
+
+        def spy(kernel, s):
+            return eval_chunked(lambda chunk: (shapes.append(chunk.shape), kernel(chunk))[1], s)
+
+        monkeypatch.setattr(linalg, "eval_chunked", spy)
         model.eval(np.arange(20, dtype=complex))
-        assert shared == [range(0, 20, 7)]  # the spy sees the batches of an array
+        assert shapes == [(7,), (7,), (6,)]  # the spy sees the batches of an array
         for z in (0.5 + 0.25j, np.complex128(2.0), np.asarray(1.5j)):
+            shapes.clear()
             model.eval(z)
-        assert shared == [range(0, 20, 7)]
+            assert shapes == [()]
 
 
 NON_FINITE = [complex(np.nan, 0.0), complex(np.nan, 1.0), complex(np.inf, 0.0)]
@@ -499,25 +455,24 @@ model = loewner.StateSpaceModel(E=np.eye(3), A=np.diag([1j, 2j, 3j]), B=np.ones(
 pts = np.linspace(0, 10, 5 * linalg._EVAL_CHUNK) + 0.5j
 before = tasks()
 vals = model.eval(pts)
-print(tasks() - before, linalg._cpu_count(), hashlib.sha256(vals.tobytes()).hexdigest())
+print(tasks() - before, len(os.sched_getaffinity(0)), hashlib.sha256(vals.tobytes()).hexdigest())
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads")
-def test_cpu_affinity_sets_evaluation_threads():
+def test_evaluation_starts_no_thread_pinned_or_not():
     src = str(Path(ratapprox.__file__).resolve().parents[1])
 
     def probe(*args):
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run([sys.executable, "-c", _THREAD_PROBE, *args], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        started, threads, digest = done.stdout.split()
-        return int(started), int(threads), digest
+        started, cpus, digest = done.stdout.split()
+        return int(started), int(cpus), digest
 
-    started, threads, pinned_digest = probe(str(min(os.sched_getaffinity(0))))
-    assert (started, threads) == (0, 1)
-    started, threads, digest = probe()
-    assert threads == linalg._cpu_count()
-    assert (started == 0) if threads == 1 else (1 <= started <= threads - 1)
+    started, cpus, pinned_digest = probe(str(min(os.sched_getaffinity(0))))
+    assert (started, cpus) == (0, 1)
+    started, cpus, digest = probe()
+    assert (started, cpus) == (0, len(os.sched_getaffinity(0)))
     assert digest == pinned_digest

@@ -514,19 +514,6 @@ class TestShift:
         assert truncate(pencil, tol=1e-10).model.order == 2
 
 
-class TestNoSharedWork:
-    def test_truncate_never_shares_work(self, monkeypatch):
-        # as on a host with two CPUs
-        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
-        shared = []
-        monkeypatch.setattr(linalg, "_share", lambda run, starts: shared.append(starts))
-        samples, *_ = rational_samples(4, 3, n_pairs=120)
-        pencil = build_pencil(partition(samples))
-        for setting in ({"order": 4}, {"tol": 1e-10}):
-            assert truncate(pencil, **setting).shift is not None
-        assert shared == []
-
-
 def repro_model_digests():
     """Digests of the recursive-Loewner, AAA and VF models on both repro grids, seeds 0 to 3."""
     digests = []
@@ -566,7 +553,7 @@ _SKETCH_PROBE = """
 import hashlib, json, os, sys
 if len(sys.argv) > 1:
     os.sched_setaffinity(0, {int(sys.argv[1])})  # before numpy sizes its BLAS pool
-from ratapprox import OMEGA, h_of_s, linalg, loewner, sample_oracle, structured_grid, uniform_random_grid
+from ratapprox import OMEGA, h_of_s, loewner, sample_oracle, structured_grid, uniform_random_grid
 from ratapprox.analysis import FIT_DEFAULTS, fit
 from ratapprox.serialize import model_to_dict
 
@@ -581,8 +568,7 @@ for points in (structured_grid(OMEGA, 101, 21), uniform_random_grid(OMEGA, 300, 
             digest.update(array.tobytes())
     for method in FIT_DEFAULTS:
         digest.update(json.dumps(model_to_dict(fit(method, samples)[0])).encode())
-# the recursive fit's rankings of more than one batch start the helper pool where there is a second CPU
-print(int(linalg._pool is not None), linalg._cpu_count(), digest.hexdigest())
+print(len(os.sched_getaffinity(0)), digest.hexdigest())
 """
 
 
@@ -596,13 +582,13 @@ def test_fits_give_the_bytes_of_one_cpu():
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
         done = subprocess.run([sys.executable, "-c", _SKETCH_PROBE, *args], env=env, capture_output=True,
                               text=True, timeout=300, check=True)
-        pooled, cpus, digest = done.stdout.split()
-        return int(pooled), int(cpus), digest
+        cpus, digest = done.stdout.split()
+        return int(cpus), digest
 
-    pooled, cpus, pinned_digest = probe(str(min(os.sched_getaffinity(0))))
-    assert (pooled, cpus) == (0, 1)
-    pooled, cpus, digest = probe()
-    assert pooled == 1 and cpus >= 2
+    cpus, pinned_digest = probe(str(min(os.sched_getaffinity(0))))
+    assert cpus == 1
+    cpus, digest = probe()
+    assert cpus >= 2
     assert digest == pinned_digest
 
 

@@ -287,6 +287,11 @@ class TestGridMethod:
         with pytest.raises(EvaluationDomainError, match="not finite"):
             h_on_grid(np.array([1.0, 2.0]), np.array([0.0, np.inf]))
 
+    @pytest.mark.parametrize(("xs", "ys"), [([], [0.0]), ([1.0, 2.0], []), ([], [])])
+    def test_an_empty_axis_gives_an_empty_surface(self, xs, ys):
+        got = h_on_grid(xs, ys)
+        assert got.shape == (len(ys), len(xs)) and got.dtype == complex
+
 
 _GRID_PROBE = """
 import hashlib, os, sys
