@@ -93,9 +93,9 @@ def oracle_grid(oracle, domain: Domain, nx: int, ny: int) -> OracleGrid:
     return OracleGrid(domain=domain, nx=nx, ny=ny, points=pts, values=values, excluded=~np.isfinite(values))
 
 
-def _require_shape(values: np.ndarray, shape: tuple) -> None:
+def _require_shape(values: np.ndarray, shape: tuple, source: str = "oracle") -> None:
     if values.shape != shape:
-        raise SampleError(f"oracle gave values of shape {values.shape} for points of shape {shape}")
+        raise SampleError(f"{source} gave values of shape {values.shape} for points of shape {shape}")
 
 
 def _sweep(oracle, chunk: np.ndarray) -> np.ndarray:
@@ -117,10 +117,12 @@ def _sweep(oracle, chunk: np.ndarray) -> np.ndarray:
 def model_error(model, truth: OracleGrid, method_tag: str = "") -> ErrorReport:
     """Error surface of ``model`` against oracle values already on a grid.
 
-    ``model`` is any callable, as every model form is.
+    ``model`` is any callable, as every model form is.  Values of another
+    shape than the grid's points raise ``SampleError``.
     """
     pts = truth.points
     approx = np.asarray(model(pts), dtype=complex)
+    _require_shape(approx, pts.shape, f"model {method_tag}".rstrip())
     err = np.abs(approx - truth.values)
     err[truth.excluded] = np.nan
     finite = np.where(truth.excluded, -np.inf, err)
@@ -357,8 +359,9 @@ def _ramp_color(t: float) -> str:
 def write_heatmap_svg(report: ErrorReport, path) -> None:
     """Log10 error heatmap; the surface is block-averaged down to ``HEATMAP_CELLS``.
 
-    The colour ramp runs from the decade below the smallest block mean to
-    the decade above the largest, both printed in the legend.
+    The colour ramp runs from the decade below the smallest finite block
+    mean to the decade above the largest, both printed in the legend; an
+    infinite block takes the top colour.
     """
     err = report.errors.reshape(report.ny, report.nx)
     bx = max(1, int(np.ceil(report.nx / HEATMAP_CELLS[0])))
@@ -373,9 +376,11 @@ def write_heatmap_svg(report: ErrorReport, path) -> None:
     if np.all(np.isnan(logs)):
         # zero or fully excluded surface: render flat at a nominal floor
         logs = np.full_like(logs, -16.0)
-    # the ramp spans whole decades, so a change within a decade recolours only its own cells
-    lo = int(np.floor(np.nanmin(logs)))
-    hi = max(int(np.ceil(np.nanmax(logs))), lo + 1)
+    # the ramp spans whole decades, so a change within a decade recolours only its own cells;
+    # it spans the finite blocks, from the floor when every block is infinite
+    finite = logs[np.isfinite(logs)] if np.isfinite(logs).any() else np.array([-16.0])
+    lo = int(np.floor(finite.min()))
+    hi = max(int(np.ceil(finite.max())), lo + 1)
     span = hi - lo
     cell_w, cell_h = 4, 4
     width = nx_c * cell_w

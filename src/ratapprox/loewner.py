@@ -81,26 +81,17 @@ class DataPartition:
 class LoewnerPencil:
     """The pencil (L, Ls) with its defining data.
 
-    The pencil is held once, as the row concatenation ``row_concat = [L, Ls]``
-    of shape (q, 2k); ``L`` and ``Ls`` are views of its two halves.
     Direction vectors are all ones in the scalar (SISO) setting; they appear
     only in the Sylvester identities of :func:`sylvester_residual` and
     :func:`projected_points`.
     """
 
-    row_concat: np.ndarray
+    L: np.ndarray
+    Ls: np.ndarray
     V: np.ndarray
     W: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
-
-    @property
-    def L(self) -> np.ndarray:
-        return self.row_concat[:, : self.lam.size]
-
-    @property
-    def Ls(self) -> np.ndarray:
-        return self.row_concat[:, self.lam.size :]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -487,23 +478,17 @@ def _check_scheme(scheme) -> None:
 
 
 def build_pencil(part: DataPartition) -> LoewnerPencil:
-    """Assemble the Loewner pencil from a partition by the divided-difference formulas.
-
-    L and Ls are computed in place in the two halves of one (q, 2k) array.
-    """
+    """Assemble the Loewner pencil from a partition by the divided-difference formulas."""
     diff = np.subtract.outer(part.mu, part.lam)
     if np.any(diff == 0.0):
         j, i = np.argwhere(diff == 0.0)[0]
         raise PencilError(f"coincident points: mu[{j}] == lam[{i}] == {part.mu[j]}")
-    k = part.lam.size
-    row_concat = np.empty((part.mu.size, 2 * k), dtype=complex)
-    L, Ls = row_concat[:, :k], row_concat[:, k:]
-    np.subtract.outer(part.v, part.w, out=L)
+    L = np.subtract.outer(part.v, part.w)
     L /= diff
-    np.subtract.outer(part.mu * part.v, part.lam * part.w, out=Ls)
+    Ls = np.subtract.outer(part.mu * part.v, part.lam * part.w)
     Ls /= diff
-    return LoewnerPencil(row_concat=row_concat, V=part.v.copy(), W=part.w.copy(),
-                         mu=part.mu.copy(), lam=part.lam.copy())
+    return LoewnerPencil(L=L, Ls=Ls, V=part.v.copy(), W=part.w.copy(), mu=part.mu.copy(),
+                         lam=part.lam.copy())
 
 
 def sylvester_residual(pencil: LoewnerPencil) -> tuple[float, float]:
@@ -555,11 +540,10 @@ def truncate(
     taken), and Y and X come from that last sketch.
 
     A smaller pencil keeps the two-sided projection: Y from the full SVD of
-    the row concatenation [L, Ls] (``pencil.row_concat`` itself), X from
-    the leading right singular vectors of the column stack [L; Ls], by a
-    sketch ``order + 20`` wide of its adjoint (or its full SVD).  The
-    recursive Loewner fit's pencils are of this size; its greedy ranking
-    follows the last bits of its models.
+    the row concatenation [L, Ls], X from the leading right singular vectors
+    of the column stack [L; Ls], by a sketch ``order + 20`` wide of its
+    adjoint (or its full SVD).  The recursive Loewner fit's pencils are of
+    this size; its greedy ranking follows the last bits of its models.
 
     Every sketch is seeded afresh from a fixed seed on every call, so equal
     pencils give equal bytes.
@@ -579,13 +563,14 @@ def truncate(
             raise RankError(f"order {order} exceeds min(q, k) = {min(q, k)}")
     rng = np.random.default_rng(_SKETCH_SEED)
     width = (1 if order is None else order) + _OVERSAMPLE
-    if linalg.takes_full_svd(pencil.row_concat.shape, width):
+    if linalg.takes_full_svd((q, 2 * k), width):
         shift = None
-        rows = linalg.svd(pencil.row_concat)
+        rows = linalg.svd(np.hstack([pencil.L, pencil.Ls]))
         sigma = rows.singular_values
         order = _checked_order(sigma, order, tol, min(q, k))
         Y = rows.U[:, :order]
-        X = linalg.leading_svd(_column_adjoint(pencil), order + _OVERSAMPLE, rng).U[:, :order]
+        adjoint = np.hstack([pencil.L.conj().T, pencil.Ls.conj().T])  # of [L; Ls]
+        X = linalg.leading_svd(adjoint, order + _OVERSAMPLE, rng).U[:, :order]
     else:
         shift = _shift(pencil)
         shifted = _shifted_svd(pencil, shift, width, tol, rng)
@@ -649,18 +634,6 @@ def _shifted_svd(pencil: LoewnerPencil, shift: float, width: int, tol: float | N
         if tol is None or sigma[-1] <= tol * sigma[0] or sigma.size == min(shifted.shape):
             return res
         width *= 2
-
-
-def _column_adjoint(pencil: LoewnerPencil) -> np.ndarray:
-    """The adjoint [L*, Ls*] of the column stack [L; Ls], written straight into one (k, 2q) array.
-
-    Right vectors of [L; Ls] are the left vectors of this adjoint.
-    """
-    q, k = pencil.shape
-    out = np.empty((k, 2 * q), dtype=complex)
-    np.conjugate(pencil.L.T, out=out[:, :q])
-    np.conjugate(pencil.Ls.T, out=out[:, q:])
-    return out
 
 
 def poles(model: StateSpaceModel) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DivergenceError, InsufficientDataError, PoleError, SymmetryError, check_count
+from .errors import DivergenceError, InsufficientDataError, PoleError, SettingError, SymmetryError, check_count
 
 #: Iteration stops early once the largest relative pole movement drops below this.
 MOVE_TOL = 1e-10
@@ -167,8 +167,9 @@ def fit_vf(
     Raises
     ------
     SettingError
-        If ``order`` is not an integer of at least 1 or ``n_iter`` (the
-        ``iters`` setting) not an integer of at least 0.
+        If ``order`` is not an integer of at least 1, ``n_iter`` (the
+        ``iters`` setting) not an integer of at least 0, or
+        ``initial_poles`` not ``order`` finite poles.
     DivergenceError
         If any pole magnitude exceeds ``DIVERGENCE_RADIUS``.
     InsufficientDataError
@@ -187,9 +188,12 @@ def fit_vf(
     if initial_poles is None:
         poles = initial_poles_auto(points, order)
     else:
-        poles = order_conjugate_pairs(initial_poles)
-        if poles.size != order:
-            raise ValueError(f"got {poles.size} initial poles for order {order}")
+        given = np.asarray(initial_poles, dtype=complex)
+        if given.size != order:
+            raise SettingError(f"got {given.size} initial poles for order {order}")
+        if not np.all(np.isfinite(given)):
+            raise SettingError("initial poles must be finite")
+        poles = order_conjugate_pairs(given)
 
     history: list[VfIterate] = []
     for iteration in range(1, n_iter + 1):

@@ -122,6 +122,40 @@ class TestErrorGrid:
         # cell 37 (row 1, column 17 from the bottom) is drawn in the last row but one
         assert changed == [(10 - 1 - 37 // 20) * 20 + 37 % 20]
 
+    def test_heatmap_gives_an_infinite_error_the_top_colour(self, tmp_path):
+        rng = np.random.default_rng(19)
+        errors = 10.0 ** rng.uniform(-12.0, -4.5, 20 * 10)
+        errors[37] = 2e-13
+        fills = []
+        for surface in (errors, np.where(np.arange(errors.size) == 150, np.inf, errors)):
+            report = analysis.ErrorReport(domain=OMEGA, nx=20, ny=10, max_error=float(surface.max()),
+                                          argmax_point=0j, errors=surface, method_tag="t")
+            report.to_svg(tmp_path / "map.svg")
+            svg = (tmp_path / "map.svg").read_text()
+            assert "log10|err| in [-13, -4]" in svg
+            fills.append(re.findall(r'fill="(#[0-9a-f]{6})"', svg))
+        assert "max inf" in svg
+        changed = [k for k, (a, b) in enumerate(zip(*fills)) if a != b]
+        assert changed == [(10 - 1 - 150 // 20) * 20 + 150 % 20]
+        assert fills[1][changed[0]] == analysis._ramp_color(1.0)
+
+    def test_heatmap_of_infinite_errors_only_starts_at_the_floor(self, tmp_path):
+        report = analysis.ErrorReport(domain=OMEGA, nx=20, ny=10, max_error=np.inf, argmax_point=0j,
+                                      errors=np.full(200, np.inf))
+        report.to_svg(tmp_path / "map.svg")
+        svg = (tmp_path / "map.svg").read_text()
+        assert "log10|err| in [-16, -15]" in svg
+        assert set(re.findall(r'fill="(#[0-9a-f]{6})"', svg)) == {analysis._ramp_color(1.0)}
+
+    @pytest.mark.parametrize("model", [lambda s: 1 + 0j, lambda s: np.asarray(s)[:, None]],
+                             ids=["constant", "column"])
+    def test_model_values_of_another_shape_are_a_sample_error(self, model):
+        truth = oracle_grid(h_of_s, OMEGA, 10, 5)
+        shape = np.shape(model(truth.points))
+        with pytest.raises(SampleError, match=re.escape(f"model t gave values of shape {shape} for points "
+                                                        "of shape (50,)")):
+            analysis.model_error(model, truth, method_tag="t")
+
 
 class TestCancellations:
     def test_single_obvious_pair(self):
@@ -208,6 +242,12 @@ class TestCompareMethods:
         assert [r.method for r in table.rows] == list(FIT_DEFAULTS)
         for r in table.rows:
             assert r.status.startswith("error: ") if r.method == method else r.status == "ok"
+
+    def test_a_model_of_another_shape_gives_an_error_row(self, small_bessel_samples, monkeypatch):
+        monkeypatch.setattr(analysis, "fit", lambda method, samples: (lambda s: 1 + 0j, None))
+        table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 10, 5))
+        assert [r.status for r in table.rows] == [
+            f"error: model {m} gave values of shape () for points of shape (50,)" for m in FIT_DEFAULTS]
 
     def test_small_benchmark_all_methods_succeed(self, small_bessel_samples):
         table = compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 40, 15), SMALL_FIT_SETTINGS)

@@ -354,8 +354,6 @@ class TestSketchedTruncation:
 
     def test_order_mode_keeps_the_bytes_of_the_written_out_projection(self, structured_pencil,
                                                                        structured_11):
-        assert np.shares_memory(structured_pencil.L, structured_pencil.row_concat)
-        assert np.shares_memory(structured_pencil.Ls, structured_pencil.row_concat)
         want = shifted_truncation(structured_pencil, 0.0, order=11)
         assert reduction_bytes(structured_11) == [a.tobytes() for a in want]
 
@@ -446,6 +444,22 @@ class TestSmallPencils:
         monkeypatch.setattr(greedy, "truncate", spy)
         greedy.fit_greedy(samples, order_target=11, seed=0)
         assert len(shifts) > 10 and set(shifts) == {None}
+
+
+@pytest.mark.parametrize("setting", [{"order": 4}, {"tol": 1e-10}])
+@pytest.mark.parametrize("size", ["sketched", "small"])
+def test_truncation_and_projection_leave_the_pencil_untouched(structured_pencil, size, setting):
+    if size == "sketched":
+        pencil = structured_pencil
+    else:
+        samples, *_ = rational_samples(4, 5, n_pairs=20)
+        pencil = build_pencil(partition(samples))
+    names = ("L", "Ls", "V", "W", "mu", "lam")
+    before = [getattr(pencil, name).tobytes() for name in names]
+    red = truncate(pencil, **setting)
+    assert (red.shift is None) == (size == "small")
+    projected_points(pencil, red.Y, red.X)
+    assert [getattr(pencil, name).tobytes() for name in names] == before
 
 
 @pytest.fixture(scope="module")
@@ -614,7 +628,7 @@ print(q, k, before, after_order, after_tol)
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc for VmRSS")
 def test_fit_holds_at_most_four_pencil_sized_arrays():
     # N = 4,141 samples: a 2070 x 2071 pencil, 65 MB per complex array.  The pencil
-    # itself is two of them ([L, Ls]); x L - Ls, written for the sketch, one more.
+    # itself is two of them (L and Ls); x L - Ls, written for the sketch, one more.
     # The peak is the child's own VmHWM: its ru_maxrss would also hold the peak of
     # this test process, which Linux keeps across the child's exec.
     src = str(Path(ratapprox.__file__).resolve().parents[1])

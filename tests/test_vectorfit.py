@@ -71,6 +71,18 @@ class TestFit:
         with pytest.raises(SymmetryError):
             fit_vf(samples, order=2, n_iter=2, initial_poles=np.array([1.0 + 1.0j, 2.0 + 0j]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_a_non_finite_initial_pole_is_a_setting_error(self, bad):
+        samples, *_ = rational_samples(4, 4, n_pairs=12)
+        initial = np.array([-1.0 + 1.0j, -1.0 - 1.0j, -2.0, bad])
+        with pytest.raises(SettingError, match="^initial poles must be finite$"):
+            fit_vf(samples, order=4, n_iter=2, initial_poles=initial)
+
+    def test_a_wrong_initial_pole_count_is_a_setting_error(self):
+        samples, *_ = rational_samples(4, 4, n_pairs=12)
+        with pytest.raises(SettingError, match="^got 3 initial poles for order 4$"):
+            fit_vf(samples, order=4, n_iter=2, initial_poles=np.array([-1.0 + 1.0j, -1.0 - 1.0j, -2.0]))
+
     def test_history_records_conditioning(self):
         samples, *_ = rational_samples(3, 5, n_pairs=20)
         _, history = fit_vf(samples, order=3, n_iter=4)
