@@ -359,18 +359,21 @@ def _ramp_color(t: float) -> str:
 def write_heatmap_svg(report: ErrorReport, path) -> None:
     """Log10 error heatmap; the surface is block-averaged down to ``HEATMAP_CELLS``.
 
-    The colour ramp runs from the decade below the smallest finite block
-    mean to the decade above the largest, both printed in the legend; an
-    infinite block takes the top colour.
+    A block's mean is over its points that are not NaN (excluded), as
+    ``np.nanmean`` takes it; a block of excluded points only is drawn
+    white.  The colour ramp runs from the decade below the smallest finite
+    block mean to the decade above the largest, both printed in the
+    legend; an infinite block takes the top colour.
     """
     err = report.errors.reshape(report.ny, report.nx)
     bx = max(1, int(np.ceil(report.nx / HEATMAP_CELLS[0])))
     by = max(1, int(np.ceil(report.ny / HEATMAP_CELLS[1])))
     ny_c = report.ny // by
     nx_c = report.nx // bx
-    trimmed = err[: ny_c * by, : nx_c * bx]
-    with np.errstate(invalid="ignore"):
-        blocks = np.nanmean(trimmed.reshape(ny_c, by, nx_c, bx), axis=(1, 3))
+    trimmed = err[: ny_c * by, : nx_c * bx].reshape(ny_c, by, nx_c, bx)
+    kept = ~np.isnan(trimmed)
+    with np.errstate(invalid="ignore"):  # 0 / 0 for a block of excluded points only
+        blocks = np.where(kept, trimmed, 0.0).sum(axis=(1, 3)) / kept.sum(axis=(1, 3))
     with np.errstate(divide="ignore"):
         logs = np.log10(np.where(blocks > 0, blocks, np.nan))
     if np.all(np.isnan(logs)):

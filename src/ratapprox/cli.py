@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -218,7 +219,8 @@ def _cmd_eval(args) -> int:
     with open(summary_path, "w") as fh:
         json.dump(
             {
-                "max_error": report.max_error,
+                # strict JSON has no infinity or NaN
+                "max_error": report.max_error if math.isfinite(report.max_error) else None,
                 "argmax": [report.argmax_point.real, report.argmax_point.imag],
                 "nx": report.nx,
                 "ny": report.ny,
@@ -227,6 +229,7 @@ def _cmd_eval(args) -> int:
             },
             fh,
             indent=1,
+            allow_nan=False,
         )
         fh.write("\n")
     print(f"max |error| = {report.max_error:.6e} at s = {report.argmax_point:.6f}")

@@ -49,6 +49,11 @@ _SKETCH_SEED = 0
 #: identities have a larger relative residual.
 PROJECTION_RESIDUAL_TOL = 1e-8
 
+#: Rows per block in which build_pencil() fills L and Ls and truncate()
+#: writes x L - Ls over Ls; a block's work arrays hold this many rows of
+#: the pencil, not all of them.
+_PENCIL_ROWS = 32
+
 
 @dataclass
 class DataPartition:
@@ -478,17 +483,45 @@ def _check_scheme(scheme) -> None:
 
 
 def build_pencil(part: DataPartition) -> LoewnerPencil:
-    """Assemble the Loewner pencil from a partition by the divided-difference formulas."""
-    diff = np.subtract.outer(part.mu, part.lam)
-    if np.any(diff == 0.0):
-        j, i = np.argwhere(diff == 0.0)[0]
+    """Assemble the Loewner pencil from a partition by the divided-difference formulas.
+
+    L and Ls are filled in blocks of rows, so the only pencil-sized arrays
+    are L and Ls themselves.  :func:`truncate` uses the pencil's ``Ls`` as
+    its work buffer and rebuilds it from ``(mu, V, lam, W)`` before it
+    returns, so ``Ls`` must be the divided differences of the pencil's data,
+    as this function makes it.  A point of ``mu`` equal to one of ``lam``
+    raises ``PencilError`` naming the first such pair.
+    """
+    # mu[j] - lam[i] is 0 exactly where mu[j] == lam[i]
+    coincident = np.isin(part.mu, part.lam)
+    if coincident.any():
+        j = int(np.argmax(coincident))
+        i = int(np.argmax(part.lam == part.mu[j]))
         raise PencilError(f"coincident points: mu[{j}] == lam[{i}] == {part.mu[j]}")
-    L = np.subtract.outer(part.v, part.w)
-    L /= diff
-    Ls = np.subtract.outer(part.mu * part.v, part.lam * part.w)
-    Ls /= diff
+    q, k = part.mu.size, part.lam.size
+    L = np.empty((q, k), dtype=complex)
+    Ls = np.empty((q, k), dtype=complex)
+    _divided_differences(part.mu, part.v, part.lam, part.w, Ls, L)
     return LoewnerPencil(L=L, Ls=Ls, V=part.v.copy(), W=part.w.copy(), mu=part.mu.copy(),
                          lam=part.lam.copy())
+
+
+def _divided_differences(mu, v, lam, w, Ls: np.ndarray, L: np.ndarray | None = None) -> None:
+    """Write (mu v - lam w) / (mu - lam) into ``Ls`` and, if given, (v - w) / (mu - lam) into ``L``.
+
+    One block of ``_PENCIL_ROWS`` rows at a time, each with its own
+    differences mu - lam; every entry gets the bits of the formulas taken
+    on whole matrices.  No point of ``mu`` may equal one of ``lam``.
+    """
+    top_mu, top_lam = mu * v, lam * w
+    for lo in range(0, mu.size, _PENCIL_ROWS):
+        rows = slice(lo, lo + _PENCIL_ROWS)
+        diff = np.subtract.outer(mu[rows], lam)
+        if L is not None:
+            np.subtract.outer(v[rows], w, out=L[rows])
+            L[rows] /= diff
+        np.subtract.outer(top_mu[rows], top_lam, out=Ls[rows])
+        Ls[rows] /= diff
 
 
 def sylvester_residual(pencil: LoewnerPencil) -> tuple[float, float]:
@@ -524,20 +557,28 @@ def truncate(
     A pencil is sketched where :func:`linalg.leading_svd` of [L, Ls] would
     not take the full SVD at the sketch's first width (``order + 20`` with
     ``order=``, 21 with ``tol=``).  Then Y and X are the leading left and
-    right singular vectors of one matrix, x L - Ls, written once into one
-    (q, k) array (Mayo and Antoulas, *A framework for the solution of the
-    generalized realization problem*, Linear Algebra Appl. 425, 2007).  The
-    shift x is the real part of the partition point (mu, then lam; the first
-    on ties) of smallest |value|, which lies far from the poles of the data;
-    it is real, so conjugate-closed data give a conjugate-closed model.  If
-    the data are those of a rational function of order n, x L - Ls has rank
-    n, like the pencil, except where x lies on a pole of the data (only a
-    real pole can hold a real x): there it loses a direction, so its n-th
+    right singular vectors of one matrix, x L - Ls (Mayo and Antoulas, *A
+    framework for the solution of the generalized realization problem*,
+    Linear Algebra Appl. 425, 2007).  The shift x is the real part of the
+    partition point (mu, then lam; the first on ties) of smallest |value|,
+    which lies far from the poles of the data; it is real, so
+    conjugate-closed data give a conjugate-closed model.  If the data are
+    those of a rational function of order n, x L - Ls has rank n, like the
+    pencil, except where x lies on a pole of the data (only a real pole can
+    hold a real x): there it loses a direction, so its n-th
     singular value falls to roundoff, ``order=n`` raises ``RankError`` and
     ``tol=`` picks a lower order.  With ``order=`` the sketch is
     ``order + 20`` wide; with ``tol=`` it starts 21 wide and doubles until
     its last singular value has dropped to ``tol`` (or the full SVD is
     taken), and Y and X come from that last sketch.
+
+    x L - Ls is written over the pencil's own ``Ls``, in blocks of rows, so
+    the fit holds no third pencil-sized array.  ``Ls`` is rebuilt from
+    ``(mu, V, lam, W)`` by the formulas of :func:`build_pencil` before this
+    function returns or raises, which gives back its bytes only if ``Ls``
+    holds the divided differences of the pencil's data, as
+    :func:`build_pencil` makes it.  Do not truncate one pencil from two
+    threads at once, nor read its ``Ls`` from another thread meanwhile.
 
     A smaller pencil keeps the two-sided projection: Y from the full SVD of
     the row concatenation [L, Ls], X from the leading right singular vectors
@@ -573,9 +614,12 @@ def truncate(
         X = linalg.leading_svd(adjoint, order + _OVERSAMPLE, rng).U[:, :order]
     else:
         shift = _shift(pencil)
-        shifted = _shifted_svd(pencil, shift, width, tol, rng)
-        sigma = shifted.singular_values
-        order = _checked_order(sigma, order, tol, min(q, k))
+        try:
+            shifted = _shifted_svd(pencil, shift, width, tol, rng)
+            sigma = shifted.singular_values
+            order = _checked_order(sigma, order, tol, min(q, k))
+        finally:
+            _divided_differences(pencil.mu, pencil.V, pencil.lam, pencil.W, pencil.Ls)
         Y, X = shifted.U[:, :order], shifted.V[:, :order]
     Lh, Lsh, Vh, Wh = _project(pencil, Y, X)
     # -(Y* L X), not (-Y*) L X: the two differ in the sign of exact zeros
@@ -621,13 +665,16 @@ def _shift(pencil: LoewnerPencil) -> float:
 
 def _shifted_svd(pencil: LoewnerPencil, shift: float, width: int, tol: float | None,
                  rng: np.random.Generator) -> linalg.SvdResult:
-    """The leading singular triplets of x L - Ls, written once into one (q, k) array.
+    """The leading singular triplets of x L - Ls, written over ``pencil.Ls`` in blocks of rows.
 
-    With ``tol`` the sketch doubles from ``width`` until its last singular
-    value has dropped to ``tol`` or the full SVD is taken.
+    The caller rebuilds ``pencil.Ls``.  With ``tol`` the sketch doubles
+    from ``width`` until its last singular value has dropped to ``tol`` or
+    the full SVD is taken.
     """
-    shifted = np.multiply(pencil.L, shift)
-    shifted -= pencil.Ls
+    shifted = pencil.Ls
+    for lo in range(0, shifted.shape[0], _PENCIL_ROWS):
+        rows = slice(lo, lo + _PENCIL_ROWS)
+        np.subtract(np.multiply(pencil.L[rows], shift), shifted[rows], out=shifted[rows])
     while True:
         res = linalg.leading_svd(shifted, width, rng)
         sigma = res.singular_values

@@ -147,6 +147,39 @@ class TestErrorGrid:
         assert "log10|err| in [-16, -15]" in svg
         assert set(re.findall(r'fill="(#[0-9a-f]{6})"', svg)) == {analysis._ramp_color(1.0)}
 
+    def test_heatmap_draws_a_block_of_excluded_points_white_without_a_warning(self, tmp_path):
+        # 500 x 20 points: blocks of 2 x 1; the block of points 38 and 39 holds only NaN
+        errors = 10.0 ** np.random.default_rng(19).uniform(-12.0, -4.5, 500 * 20)
+        errors[38:40] = np.nan
+        report = analysis.ErrorReport(domain=OMEGA, nx=500, ny=20, max_error=float(np.nanmax(errors)),
+                                      argmax_point=0j, errors=errors, method_tag="t")
+        report.to_svg(tmp_path / "map.svg")  # a RuntimeWarning fails the test
+        fills = re.findall(r'fill="(#[0-9a-f]{6})"', (tmp_path / "map.svg").read_text())
+        assert len(fills) == 250 * 20
+        assert [k for k, fill in enumerate(fills) if fill == "#ffffff"] == [(20 - 1) * 250 + 19]
+
+    def test_heatmap_of_partly_excluded_blocks_keeps_the_bytes_of_their_nanmean(self, tmp_path):
+        # 500 x 200 points in 2 x 2 blocks against the 250 x 100 surface of the block means
+        rng = np.random.default_rng(23)
+        fine = 10.0 ** rng.uniform(-12.0, -4.5, (200, 500))
+        fine[rng.random(fine.shape) < 0.3] = np.nan
+        fine[0, 0:2] = fine[1, 0:2] = np.nan
+        fine[0, 2] = fine[1, 2] = fine[0, 3] = np.nan  # one point left of four
+        fine[4, 4] = np.inf
+        blocks = fine.reshape(100, 2, 250, 2)
+        kept = ~np.isnan(blocks)
+        assert not kept.any(axis=(1, 3)).all()  # one block has no point left
+        with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="Mean of empty slice"):
+            coarse = np.nanmean(blocks, axis=(1, 3))
+        svgs = []
+        for surface in (fine, coarse):
+            ny, nx = surface.shape
+            report = analysis.ErrorReport(domain=OMEGA, nx=nx, ny=ny, max_error=np.inf, argmax_point=0.5j,
+                                          errors=surface.ravel(), method_tag="t")
+            report.to_svg(tmp_path / "map.svg")
+            svgs.append((tmp_path / "map.svg").read_bytes())
+        assert svgs[0] == svgs[1]
+
     @pytest.mark.parametrize("model", [lambda s: 1 + 0j, lambda s: np.asarray(s)[:, None]],
                              ids=["constant", "column"])
     def test_model_values_of_another_shape_are_a_sample_error(self, model):

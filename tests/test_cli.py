@@ -243,6 +243,21 @@ class TestErrors:
         assert flags[0].lstrip("-") in payload["message"]
         assert not out.exists()
 
+    def test_eval_writes_an_infinite_max_error_as_null_in_strict_json(self, tmp_path):
+        # the denominator w / (s - 4) + w / (s - 6) is exactly 0 at s = 5, a point of the 11 x 3 grid
+        model = aaa.BarycentricModel(support_points=[4.0, 6.0], support_values=[1.0, 2.0],
+                                     weights=np.array([1.0, 1.0]) / np.sqrt(2.0))
+        save_model(model, tmp_path / "m.json")
+        assert run("eval", "--model", str(tmp_path / "m.json"), "--nx", "11", "--ny", "3",
+                   "--out-prefix", str(tmp_path / "m")) == 0
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        summary = json.loads((tmp_path / "m.summary.json").read_text(), parse_constant=refuse)
+        assert summary["max_error"] is None
+        assert summary["argmax"] == [5.0, 0.0]
+
     def test_eval_domain_beyond_the_oracle_radius(self, small_csv, tmp_path, capsys):
         model = tmp_path / "m.json"
         assert run("fit", "--method", "loewner", "--in", str(small_csv), "--order", "4", "--out", str(model)) == 0
