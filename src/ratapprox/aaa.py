@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import greedy, linalg
 from .errors import InsufficientDataError, SettingError, StagnationError, check_count
 from .sampling import SampleSet, conjugate_mates
 
@@ -28,10 +28,10 @@ DEFAULTS = {"order": 30, "tol": 1e-13, "real_mode": False, "seed": None, "cleanu
 #: distance of it, or when its residue is this small against the median residue.
 CLEANUP_TOL = 1e-9
 
-#: :func:`fit_aaa` promotes the lowest-indexed sample whose residual lies within
-#: this relative distance of the largest, so residuals that tie to roundoff
-#: (the 10 +- 1j mates of the 40 x 41 benchmark grid, 3.6e-15 apart) do not
-#: choose by their last bits.
+#: The band :func:`fit_aaa` ranks with (:func:`ratapprox.greedy.rank`): it promotes
+#: the lowest-indexed sample whose residual lies within this relative distance of
+#: the largest, so residuals that tie to roundoff (the 10 +- 1j mates of the
+#: 40 x 41 benchmark grid, 3.6e-15 apart) do not choose by their last bits.
 RANK_BAND = 1e-12
 
 
@@ -143,14 +143,14 @@ def fit_aaa(
     (deterministic); passing ``seed`` instead starts from a random sample.
     Each step measures the residual at the remaining samples with
     :func:`eval_barycentric`, records its maximum in the history and stops
-    at the tolerance; otherwise it promotes the lowest-indexed sample whose
-    residual lies within ``RANK_BAND`` (relative) of the maximum.  The
-    order never exceeds ``max_order``: a promotion that would pass it
-    returns the current model instead.
-    With ``real_mode`` support points are promoted together with their
-    conjugates and the weights are constrained to conjugate pairs, which
-    yields a real-symmetric approximant at the price of a higher order and
-    possible spurious pole/zero pairs (see :func:`cleanup`).
+    at the tolerance; otherwise it promotes what :func:`ratapprox.greedy.rank`
+    picks with ``RANK_BAND``, NaN residuals ignored.  The order never
+    exceeds ``max_order``: a promotion that would pass it returns the
+    current model instead.  With ``real_mode`` support points are promoted
+    together with their conjugates (lower index first after the start) and
+    the weights are constrained to conjugate pairs, which yields a
+    real-symmetric approximant at the price of a higher order and possible
+    spurious pole/zero pairs (see :func:`cleanup`).
 
     Returns the model and the greedy error history.
 
@@ -188,32 +188,30 @@ def fit_aaa(
     mates = conjugate_mates(points) if real_mode else np.arange(points.size)
 
     support_idx: list[int] = []
-    new_idx = start
+    unused = np.ones(points.size, dtype=bool)
+    picks = [start]
     history: list[AaaStep] = []
     while True:
-        group = [new_idx] if mates[new_idx] == new_idx else [new_idx, int(mates[new_idx])]
-        if len(support_idx) + len(group) > max_order:
+        if len(support_idx) + len({picks[0], int(mates[picks[0]])}) > max_order:
             if not support_idx:
                 raise SettingError(f"order cap {max_order} is below the first conjugate pair")
             return model, history
-        support_idx += group
+        greedy.promote([support_idx], unused, mates, picks)
         zs = points[support_idx]
         fs = values[support_idx]
-        mask = np.ones(points.size, dtype=bool)
-        mask[support_idx] = False
-        if mask.sum() < len(support_idx):
+        rows = np.flatnonzero(unused)
+        if rows.size < len(support_idx):
             raise StagnationError(
-                f"residual matrix has {int(mask.sum())} rows for {len(support_idx)} "
+                f"residual matrix has {rows.size} rows for {len(support_idx)} "
                 f"columns; tolerance {tol:g} unreachable on this data"
             )
-        weights = _solve_weights(points[mask], values[mask], zs, fs, real_mode)
+        weights = _solve_weights(points[rows], values[rows], zs, fs, real_mode)
         model = BarycentricModel(support_points=zs, support_values=fs, weights=weights)
-        resid = np.abs(eval_barycentric(model, points[mask]) - values[mask])
-        max_error = float(np.max(resid))
+        resid = np.abs(eval_barycentric(model, points[rows]) - values[rows])
+        picks, max_error = greedy.rank(resid, rows, mates, count=1, band=RANK_BAND)
         history.append(AaaStep(order=model.order, max_error=max_error))
         if max_error <= tol * scale:
             return model, history
-        new_idx = int(np.flatnonzero(mask)[np.argmax(resid >= (1.0 - RANK_BAND) * max_error)])
 
 
 def barycentric_poles_zeros(model: BarycentricModel) -> tuple[np.ndarray, np.ndarray]:

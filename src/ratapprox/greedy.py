@@ -1,4 +1,4 @@
-"""Recursive (greedy) Loewner fitting.
+"""Recursive (greedy) Loewner fitting, and the ranking and promotion step it shares with AAA.
 
 Starts from one left and one right measurement and repeatedly promotes the
 worst-approximated remaining samples into the interpolation sets, rebuilding
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, PartitionError, RankError, SymmetryError, check_count
 from .loewner import DataPartition, StateSpaceModel, build_pencil, truncate
-from .sampling import SampleSet, conjugate_mates, group_members
+from .sampling import SampleSet, conjugate_mates
 
 #: The recursive Loewner fit's settings and their defaults, its row of
 #: ``analysis.FIT_DEFAULTS``.
@@ -52,13 +52,12 @@ def fit_greedy(
     """Greedy Loewner fit of the given target order.
 
     Each step evaluates the current model at all unused samples (by its LU
-    solve, :meth:`StateSpaceModel.solve`), moves the
-    worst conjugate group to the left set and the second worst to the right
-    set (keeping closure), and refits.  Stops when every measurement is used
-    or when the selection error stagnates after the target order is reached,
-    and returns the model fitted to the final sets.
-    Ties are broken towards the lowest sample index, so the procedure is a
-    pure function of (samples, order_target, seed).
+    solve, :meth:`StateSpaceModel.solve`), moves the worst conjugate group
+    to the left set and the second worst to the right set, as :func:`rank`
+    orders them without a band, and refits.  Stops when every measurement
+    is used or when the selection error stagnates after the target order is
+    reached, and returns the model fitted to the final sets.  The procedure
+    is a pure function of (samples, order_target, seed).
 
     An ``order_target`` that is not an integer of at least 1, or a ``seed``
     that is not an integer of at least 0, raises ``SettingError``.
@@ -77,56 +76,59 @@ def fit_greedy(
     except SymmetryError as exc:
         raise PartitionError(f"cannot preserve conjugate closure: {exc}") from exc
     leads = np.flatnonzero(mates >= np.arange(pts.size))
-    n_groups = leads.size
-    if n_groups < 2:
+    if leads.size < 2:
         raise InsufficientDataError("need at least two conjugate groups")
-    group_of = np.empty(pts.size, dtype=int)
-    group_of[leads] = group_of[mates[leads]] = np.arange(n_groups)
 
+    left, right = [], []
+    unused = np.ones(pts.size, dtype=bool)
     rng = np.random.default_rng(seed)
-    first, second = (int(g) for g in rng.choice(n_groups, size=2, replace=False))
-    left_groups = [first]
-    right_groups = [second]
-    unused = np.setdiff1d(np.arange(n_groups), [first, second])
+    promote((left, right), unused, mates, leads[rng.choice(leads.size, size=2, replace=False)])
 
     history: list[GreedyStep] = []
     best_error = np.inf
     stall = 0
     while True:
-        left_idx = group_members(mates, leads[left_groups])
-        right_idx = group_members(mates, leads[right_groups])
-        model, order = _fit_current(pts, vals, left_idx, right_idx, order_target)
-        if not unused.size or stall >= STALL_STEPS:
-            return GreedyResult(model=model, history=history,
-                                left_points=pts[left_idx], right_points=pts[right_idx])
-        unused_idx = group_members(mates, leads[unused])
-        # the ranking below needs the LU solve's accuracy: late in the fit the
-        # errors of different groups agree to more digits than the modal sum keeps
-        pred = model.solve(pts[unused_idx])
-        err = np.abs(pred - vals[unused_idx])
-        # worst error of each group, NaN ignored; rank by error, ties to the lower group
-        worst_of_group = np.zeros(n_groups)
-        np.fmax.at(worst_of_group, group_of[unused_idx], err)
-        ranked = unused[np.lexsort((unused, -worst_of_group[unused]))][:2]
-        max_error = float(worst_of_group[ranked[0]])
-        left_groups.append(int(ranked[0]))
-        right_groups += ranked[1:].tolist()
-        unused = np.setdiff1d(unused, ranked)
-        history.append(
-            GreedyStep(
-                step=len(history) + 1,
-                n_left=len(left_idx),
-                n_right=len(right_idx),
-                max_error=max_error,
-                chosen=tuple(pts[leads[ranked]].tolist()),
-            )
-        )
+        model, order = _fit_current(pts, vals, left, right, order_target)
+        rows = np.flatnonzero(unused)
+        if not rows.size or stall >= STALL_STEPS:
+            return GreedyResult(model=model, history=history, left_points=pts[left], right_points=pts[right])
+        # the ranking needs the LU solve's accuracy: late in the fit the errors
+        # of different groups agree to more digits than the modal sum keeps
+        picks, max_error = rank(np.abs(model.solve(pts[rows]) - vals[rows]), rows, mates, count=2)
+        history.append(GreedyStep(step=len(history) + 1, n_left=len(left), n_right=len(right),
+                                  max_error=max_error, chosen=tuple(pts[picks].tolist())))
+        promote((left, right), unused, mates, picks)
         if order >= order_target:
-            if max_error > best_error * STALL_FACTOR:
-                stall += 1
-            else:
-                stall = 0
+            stall = stall + 1 if max_error > best_error * STALL_FACTOR else 0
             best_error = min(best_error, max_error)
+
+
+def rank(errors, rows, mates, count, band=0.0):
+    """Up to ``count`` conjugate groups to promote, worst first, and the largest error.
+
+    ``errors[i]`` is the error at sample ``rows[i]`` and ``mates[i]`` sample i's
+    mate.  A group is named by its lowest sample index and scored by its worst
+    member, NaN ignored (a group of NaN scores 0).  Each pick is the lowest
+    group whose score lies within ``band`` (relative) of the largest still unpicked.
+    """
+    groups, slot = np.unique(np.minimum(rows, mates[rows]), return_inverse=True)
+    scores = np.zeros(groups.size)
+    np.fmax.at(scores, slot, errors)
+    largest = float(scores.max())
+    picks = []
+    for _ in range(min(count, groups.size)):
+        at = int(np.argmax(scores >= (1.0 - band) * scores.max()))
+        picks.append(int(groups[at]))
+        scores[at] = -np.inf
+    return picks, largest
+
+
+def promote(sides, unused, mates, picks):
+    """Append ``picks[k]`` and its mate to ``sides[k]`` and mark both as used in ``unused``."""
+    for side, pick in zip(sides, picks):
+        group = [int(pick)] if mates[pick] == pick else [int(pick), int(mates[pick])]
+        side += group
+        unused[group] = False
 
 
 def _fit_current(pts, vals, left_idx, right_idx, order_target):

@@ -144,7 +144,9 @@ class StateSpaceModel:
         per point.  Every other point, and every point of a model without a
         modal form, solves (sE - A) x = B by LU, O(r^3) per point, in
         batches and without an explicit inverse.  A point's value does not
-        depend on the other points evaluated with it.
+        depend on the other points evaluated with it.  A non-finite point
+        takes the LU solve too, so s = inf gives NaN on every path: the modal
+        sum's 0 there is the wrong limit where a singular E carries a constant.
 
         Raises ``PoleError`` when sE - A is singular at some requested point.
         """
@@ -155,9 +157,10 @@ class StateSpaceModel:
         def hybrid(chunk):
             diff = chunk[..., None] - modal.poles
             in_disc = np.abs(diff) <= modal.radii
-            if not in_disc.any():
+            finite = np.isfinite(chunk)
+            if not in_disc.any() and finite.all():
                 return linalg.cauchy_sum(diff, modal.residues)
-            near = in_disc.any(axis=-1)
+            near = in_disc.any(axis=-1) | ~finite
             out = np.empty(chunk.shape, dtype=complex)
             out[~near] = linalg.cauchy_sum(diff[~near], modal.residues)
             out[near] = _solve(self, chunk[near])  # a 0-d chunk in a disc: a batch of one

@@ -15,7 +15,7 @@ from ratapprox import (
     fit_aaa,
 )
 from ratapprox import OMEGA, aaa
-from ratapprox.sampling import SampleSet, sample_oracle, uniform_random_grid
+from ratapprox.sampling import SampleSet, sample_oracle, structured_grid, uniform_random_grid
 from ratapprox.special import h_of_s
 
 mp.mp.dps = 40
@@ -110,6 +110,43 @@ class TestFit:
         model, history = fit_aaa(samples, max_order=2)
         assert history[0].max_error == pytest.approx(1.0 + gap, rel=1e-15)
         assert model.support_points[1] == samples.points[{"low": low, "high": high}[promoted]]
+
+    def test_a_nan_residual_is_ignored(self, monkeypatch):
+        samples, *_ = rational_samples(2, 7, n_pairs=8)
+        values = samples.values
+        start = int(np.argmax(np.abs(values - values.mean())))
+        # the order-1 model is the constant values[start]; its stand-in residual
+        # is NaN at the first other sample and largest at the last one
+        first, last = [i for i in range(len(samples)) if i != start][::len(samples) - 2]
+        bump = np.zeros(len(samples))
+        bump[first], bump[last] = np.nan, 1.0
+        index = {complex(p): i for i, p in enumerate(samples.points)}
+
+        def stand_in(model, s):
+            at = [index[complex(p)] for p in s]
+            return values[at] + bump[at]
+
+        monkeypatch.setattr(aaa, "eval_barycentric", stand_in)
+        model, history = fit_aaa(samples, max_order=2)
+        assert history[0].max_error == pytest.approx(1.0, rel=1e-15)
+        assert model.support_points[1] == samples.points[last]
+
+    def test_real_mode_promotes_each_pair_after_the_start_lower_index_first(self):
+        samples = sample_oracle(structured_grid(OMEGA, 21, 5), h_of_s)
+        model, _ = fit_aaa(samples, real_mode=True)
+        index = {complex(p): i for i, p in enumerate(samples.points)}
+        support = [index[complex(z)] for z in model.support_points]
+        pairs = 0
+        k = 1 if model.support_points[0].imag == 0 else 2
+        while k < len(support):
+            if model.support_points[k].imag == 0:
+                k += 1
+                continue
+            assert support[k] < support[k + 1]
+            assert model.support_points[k + 1] == model.support_points[k].conjugate()
+            pairs += 1
+            k += 2
+        assert pairs >= 3
 
     @pytest.mark.parametrize("cap", range(2, 8))
     def test_real_mode_never_exceeds_the_order_cap(self, cap):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import conjugate_closed, rational_samples
 from ratapprox import OMEGA, InsufficientDataError, SampleSet, build_pencil, fit_greedy, greedy, truncate
-from ratapprox.loewner import DataPartition
+from ratapprox.loewner import DataPartition, StateSpaceModel
 from ratapprox.sampling import uniform_random_grid
 
 
@@ -53,6 +53,43 @@ def test_groups_ranked_by_worst_error_with_ties_to_the_lower_group(monkeypatch):
         for g, _ in ranked:
             unused.remove(g)
     assert not unused  # every group was ranked in some step
+
+
+# groups (0, 3), (1), (2, 5), (4, 6) and (7, 8): named 0, 1, 2, 4 and 7
+MATES = np.array([3, 1, 5, 0, 6, 2, 4, 8, 7])
+
+
+def test_rank_scores_a_group_by_its_worst_member_with_nan_ignored():
+    errors = np.array([1.0, 2.0, np.nan, 2.0, 1.5, np.nan, 0.5, np.nan, np.nan])
+    # scores 2 (from sample 3), 2, 0 (NaN only), 1.5 and 0: ties go to the lower group
+    assert greedy.rank(errors, np.arange(9), MATES, count=3) == ([0, 1, 4], 2.0)
+    assert greedy.rank(errors, np.arange(9), MATES, count=9) == ([0, 1, 4, 2, 7], 2.0)
+
+
+def test_rank_names_a_group_by_its_lowest_sample_even_when_only_its_mate_is_given():
+    assert greedy.rank(np.array([1.0, 3.0, 2.0]), np.array([3, 4, 8]), MATES, count=2) == ([4, 7], 3.0)
+
+
+@pytest.mark.parametrize("band, picks", [(0.0, [2, 1, 0]), (1e-12, [2, 0, 1]), (1e-8, [0, 1, 2])])
+def test_rank_takes_the_lowest_group_within_the_band_of_the_largest_left(band, picks):
+    errors = np.array([1.0, 1.0 + 1e-13, 1.0 + 1e-9])
+    assert greedy.rank(errors, np.arange(3), np.arange(3), count=3, band=band) == (picks, 1.0 + 1e-9)
+
+
+def test_fit_ranks_by_one_solve_per_step_on_the_unused_samples(medium_bessel_samples, monkeypatch):
+    calls = []
+
+    def spy(model, s, _fn=StateSpaceModel.solve):
+        calls.append(s.tolist())
+        return _fn(model, s)
+
+    monkeypatch.setattr(StateSpaceModel, "solve", spy)
+    result = fit_greedy(medium_bessel_samples)
+    assert [len(s) for s in calls] == [len(medium_bessel_samples) - step.n_left - step.n_right
+                                       for step in result.history]
+    for step, unused, after in zip(result.history, calls, calls[1:]):
+        promoted = {w for z in step.chosen for w in (z, z.conjugate())}
+        assert after == [z for z in unused if z not in promoted]
 
 
 def test_selected_points_come_from_input_and_stay_disjoint():
