@@ -145,8 +145,9 @@ class StateSpaceModel:
         modal form, solves (sE - A) x = B by LU, O(r^3) per point, in
         batches and without an explicit inverse.  A point's value does not
         depend on the other points evaluated with it.  A non-finite point
-        takes the LU solve too, so s = inf gives NaN on every path: the modal
-        sum's 0 there is the wrong limit where a singular E carries a constant.
+        takes the LU solve too, so s = inf gives NaN on every path, with or
+        without a modal form: 0, the modal sum's value there, is the wrong
+        limit for a model whose singular E carries a constant part.
 
         Raises ``PoleError`` when sE - A is singular at some requested point.
         """
