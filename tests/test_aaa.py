@@ -117,7 +117,8 @@ class TestFit:
         start = int(np.argmax(np.abs(values - values.mean())))
         # the order-1 model is the constant values[start]; its stand-in residual
         # is NaN at the first other sample and largest at the last one
-        first, last = [i for i in range(len(samples)) if i != start][::len(samples) - 2]
+        others = [i for i in range(len(samples)) if i != start]
+        first, last = others[0], others[-1]
         bump = np.zeros(len(samples))
         bump[first], bump[last] = np.nan, 1.0
         index = {complex(p): i for i, p in enumerate(samples.points)}
