@@ -1,10 +1,15 @@
-"""The digest ledger: sha256 of fitted models and their histories, kept in ``digests.json``.
+"""The digest ledger: sha256 of fitted models, histories, surfaces and repro files, kept in ``digests.json``.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/digests.py          # print the digests
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/digests.py --write  # rewrite digests.json
 
 Each entry is a sample set and a fit: the four methods at their defaults and
-real-mode AAA.  OpenBLAS picks its kernels by CPU core and splits its sums by
+real-mode AAA.  The default fits on the sets of ``SURFACE_SETS`` also keep the
+digest of their 500 x 500 ``model_error`` surface, whose points inside the
+state-space models' discs take the LU solve, so the surface digests pin the
+disc radii too.  The ``repro/`` entries hold the files of ``ratapprox repro
+--seed 0`` without their meta lines and without the time columns of
+``compare.txt``.  OpenBLAS picks its kernels by CPU core and splits its sums by
 thread, so the digests hold for the environment recorded in the file and one
 BLAS thread.  ``test_digests.py`` recomputes them in a child process.  A
 change that moves a model rewrites the file, and its diff names the entries.
@@ -19,13 +24,15 @@ import json
 import os
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from ratapprox import OMEGA, h_of_s, sample_oracle, structured_grid, uniform_random_grid
-from ratapprox.analysis import FIT_DEFAULTS, fit
+from ratapprox import cli
+from ratapprox.analysis import FIT_DEFAULTS, fit, model_error, oracle_grid
 from ratapprox.serialize import model_to_dict
 
 LEDGER = Path(__file__).with_name("digests.json")
@@ -40,6 +47,10 @@ SAMPLE_SETS = {
 
 #: entry name -> (method, settings)
 FITS = {**{method: (method, {}) for method in FIT_DEFAULTS}, "aaa-real": ("aaa", {"real_mode": True})}
+
+#: The sample sets whose default fits also keep their error surface, and its size.
+SURFACE_SETS = ("grid-101x21", "cloud-1000-seed0")
+SURFACE = 500
 
 
 def _openblas_core():
@@ -90,20 +101,50 @@ def _feed(digest, obj):
         digest.update(repr(obj).encode())
 
 
-def digests() -> dict:
-    """{"<sample set>/<fit>": {"model": sha256 of the model JSON, "history": sha256 of the history}}."""
+def _sha256(obj) -> str:
+    digest = hashlib.sha256()
+    _feed(digest, obj)
+    return digest.hexdigest()
+
+
+def _repro_digests() -> dict:
+    """{"repro/<file>": {"file": sha256}} of ``ratapprox repro --seed 0``'s files, as the module says."""
     found = {}
+    with tempfile.TemporaryDirectory() as out, open(os.devnull, "w") as quiet:
+        stdout, sys.stdout = sys.stdout, quiet
+        try:
+            status = cli.main(["repro", "--seed", "0", "--out-dir", out])
+        finally:
+            sys.stdout = stdout
+        if status:
+            raise RuntimeError(f"ratapprox repro --seed 0 exited with {status}")
+        for path in sorted(Path(out).iterdir()):
+            lines = [line for line in path.read_text().splitlines(keepends=True) if not line.startswith("#")]
+            if path.name.endswith(".compare.txt"):
+                lo = lines[0].index(" fit [s]")
+                hi = lines[0].index(" eval [s]") + len(" eval [s]")
+                lines = [line[:lo] + line[hi:] for line in lines]
+            found[f"repro/{path.name}"] = {"file": hashlib.sha256("".join(lines).encode()).hexdigest()}
+    return found
+
+
+def digests() -> dict:
+    """{"<sample set>/<fit>": {"model": sha256 of the model JSON, "history": sha256 of the history,
+    and for the default fits on ``SURFACE_SETS`` "surface": sha256 of the error surface}}, then the
+    ``repro/`` entries."""
+    found = {}
+    truth = oracle_grid(h_of_s, OMEGA, SURFACE, SURFACE)
     for set_name, points in SAMPLE_SETS.items():
         samples = sample_oracle(points(), h_of_s)
         for fit_name, (method, settings) in FITS.items():
             model, history = fit(method, samples, **settings)
-            record = hashlib.sha256()
-            _feed(record, history)
-            found[f"{set_name}/{fit_name}"] = {
+            entry = found[f"{set_name}/{fit_name}"] = {
                 "model": hashlib.sha256(json.dumps(model_to_dict(model)).encode()).hexdigest(),
-                "history": record.hexdigest(),
+                "history": _sha256(history),
             }
-    return found
+            if set_name in SURFACE_SETS and not settings:
+                entry["surface"] = _sha256(model_error(model, truth).errors)
+    return {**found, **_repro_digests()}
 
 
 if __name__ == "__main__":

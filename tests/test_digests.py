@@ -26,5 +26,6 @@ def test_fits_keep_the_digests_of_the_ledger():
     found = json.loads(done.stdout)
     kept = ledger["digests"]
     changed = [f"{name} {part}" for name in sorted(kept.keys() | found.keys())
-               for part in ("model", "history") if kept.get(name, {}).get(part) != found.get(name, {}).get(part)]
+               for part in sorted(kept.get(name, {}).keys() | found.get(name, {}).keys())
+               if kept.get(name, {}).get(part) != found.get(name, {}).get(part)]
     assert not changed, "changed: " + ", ".join(changed)
