@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import greedy, linalg
-from .errors import InsufficientDataError, SettingError, StagnationError, check_count
-from .sampling import SampleSet, conjugate_mates
+from .errors import InsufficientDataError, SettingError, StagnationError, check_count, check_shapes
+from .sampling import SampleSet, conjugate_mates, group_members
 
 #: The AAA fit's settings and their defaults, its row of ``analysis.FIT_DEFAULTS``.
 #: order is the cap; seed=None starts at the sample farthest from the mean, a seed at random.
@@ -28,19 +28,13 @@ DEFAULTS = {"order": 30, "tol": 1e-13, "real_mode": False, "seed": None, "cleanu
 #: distance of it, or when its residue is this small against the median residue.
 CLEANUP_TOL = 1e-9
 
-#: The band :func:`fit_aaa` ranks with (:func:`ratapprox.greedy.rank`): it promotes
-#: the lowest-indexed sample whose residual lies within this relative distance of
-#: the largest, so residuals that tie to roundoff (the 10 +- 1j mates of the
-#: 40 x 41 benchmark grid, 3.6e-15 apart) do not choose by their last bits.
-RANK_BAND = 1e-12
-
 
 @dataclass
 class BarycentricModel:
     """Barycentric triple (support points, support values, weights).
 
     r(s_j) = f_j exactly wherever w_j != 0; the weight vector has unit
-    2-norm.
+    2-norm.  Values or weights not shaped like the points raise ``SampleError``.
     """
 
     support_points: np.ndarray
@@ -51,6 +45,7 @@ class BarycentricModel:
         self.support_points = np.asarray(self.support_points, dtype=complex)
         self.support_values = np.asarray(self.support_values, dtype=complex)
         self.weights = np.asarray(self.weights, dtype=complex)
+        check_shapes("barycentric model", vars(self), [(self.support_points.size,)] * 3)
         if len(np.unique(self.support_points)) != self.support_points.size:
             raise ValueError("support points must be distinct")
         if not np.any(self.weights):
@@ -101,7 +96,7 @@ def eval_barycentric(model: BarycentricModel, s):
             vals = np.asarray(num / den)  # a scalar point's quotient as a writable 0-d array
         vals[den == 0] = np.inf
         at = diff == 0  # for finite points the same test as chunk == zj
-        if at.any():
+        if np.count_nonzero(at):  # rather than any(): on a scalar's 0-d chunk it costs a third as much
             support = at.any(axis=-1)  # support points are distinct: one hit at most
             vals[support] = model.support_values[np.argmax(at[support], axis=-1)]
         return vals
@@ -144,7 +139,7 @@ def fit_aaa(
     Each step measures the residual at the remaining samples with
     :func:`eval_barycentric`, records its maximum in the history and stops
     at the tolerance; otherwise it promotes what :func:`ratapprox.greedy.rank`
-    picks with ``RANK_BAND``, NaN residuals ignored.  The order never
+    picks, with its band ``greedy.RANK_BAND``, NaN residuals ignored.  The order never
     exceeds ``max_order``: a promotion that would pass it returns the
     current model instead.  With ``real_mode`` support points are promoted
     together with their conjugates (lower index first after the start) and
@@ -192,7 +187,7 @@ def fit_aaa(
     picks = [start]
     history: list[AaaStep] = []
     while True:
-        if len(support_idx) + len({picks[0], int(mates[picks[0]])}) > max_order:
+        if len(support_idx) + group_members(mates, picks).size > max_order:
             if not support_idx:
                 raise SettingError(f"order cap {max_order} is below the first conjugate pair")
             return model, history
@@ -208,7 +203,7 @@ def fit_aaa(
         weights = _solve_weights(points[rows], values[rows], zs, fs, real_mode)
         model = BarycentricModel(support_points=zs, support_values=fs, weights=weights)
         resid = np.abs(eval_barycentric(model, points[rows]) - values[rows])
-        picks, max_error = greedy.rank(resid, rows, mates, count=1, band=RANK_BAND)
+        picks, max_error = greedy.rank(resid, rows, mates, count=1)
         history.append(AaaStep(order=model.order, max_error=max_error))
         if max_error <= tol * scale:
             return model, history

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the check of count settings."""
+"""Exception types shared across the toolkit, and the checks of count settings and model shapes."""
 
 import numbers
 
@@ -26,7 +26,8 @@ class SampleError(RatApproxError, ValueError):
     """Sample data is unusable.
 
     No points, a repeated point, values of another shape than the points,
-    or a point or value that is not finite.
+    or a point or value that is not finite; also a model whose fields do
+    not fit together (see :func:`check_shapes`) or whose file lacks one.
     """
 
 
@@ -52,6 +53,13 @@ def check_count(name: str, value, minimum: int) -> None:
         raise SettingError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise SettingError(f"{name} must be at least {minimum}")
+
+
+def check_shapes(model: str, fields: dict, shapes: list) -> None:
+    """Raise ``SampleError`` naming each field's shape and the one it needs, unless all are as ``shapes``."""
+    got = {name: value.shape for name, value in fields.items()}
+    if list(got.values()) != shapes:
+        raise SampleError(f"{model} fields need shapes {dict(zip(got, shapes))}, got {got}")
 
 
 class SymmetryError(RatApproxError, ValueError):

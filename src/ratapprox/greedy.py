@@ -13,13 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, PartitionError, RankError, SymmetryError, check_count
-from .loewner import DataPartition, StateSpaceModel, build_pencil, truncate
-from .sampling import SampleSet, conjugate_mates
+from .errors import InsufficientDataError, RankError, check_count
+from .loewner import DataPartition, StateSpaceModel, build_pencil, conjugate_groups, truncate
+from .sampling import SampleSet, group_members
 
 #: The recursive Loewner fit's settings and their defaults, its row of
 #: ``analysis.FIT_DEFAULTS``.
 DEFAULTS = {"order": 11, "seed": 0}
+
+#: The relative band both greedy fits rank with (:func:`rank`), so that errors that
+#: tie to roundoff (the 10 +- 1j mates of the 40 x 41 benchmark grid, 3.6e-15 apart
+#: under AAA) do not choose by their last bits.
+RANK_BAND = 1e-12
 
 #: Stop once the selection error has failed to halve this many steps in a row
 #: (only after the target order is reachable).
@@ -54,30 +59,24 @@ def fit_greedy(
     Each step evaluates the current model at all unused samples (by its LU
     solve, :meth:`StateSpaceModel.solve`), moves the worst conjugate group
     to the left set and the second worst to the right set, as :func:`rank`
-    orders them without a band, and refits.  Stops when every measurement
-    is used or when the selection error stagnates after the target order is
-    reached, and returns the model fitted to the final sets.  The procedure
-    is a pure function of (samples, order_target, seed).
+    orders them, and refits.  Stops when every measurement is used or when
+    the selection error stagnates after the target order is reached, and
+    returns the model fitted to the final sets.  The procedure is a pure
+    function of (samples, order_target, seed).
 
     An ``order_target`` that is not an integer of at least 1, or a ``seed``
-    that is not an integer of at least 0, raises ``SettingError``.
+    that is not an integer of at least 0, raises ``SettingError``; samples
+    that :func:`~ratapprox.loewner.conjugate_groups` rejects (not
+    conjugate-closed, or one group) raise ``PartitionError``.
     """
     check_count("order", order_target, 1)
     check_count("seed", seed, 0)
     if len(samples) < 2 * order_target:
-        raise InsufficientDataError(
-            f"{len(samples)} samples cannot support order {order_target}; "
-            f"need at least {2 * order_target}"
-        )
+        raise InsufficientDataError(f"{len(samples)} samples cannot support order {order_target}; "
+                                    f"need at least {2 * order_target}")
     pts = samples.points
     vals = samples.values
-    try:
-        mates = conjugate_mates(pts)
-    except SymmetryError as exc:
-        raise PartitionError(f"cannot preserve conjugate closure: {exc}") from exc
-    leads = np.flatnonzero(mates >= np.arange(pts.size))
-    if leads.size < 2:
-        raise InsufficientDataError("need at least two conjugate groups")
+    mates, leads = conjugate_groups(pts)
 
     left, right = [], []
     unused = np.ones(pts.size, dtype=bool)
@@ -103,13 +102,13 @@ def fit_greedy(
             best_error = min(best_error, max_error)
 
 
-def rank(errors, rows, mates, count, band=0.0):
+def rank(errors, rows, mates, count):
     """Up to ``count`` conjugate groups to promote, worst first, and the largest error.
 
     ``errors[i]`` is the error at sample ``rows[i]`` and ``mates[i]`` sample i's
     mate.  A group is named by its lowest sample index and scored by its worst
     member, NaN ignored (a group of NaN scores 0).  Each pick is the lowest
-    group whose score lies within ``band`` (relative) of the largest still unpicked.
+    group whose score lies within ``RANK_BAND`` (relative) of the largest still unpicked.
     """
     groups, slot = np.unique(np.minimum(rows, mates[rows]), return_inverse=True)
     scores = np.zeros(groups.size)
@@ -117,17 +116,17 @@ def rank(errors, rows, mates, count, band=0.0):
     largest = float(scores.max())
     picks = []
     for _ in range(min(count, groups.size)):
-        at = int(np.argmax(scores >= (1.0 - band) * scores.max()))
+        at = int(np.argmax(scores >= (1.0 - RANK_BAND) * scores.max()))
         picks.append(int(groups[at]))
         scores[at] = -np.inf
     return picks, largest
 
 
 def promote(sides, unused, mates, picks):
-    """Append ``picks[k]`` and its mate to ``sides[k]`` and mark both as used in ``unused``."""
+    """Append the group of ``picks[k]`` (by :func:`group_members`) to ``sides[k]``; mark it used in ``unused``."""
     for side, pick in zip(sides, picks):
-        group = [int(pick)] if mates[pick] == pick else [int(pick), int(mates[pick])]
-        side += group
+        group = group_members(mates, [pick])
+        side += group.tolist()
         unused[group] = False
 
 
@@ -140,6 +139,5 @@ def _fit_current(pts, vals, left_idx, right_idx, order_target):
     except RankError as exc:
         if exc.rank is None:
             raise
-        rank = exc.rank
-    # cap the interim order at the numerical rank so E stays invertible
-    return truncate(pencil, order=rank).model, rank
+        # cap the interim order at the numerical rank so E stays invertible
+        return truncate(pencil, order=exc.rank).model, exc.rank

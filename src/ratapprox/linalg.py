@@ -146,11 +146,6 @@ def cauchy_sum(diff: np.ndarray, residues) -> np.ndarray:
         return ((1.0 / diff) * residues).sum(axis=-1)
 
 
-def pole_residue_sum(points: np.ndarray, poles: np.ndarray, residues: np.ndarray) -> np.ndarray:
-    """``sum_j residues[j] / (points - poles[j])`` at each of the ``points``, by :func:`cauchy_sum`."""
-    return cauchy_sum(points[..., None] - poles, residues)
-
-
 def least_squares(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm least-squares solution of ``a @ x = b`` and the singular values of ``a``.
 

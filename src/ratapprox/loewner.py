@@ -24,7 +24,7 @@ import scipy.linalg
 
 from . import linalg
 from .errors import (PartitionError, PencilError, PoleError, RankError, SampleError, SettingError,
-                     SymmetryError, check_count)
+                     SymmetryError, check_count, check_shapes)
 from .sampling import Domain, SampleSet, conjugate_mates, group_members
 
 PARTITION_SCHEMES = ("alternating", "half_split", "epsilon_paired")
@@ -113,7 +113,8 @@ class StateSpaceModel:
 
     Evaluation uses the modal (pole-residue) form of the model where it
     may (see :meth:`eval`).  That form is computed from E, A, B and C on
-    the first evaluation and kept; it is never serialized.
+    the first evaluation and kept; it is never serialized.  E and A not
+    r x r, or B and C (raveled) not of length r, raise ``SampleError``.
     """
 
     E: np.ndarray
@@ -126,6 +127,8 @@ class StateSpaceModel:
         self.A = np.asarray(self.A, dtype=complex)
         self.B = np.asarray(self.B, dtype=complex).ravel()
         self.C = np.asarray(self.C, dtype=complex).ravel()
+        r = self.B.size
+        check_shapes("state-space model", vars(self), [(r, r), (r, r), (r,), (r,)])
 
     @property
     def order(self) -> int:
@@ -329,26 +332,38 @@ def modal_form(model: StateSpaceModel) -> ModalForm | None:
     return ModalForm(poles=lam, residues=residues, radii=radii)
 
 
+#: Unit-circle offsets of the check's four probes and of the shrink step's eight on each circle.
+_CHECK_PROBES = np.array([1, 1j, -1, -1j])
+_SHRINK_PROBES = np.exp(2j * np.pi * np.arange(8) / 8)
+
+
+def _circle_misses(model, poles, residues, radii, which, offsets):
+    """Distances to every pole from the probes ``poles[which] + radii[which] * offsets``, and the misses.
+
+    A miss is |sum - solve| at a probe that counts (finite, outside the other discs), -inf at the others.
+    """
+    probes = poles[which, None] + radii[which, None] * offsets
+    diff = probes[..., None] - poles
+    dist = np.abs(diff)
+    inside = dist < radii
+    inside &= np.arange(poles.size) != which[:, None, None]  # on its own circle
+    keep = np.isfinite(probes) & ~np.any(inside, axis=-1)
+    miss = np.full(probes.shape, -np.inf)
+    miss[keep] = np.abs(linalg.cauchy_sum(diff[keep], residues) - _solve(model, probes[keep]))
+    return dist, miss
+
+
 def _checked_radii(model, poles, residues, delta, radii):
     """Grow ``radii`` until the modal sum matches the LU solve to sqrt(u) on every circle."""
     span = np.max(np.abs(poles[:, None] - poles[None, :]))
-    owner = np.repeat(np.arange(poles.size), 4)
     while True:
-        probes = (poles[:, None] + radii[:, None] * np.array([1, 1j, -1, -1j])).ravel()
-        dist = np.abs(probes[:, None] - poles[None, :])
-        inside = dist < radii
-        inside[np.arange(owner.size), owner] = False  # on its own circle
         # a pole without a residue has a zero radius and no circle to probe
-        keep = np.isfinite(probes) & (radii[owner] > 0) & ~np.any(inside, axis=1)
-        if not np.any(keep):
-            return radii
         try:
-            exact = _solve(model, probes[keep])
+            dist, miss = _circle_misses(model, poles, residues, radii, np.flatnonzero(radii > 0), _CHECK_PROBES)
         except PoleError:
             return None
-        approx = linalg.pole_residue_sum(probes[keep], poles, residues)
-        terms = np.sum(np.abs(residues) / dist[keep], axis=1)
-        missed = ~(np.abs(approx - exact) <= np.sqrt(_UNIT_ROUNDOFF) * terms)
+        keep = ~np.isneginf(miss)
+        missed = ~(miss[keep] <= np.sqrt(_UNIT_ROUNDOFF) * np.sum(np.abs(residues) / dist[keep], axis=1))
         if not np.any(missed):
             return radii
         # blame the term with the largest first-order error from its pole's uncertainty
@@ -357,10 +372,6 @@ def _checked_radii(model, poles, residues, delta, radii):
         radii[grow] *= 2.0
         if not np.all((radii[grow] > 0) & (radii[grow] <= span)):
             return None
-
-
-#: Unit-circle offsets of the shrink step's eight probes on each circle.
-_SHRINK_PROBES = np.exp(2j * np.pi * np.arange(8) / 8)
 
 
 def _shrunk_radii(model, poles, residues, delta, radii):
@@ -373,14 +384,8 @@ def _shrunk_radii(model, poles, residues, delta, radii):
 
     def misses(trial, which):
         # the largest miss on each circle of `which`, and whether any of its probes counts
-        probes = poles[which, None] + trial[which, None] * _SHRINK_PROBES
-        inside = np.abs(probes[..., None] - poles) < trial
-        inside &= np.arange(poles.size) != which[:, None, None]  # on its own circle
-        keep = ~np.any(inside, axis=-1)
-        miss = np.full(probes.shape, -np.inf)
-        miss[keep] = np.abs(linalg.pole_residue_sum(probes[keep], poles, residues)
-                            - _solve(model, probes[keep]))
-        return np.max(miss, axis=1), np.any(keep, axis=1)
+        miss = _circle_misses(model, poles, residues, trial, which, _SHRINK_PROBES)[1]
+        return np.max(miss, axis=1), np.any(~np.isneginf(miss), axis=1)
 
     try:
         checked, counted = misses(radii, shrinking)
@@ -450,21 +455,11 @@ def partition(samples: SampleSet, scheme: str = DEFAULTS["scheme"]) -> DataParti
       distance.  The first group of each adjacent pair becomes a right
       (column) point.
 
-    Another scheme raises ``SettingError``.
+    Another scheme raises ``SettingError``; :func:`conjugate_groups` raises ``PartitionError``.
     """
     _check_scheme(scheme)
-    if len(samples) < 2:
-        raise PartitionError("need at least 2 samples to partition")
     pts = samples.points
-    try:
-        mates = conjugate_mates(pts)
-    except SymmetryError as exc:
-        raise PartitionError(f"cannot preserve conjugate closure: {exc}") from exc
-    leads = np.flatnonzero(mates >= np.arange(pts.size))
-    if leads.size < 2:
-        raise PartitionError(
-            "only one conjugate group present; it cannot be split across sides"
-        )
+    mates, leads = conjugate_groups(pts)
 
     position = np.arange(leads.size)
     if scheme == "epsilon_paired":
@@ -480,6 +475,21 @@ def partition(samples: SampleSet, scheme: str = DEFAULTS["scheme"]) -> DataParti
     right = group_members(mates, leads[~left_sides])
     vals = samples.values
     return DataPartition(mu=pts[left], v=vals[left], lam=pts[right], w=vals[right])
+
+
+def conjugate_groups(points) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's mate (:func:`conjugate_mates`) and the lowest index of each conjugate group, in order.
+
+    ``PartitionError`` where the points are not conjugate-closed or form one group: neither splits in two.
+    """
+    try:
+        mates = conjugate_mates(points)
+    except SymmetryError as exc:
+        raise PartitionError(f"cannot preserve conjugate closure: {exc}") from exc
+    leads = np.flatnonzero(mates >= np.arange(mates.size))
+    if leads.size < 2:
+        raise PartitionError(f"{leads.size} conjugate group(s) cannot be split across two sides")
+    return mates, leads
 
 
 def _check_scheme(scheme) -> None:

@@ -11,6 +11,7 @@ import json
 import numpy as np
 
 from .aaa import BarycentricModel
+from .errors import SampleError
 from .loewner import StateSpaceModel
 from .vectorfit import PoleResidueModel
 
@@ -57,6 +58,8 @@ def model_from_dict(doc: dict):
     kind = doc.get("type")
     for cls, (tag, fields) in _MODEL_TYPES.items():
         if tag == kind:
+            if missing := [key for key in fields if key not in doc]:
+                raise SampleError(f"{tag} model lacks {', '.join(missing)}")
             return cls(**{
                 attr: _decode(doc[key]) if isinstance(doc[key], list) else doc[key]
                 for key, attr in fields.items()

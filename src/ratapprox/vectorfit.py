@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DivergenceError, InsufficientDataError, PoleError, SettingError, SymmetryError, check_count
+from .errors import (DivergenceError, InsufficientDataError, PoleError, SettingError, SymmetryError,
+                     check_count, check_shapes)
 
 #: Iteration stops early once the largest relative pole movement drops below this.
 MOVE_TOL = 1e-10
@@ -40,7 +41,7 @@ DEFAULTS = {"order": 12, "iters": 20}
 
 @dataclass
 class PoleResidueModel:
-    """Pole-residue form sum c_n/(s - a_n) + d + s h."""
+    """Pole-residue form sum c_n/(s - a_n) + d + s h; residues not shaped like the poles raise ``SampleError``."""
 
     poles: np.ndarray
     residues: np.ndarray
@@ -50,6 +51,7 @@ class PoleResidueModel:
     def __post_init__(self):
         self.poles = np.asarray(self.poles, dtype=complex)
         self.residues = np.asarray(self.residues, dtype=complex)
+        check_shapes("pole-residue model", dict(poles=self.poles, residues=self.residues), [(self.poles.size,)] * 2)
         self.d = float(self.d)
         self.h = float(self.h)
 

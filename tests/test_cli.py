@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from ratapprox import aaa, cli, linalg, loewner, vectorfit
 from ratapprox.cli import main
-from ratapprox.errors import PoleError, RatApproxError
+from ratapprox.errors import PoleError, RatApproxError, SampleError
 from ratapprox.serialize import load_model, save_model
 from ratapprox.special import SERIES_RADIUS
 
@@ -349,6 +349,49 @@ class TestSerialize:
         path.write_text('{"type": "mystery"}')
         with pytest.raises(ValueError):
             load_model(path)
+
+    def test_missing_field_is_a_sample_error(self, tmp_path):
+        path = tmp_path / "ss.json"
+        save_model(loewner.StateSpaceModel(E=np.eye(2), A=np.eye(2), B=[1.0, 2.0], C=[1.0, 0.5]), path)
+        doc = json.loads(path.read_text())
+        del doc["A"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SampleError, match="lacks A"):
+            load_model(path)
+
+    @pytest.mark.parametrize("build, got", [
+        (lambda: loewner.StateSpaceModel(E=np.eye(2), A=np.eye(3), B=[1.0, 2.0], C=[1.0, 0.5]),
+         "got {'E': (2, 2), 'A': (3, 3), 'B': (2,), 'C': (2,)}"),
+        (lambda: loewner.StateSpaceModel(E=np.eye(2), A=np.eye(2), B=[1.0, 2.0, 3.0], C=[1.0, 0.5]),
+         "got {'E': (2, 2), 'A': (2, 2), 'B': (3,), 'C': (2,)}"),
+        (lambda: loewner.StateSpaceModel(E=np.ones((2, 3)), A=np.ones((2, 3)), B=[1.0, 2.0], C=[1.0, 0.5]),
+         "got {'E': (2, 3), 'A': (2, 3), 'B': (2,), 'C': (2,)}"),
+        (lambda: aaa.BarycentricModel(support_points=[1.0, 2.0, 3.0], support_values=[1.0], weights=[1.0, 1.0, 1.0]),
+         "got {'support_points': (3,), 'support_values': (1,), 'weights': (3,)}"),
+        (lambda: aaa.BarycentricModel(support_points=[1.0, 2.0], support_values=[1.0, 2.0], weights=[1.0]),
+         "got {'support_points': (2,), 'support_values': (2,), 'weights': (1,)}"),
+        (lambda: vectorfit.PoleResidueModel(poles=[1j, -1j], residues=[1.0], d=0.0, h=0.0),
+         "got {'poles': (2,), 'residues': (1,)}"),
+    ])
+    def test_fields_of_mismatched_shapes_are_a_sample_error(self, build, got):
+        with pytest.raises(SampleError, match="fields need shapes") as info:
+            build()
+        assert str(info.value).endswith(got)
+
+    @pytest.mark.parametrize("command", ["eval", "poles"])
+    def test_a_model_file_with_too_few_values_exits_1_with_a_sample_error(self, tmp_path, capsys, command):
+        path = tmp_path / "m.json"
+        save_model(aaa.BarycentricModel(support_points=[1.0, 2.0], support_values=[1.0, 3.0],
+                                        weights=[0.6, 0.8]), path)
+        doc = json.loads(path.read_text())
+        doc["values"] = doc["values"][:1]
+        path.write_text(json.dumps(doc))
+        extra = ["--nx", "20", "--ny", "5", "--out-prefix", str(tmp_path / "m")] if command == "eval" else []
+        assert run(command, "--model", str(path), *extra) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err.strip())["error"] == "SampleError"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
     def test_state_space_round_trip_exact(self, tmp_path):
         from conftest import rational_samples

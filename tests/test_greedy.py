@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import conjugate_closed, rational_samples
-from ratapprox import OMEGA, InsufficientDataError, SampleSet, build_pencil, fit_greedy, greedy, truncate
+from ratapprox import (OMEGA, InsufficientDataError, PartitionError, SampleSet, build_pencil, fit_greedy, greedy,
+                       truncate)
 from ratapprox.loewner import DataPartition, StateSpaceModel
 from ratapprox.sampling import uniform_random_grid
 
@@ -66,14 +67,22 @@ def test_rank_scores_a_group_by_its_worst_member_with_nan_ignored():
     assert greedy.rank(errors, np.arange(9), MATES, count=9) == ([0, 1, 4, 2, 7], 2.0)
 
 
+def test_promote_appends_each_pick_with_its_mate_unless_it_is_real():
+    sides, unused = ([], [8]), np.ones(9, dtype=bool)
+    greedy.promote(sides, unused, MATES, [3, 1])
+    assert sides == ([3, 0], [8, 1])
+    assert np.flatnonzero(~unused).tolist() == [0, 1, 3]
+
+
 def test_rank_names_a_group_by_its_lowest_sample_even_when_only_its_mate_is_given():
     assert greedy.rank(np.array([1.0, 3.0, 2.0]), np.array([3, 4, 8]), MATES, count=2) == ([4, 7], 3.0)
 
 
 @pytest.mark.parametrize("band, picks", [(0.0, [2, 1, 0]), (1e-12, [2, 0, 1]), (1e-8, [0, 1, 2])])
-def test_rank_takes_the_lowest_group_within_the_band_of_the_largest_left(band, picks):
+def test_rank_takes_the_lowest_group_within_the_band_of_the_largest_left(band, picks, monkeypatch):
+    monkeypatch.setattr(greedy, "RANK_BAND", band)
     errors = np.array([1.0, 1.0 + 1e-13, 1.0 + 1e-9])
-    assert greedy.rank(errors, np.arange(3), np.arange(3), count=3, band=band) == (picks, 1.0 + 1e-9)
+    assert greedy.rank(errors, np.arange(3), np.arange(3), count=3) == (picks, 1.0 + 1e-9)
 
 
 def test_fit_ranks_by_one_solve_per_step_on_the_unused_samples(medium_bessel_samples, monkeypatch):
@@ -135,6 +144,12 @@ def test_insufficient_data_rejected():
     samples, *_ = rational_samples(2, 4, n_pairs=3)
     with pytest.raises(InsufficientDataError):
         fit_greedy(samples, order_target=5, seed=0)
+
+
+def test_one_conjugate_group_is_a_partition_error_as_in_partition():
+    samples = SampleSet(np.array([1.0 + 1.0j, 1.0 - 1.0j]), np.array([1.0 + 0j, 1.0 + 0j]))
+    with pytest.raises(PartitionError, match="1 conjugate group"):
+        fit_greedy(samples, order_target=1)
 
 
 @pytest.mark.parametrize("order_target, seed", [(11, 0), (6, 3)])

@@ -92,6 +92,20 @@ class TestPartition:
         with pytest.raises(PartitionError):
             partition(samples)
 
+    def test_single_sample_impossible(self):
+        with pytest.raises(PartitionError, match="1 conjugate group"):
+            partition(SampleSet(np.array([3.0 + 0j]), np.array([1.0 + 0j])))
+
+    def test_conjugate_groups_give_the_mates_and_the_leads_in_input_order(self):
+        mates, leads = loewner.conjugate_groups(np.array([2.0 - 1.0j, 3.0, 2.0 + 1.0j, 1.0]))
+        assert mates.tolist() == [2, 1, 0, 3]
+        assert leads.tolist() == [0, 1, 3]
+
+    @pytest.mark.parametrize("pts", [[1.0 + 1.0j, 2.0], [1.0 + 1.0j, 1.0 - 1.0j], [3.0]])
+    def test_conjugate_groups_reject_points_not_closed_or_in_one_group(self, pts):
+        with pytest.raises(PartitionError):
+            loewner.conjugate_groups(np.array(pts, dtype=complex))
+
     def test_epsilon_paired_neighbours_on_opposite_sides(self):
         pts = np.arange(1.0, 9.0)  # 1..8 on the real axis
         samples = real_samples(lambda s: 1.0 / (s + 20.0), pts)
@@ -776,7 +790,7 @@ def with_checked_discs(model, monkeypatch):
 
 def exact_modal_sum(monkeypatch, poles, residues):
     """Make the LU solve return the modal sum, so that only geometry and floors stop the discs."""
-    monkeypatch.setattr(loewner, "_solve", lambda model, pts: linalg.pole_residue_sum(pts, poles, residues))
+    monkeypatch.setattr(loewner, "_solve", lambda model, pts: linalg.cauchy_sum(pts[..., None] - poles, residues))
 
 
 class TestModalForm:
