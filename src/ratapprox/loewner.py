@@ -429,9 +429,7 @@ class LoewnerReduction:
     pencil small enough for the full SVD of the row concatenation [L, Ls];
     then ``singular_values`` are all of that matrix's.
     Y and X are the retained left/right projection blocks, kept so
-    projected interpolation points can be formed later.  ``e_condition``
-    reports cond(E); it is legitimately huge when the data carries a
-    constant or polynomial part (the feedthrough lives in E's null space).
+    projected interpolation points can be formed later.
     """
 
     model: StateSpaceModel
@@ -439,7 +437,6 @@ class LoewnerReduction:
     Y: np.ndarray
     X: np.ndarray
     shift: float | None = None
-    e_condition: float = np.nan
 
 
 def partition(samples: SampleSet, scheme: str = DEFAULTS["scheme"]) -> DataPartition:
@@ -639,14 +636,7 @@ def truncate(
     Lh, Lsh, Vh, Wh = _project(pencil, Y, X)
     # -(Y* L X), not (-Y*) L X: the two differ in the sign of exact zeros
     model = StateSpaceModel(E=-Lh, A=-Lsh, B=Vh, C=Wh)
-    return LoewnerReduction(
-        model=model,
-        singular_values=sigma,
-        Y=Y,
-        X=X,
-        shift=shift,
-        e_condition=float(np.linalg.cond(model.E)),
-    )
+    return LoewnerReduction(model=model, singular_values=sigma, Y=Y, X=X, shift=shift)
 
 
 def _checked_order(sigma: np.ndarray, order: int | None, tol: float | None, largest: int) -> int:
