@@ -25,9 +25,8 @@ class PoleError(RatApproxError, ArithmeticError):
 class SampleError(RatApproxError, ValueError):
     """Sample data is unusable.
 
-    No points, a repeated point, values of another shape than the points,
-    or a point or value that is not finite; also a model whose fields do
-    not fit together (see :func:`check_shapes`) or whose file lacks one.
+    No points, a repeated point, values of another shape than the points, a point or
+    value that is not finite, or model fields of mismatched shapes or missing from a file.
     """
 
 

@@ -192,7 +192,7 @@ class StateSpaceModel:
 def _solve(model: StateSpaceModel, chunk: np.ndarray) -> np.ndarray:
     """C (sE - A)^{-1} B at each point of the 1-D ``chunk`` by one batched LU solve.
 
-    A non-finite point gets the IEEE result of the arithmetic, without a warning.
+    A non-finite point, or a solve that overflows, gets the IEEE result of the arithmetic, without a warning.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         if model.order == 1:
@@ -204,12 +204,12 @@ def _solve(model: StateSpaceModel, chunk: np.ndarray) -> np.ndarray:
             return model.C[0] * (model.B[0] / pencil)
         mats = np.multiply.outer(chunk, model.E)  # one r x r x chunk array, no temporary
         mats -= model.A
-    try:
-        xs = np.linalg.solve(mats, np.broadcast_to(model.B[:, None], (chunk.size, model.order, 1)))
-    except np.linalg.LinAlgError:
-        bad = _first_singular_point(model, chunk)
-        raise PoleError(f"sE - A is singular at s = {bad}", point=bad) from None
-    return (model.C[None, None, :] @ xs)[:, 0, 0]
+        try:
+            xs = np.linalg.solve(mats, np.broadcast_to(model.B[:, None], (chunk.size, model.order, 1)))
+        except np.linalg.LinAlgError:
+            bad = _first_singular_point(model, chunk)
+            raise PoleError(f"sE - A is singular at s = {bad}", point=bad) from None
+        return (model.C[None, None, :] @ xs)[:, 0, 0]
 
 
 def _first_singular_point(model: StateSpaceModel, chunk: np.ndarray) -> complex:

@@ -758,6 +758,15 @@ class TestEval:
             assert info.value.point == 2.0 + 4.0j
 
 
+    def test_a_solve_that_overflows_gives_nan_without_a_warning(self):
+        # subnormal E: the solution overflows, and C = 0 times its infinities is NaN
+        E = np.full((4, 4), 2.22507386e-311 + 0j)
+        E[0, 3] = 1.0
+        model = StateSpaceModel(E=E, A=np.zeros((4, 4)), B=np.ones(4), C=np.zeros(4))
+        assert model.modal is None
+        assert np.isnan(model.eval(np.array([[251.0]]))).all()
+
+
 def modal_and_lu_points(model, rng, n=60):
     """Random points around the model's poles: inside and outside their LU discs."""
     modal = model.modal
