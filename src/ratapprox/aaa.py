@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import greedy, linalg
-from .errors import InsufficientDataError, SettingError, StagnationError, check_count, check_shapes
+from .errors import InsufficientDataError, SampleError, SettingError, StagnationError, check_count, check_shapes
 from .sampling import SampleSet, conjugate_mates, group_members
 
 #: The AAA fit's settings and their defaults, its row of ``analysis.FIT_DEFAULTS``.
@@ -34,7 +34,7 @@ class BarycentricModel:
     """Barycentric triple (support points, support values, weights).
 
     r(s_j) = f_j exactly wherever w_j != 0; the weight vector has unit
-    2-norm.  Values or weights not shaped like the points raise ``SampleError``.
+    2-norm.  Repeated points, zero weights, or fields not shaped like the points raise ``SampleError``.
     """
 
     support_points: np.ndarray
@@ -47,9 +47,9 @@ class BarycentricModel:
         self.weights = np.asarray(self.weights, dtype=complex)
         check_shapes("barycentric model", vars(self), [(self.support_points.size,)] * 3)
         if len(np.unique(self.support_points)) != self.support_points.size:
-            raise ValueError("support points must be distinct")
+            raise SampleError("support points must be distinct")
         if not np.any(self.weights):
-            raise ValueError("weights are identically zero")
+            raise SampleError("weights are identically zero")
 
     @property
     def order(self) -> int:

@@ -64,7 +64,7 @@ def model_from_dict(doc: dict):
                 attr: _decode(doc[key]) if isinstance(doc[key], list) else doc[key]
                 for key, attr in fields.items()
             })
-    raise ValueError(f"unknown model type {kind!r}")
+    raise SampleError(f"unknown model type {kind!r}")
 
 
 def save_model(model, path, meta: dict | None = None) -> None:

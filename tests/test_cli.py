@@ -379,12 +379,16 @@ class TestSerialize:
         assert str(info.value).endswith(got)
 
     @pytest.mark.parametrize("command", ["eval", "poles"])
-    def test_a_model_file_with_too_few_values_exits_1_with_a_sample_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("key, value", [("values", [[1.0, 0.0]]),  # fewer values than support points
+                                            ("support", [[1.0, 0.0], [1.0, 0.0]]),
+                                            ("weights", [[0.0, 0.0], [0.0, 0.0]]),
+                                            ("type", "mystery")])
+    def test_a_malformed_model_file_exits_1_with_a_sample_error(self, tmp_path, capsys, command, key, value):
         path = tmp_path / "m.json"
         save_model(aaa.BarycentricModel(support_points=[1.0, 2.0], support_values=[1.0, 3.0],
                                         weights=[0.6, 0.8]), path)
         doc = json.loads(path.read_text())
-        doc["values"] = doc["values"][:1]
+        doc[key] = value
         path.write_text(json.dumps(doc))
         extra = ["--nx", "20", "--ny", "5", "--out-prefix", str(tmp_path / "m")] if command == "eval" else []
         assert run(command, "--model", str(path), *extra) == 1
