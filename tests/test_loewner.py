@@ -757,7 +757,6 @@ class TestEval:
                 exact.eval(where)
             assert info.value.point == 2.0 + 4.0j
 
-
     def test_a_solve_that_overflows_gives_nan_without_a_warning(self):
         # subnormal E: the solution overflows, and C = 0 times its infinities is NaN
         E = np.full((4, 4), 2.22507386e-311 + 0j)
