@@ -251,12 +251,13 @@ def finite_generalized_eigenvalues(m, n) -> np.ndarray:
     return np.asarray(finite, dtype=complex)
 
 
-def descriptor_zeros(a, e, b, c, d) -> np.ndarray:
-    """Finite zeros of the transfer function ``c (s e - a)^{-1} b + d``.
+def descriptor_zeros(a, e, b, c, d, h) -> np.ndarray:
+    """Finite zeros of the transfer function ``c (s e - a)^{-1} b + d + s h``.
 
     They are the finite eigenvalues of the bordered pencil
-    ``([a, b; c, d], [e, 0; 0, 0])``, whose zero border forces at least one
-    eigenvalue to infinity.
+    ``([a, b; c, d], [e, 0; 0, -h])``.  With ``h = 0`` the zero border
+    forces at least one eigenvalue to infinity; the corner is written only
+    for a nonzero ``h``, so that it otherwise stays ``+0.0``.
     """
     r = len(b)
     m = np.zeros((r + 1, r + 1), dtype=complex)
@@ -266,6 +267,8 @@ def descriptor_zeros(a, e, b, c, d) -> np.ndarray:
     m[r, :r] = c
     m[r, r] = d
     n[:r, :r] = e
+    if h != 0.0:
+        n[r, r] = -h
     return finite_generalized_eigenvalues(m, n)
 
 

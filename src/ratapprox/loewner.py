@@ -700,7 +700,7 @@ def zeros(model: StateSpaceModel) -> np.ndarray:
     pencil to infinity, so a strictly proper model of order r has at most
     r - 1 finite zeros.
     """
-    return linalg.descriptor_zeros(model.A, model.E, model.B, model.C, 0.0)
+    return linalg.descriptor_zeros(model.A, model.E, model.B, model.C, 0.0, 0.0)
 
 
 def _project(pencil: LoewnerPencil, Y: np.ndarray, X: np.ndarray):

@@ -71,9 +71,9 @@ OMEGA = Domain(0.0, 10.0, -1.0, 1.0)
 class SampleSet:
     """Ordered sample points and their function values.
 
-    An empty set, a repeated point, values of another shape than the
-    points, or a point or value that is NaN or infinite raises
-    ``SampleError``.
+    Points that are not a 1-D array, an empty set, a repeated point,
+    values of another shape than the points, or a point or value that is
+    NaN or infinite raises ``SampleError``.
     """
 
     points: np.ndarray
@@ -81,6 +81,8 @@ class SampleSet:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
+        if self.points.ndim != 1:
+            raise SampleError(f"sample points must be a 1-D array, got shape {self.points.shape}")
         if self.points.size == 0:
             raise SampleError("sample set has no points")
         _require_finite(self.points, "point(s)")

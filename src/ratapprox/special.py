@@ -15,14 +15,15 @@ import numpy as np
 
 from .errors import EvaluationDomainError, PoleError
 
-# First six real zeros of J0, 15 significant digits.
+# First six real zeros of J0, each the double nearest to it:
+# float(mpmath.besseljzero(0, k)) for k = 1..6, the same doubles as at 50 digits.
 BESSEL_J0_ZEROS = (
-    2.40482555769577,
-    5.52007811028631,
-    8.65372791291101,
-    11.7915344390142,
-    14.9309177084877,
-    18.0710639679109,
+    2.404825557695773,
+    5.520078110286311,
+    8.653727912911013,
+    11.791534439014281,
+    14.930917708487787,
+    18.071063967910924,
 )
 
 #: Largest |s| accepted by :func:`bessel_j0`.  The ascending series converges
@@ -32,9 +33,12 @@ BESSEL_J0_ZEROS = (
 #: zeros (up to 18.07) in range.
 SERIES_RADIUS = 20.0
 
-#: |J0(s)| below this counts as "sampling exactly at a pole of 1/J0".  The
-#: threshold admits zeros specified to 15 digits (where |J0| lands near
-#: 2e-14) while sitting ten orders below |J0| at any benchmark grid point.
+#: |J0(s)| below this counts as "sampling exactly at a pole of 1/J0".  At
+#: the three zeros inside the benchmark rectangle :func:`bessel_j0` gives
+#: |J0| below 1e-16, and at the zeros rounded to 15 digits at most 6e-14; the
+#: threshold admits both while sitting ten orders below |J0| at any
+#: benchmark grid point.  At the sixth zero, 18.07, the series itself is
+#: 1.5e-13 off (see ``SERIES_RADIUS``), so that zero is not caught.
 POLE_THRESHOLD = 1e-13
 
 _MAX_TERMS = 100

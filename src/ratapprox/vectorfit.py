@@ -32,8 +32,6 @@ DIVERGENCE_RADIUS = 1e6
 #: Iterations whose system condition exceeds this are flagged in the history.
 ILL_CONDITION = 1e13
 
-_PAIR_TOL = 1e-9
-
 #: The Vector Fitting settings and their defaults, its row of
 #: ``analysis.FIT_DEFAULTS``.
 DEFAULTS = {"order": 12, "iters": 20}
@@ -79,34 +77,21 @@ class VfIterate:
     ill_conditioned: bool
 
 
-def _is_real(p: complex) -> bool:
-    return abs(p.imag) <= _PAIR_TOL * (1.0 + abs(p))
-
-
 def order_conjugate_pairs(poles) -> np.ndarray:
-    """Canonical pole order: real poles ascending, then pairs (upper, lower).
+    """Canonical pole order: real poles ascending, then each upper-half pole, by (Re, Im), and its conjugate.
 
-    Real poles are put on the real axis and each lower pole is replaced by
-    the exact conjugate of its upper mate.  Raises ``SymmetryError`` if
-    some complex pole lacks a conjugate mate.
+    A pole is real when its imaginary part is exactly 0.  Raises
+    ``SymmetryError`` unless the lower-half poles are exactly the conjugates
+    of the upper-half ones.
     """
     poles = np.asarray(poles, dtype=complex)
-    real = sorted(p.real for p in poles if _is_real(p))
-    uppers = sorted((p for p in poles if not _is_real(p) and p.imag > 0), key=lambda p: (p.real, p.imag))
-    lowers = [p for p in poles if not _is_real(p) and p.imag < 0]
-    out: list[complex] = [complex(x) for x in real]
-    for u in uppers:
-        if not lowers:
-            raise SymmetryError(f"pole {u} has no conjugate mate")
-        gaps = [abs(lo - u.conjugate()) for lo in lowers]
-        k = int(np.argmin(gaps))
-        if gaps[k] > 1e-8 * (1.0 + abs(u)):
-            raise SymmetryError(f"pole {u} has no conjugate mate (closest gap {gaps[k]:.2e})")
-        lowers.pop(k)
-        out += [complex(u), complex(u).conjugate()]
-    if lowers:
-        raise SymmetryError(f"unmatched lower-half poles remain: {lowers}")
-    return np.asarray(out, dtype=complex)
+    real, upper = poles.imag == 0.0, poles.imag > 0.0
+    uppers = np.sort_complex(poles[upper])
+    mates = np.sort_complex(poles[~(real | upper)].conj())
+    if not np.array_equal(uppers, mates):
+        raise SymmetryError(f"the lower-half poles, conjugated, {mates.tolist()} differ from "
+                            f"the upper-half poles {uppers.tolist()}")
+    return np.concatenate([np.sort(poles[real].real), np.stack([uppers, uppers.conj()], axis=1).ravel()])
 
 
 def _basis(points: np.ndarray, poles: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -143,14 +128,10 @@ def initial_poles_auto(points: np.ndarray, order: int) -> np.ndarray:
     if span == 0.0:
         span = max(1.0, float(np.abs(points).max()))
     n_pairs = order // 2
-    poles: list[complex] = []
     betas = np.linspace(0.5 * span, 1.2 * span, max(n_pairs, 1))[:n_pairs]
-    for beta in betas:
-        poles.append(complex(-beta / 100.0, beta))
-        poles.append(complex(-beta / 100.0, -beta))
-    if order % 2:
-        poles.append(complex(-0.85 * span / 100.0, 0.0))
-    return order_conjugate_pairs(np.asarray(poles))
+    uppers = -betas / 100.0 + 1j * betas
+    real = [-0.85 * span / 100.0] if order % 2 else []
+    return order_conjugate_pairs(np.concatenate([uppers, uppers.conj(), real]))
 
 
 def fit_vf(
@@ -172,6 +153,9 @@ def fit_vf(
         If ``order`` is not an integer of at least 1, ``n_iter`` (the
         ``iters`` setting) not an integer of at least 0, or
         ``initial_poles`` not ``order`` finite poles.
+    SymmetryError
+        If ``initial_poles`` are not exactly conjugate-closed, as
+        :func:`order_conjugate_pairs` requires.
     DivergenceError
         If any pole magnitude exceeds ``DIVERGENCE_RADIUS``.
     InsufficientDataError
@@ -269,26 +253,9 @@ def eval_pole_residue(model: PoleResidueModel, s):
 def pr_poles_zeros(model: PoleResidueModel) -> tuple[np.ndarray, np.ndarray]:
     """Poles (stored) and zeros of the pole-residue model.
 
-    Zeros are those of an equivalent descriptor realization, by
-    :func:`linalg.descriptor_zeros`; a nonzero h term is realized with two
-    extra descriptor states so the polynomial part is represented exactly.
+    The zeros are those of the realization ``(diag(poles), I, 1, residues,
+    d, h)``, by :func:`linalg.descriptor_zeros`.
     """
     r = model.order
-    n_states = r + 2 if model.h != 0.0 else r
-    a = np.zeros((n_states, n_states), dtype=complex)
-    e = np.zeros((n_states, n_states), dtype=complex)
-    b = np.zeros(n_states, dtype=complex)
-    c = np.zeros(n_states, dtype=complex)
-    a[:r, :r] = np.diag(model.poles)
-    e[:r, :r] = np.eye(r)
-    b[:r] = 1.0
-    c[:r] = model.residues
-    if model.h != 0.0:
-        # two-state block realizing s*h: C_h (s E_h - A_h)^{-1} B_h
-        a[r, r] = -1.0
-        a[r + 1, r + 1] = -1.0
-        e[r, r + 1] = 1.0
-        b[r + 1] = -model.h
-        c[r] = 1.0
-    zeros = linalg.descriptor_zeros(a, e, b, c, model.d)
+    zeros = linalg.descriptor_zeros(np.diag(model.poles), np.eye(r), np.ones(r), model.residues, model.d, model.h)
     return model.poles.copy(), zeros

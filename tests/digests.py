@@ -107,9 +107,22 @@ def _sha256(obj) -> str:
     return digest.hexdigest()
 
 
+def repro_texts(out_dir) -> dict:
+    """{file name: text} of the files ``ratapprox repro`` wrote to ``out_dir``, without the meta lines and
+    without the time columns of ``compare.txt``: the parts that repeat from run to run."""
+    texts = {}
+    for path in sorted(Path(out_dir).iterdir()):
+        lines = [line for line in path.read_text().splitlines(keepends=True) if not line.startswith("#")]
+        if path.name.endswith(".compare.txt"):
+            lo = lines[0].index(" fit [s]")
+            hi = lines[0].index(" eval [s]") + len(" eval [s]")
+            lines = [line[:lo] + line[hi:] for line in lines]
+        texts[path.name] = "".join(lines)
+    return texts
+
+
 def _repro_digests() -> dict:
-    """{"repro/<file>": {"file": sha256}} of ``ratapprox repro --seed 0``'s files, as the module says."""
-    found = {}
+    """{"repro/<file>": {"file": sha256}} of ``ratapprox repro --seed 0``'s files, by :func:`repro_texts`."""
     with tempfile.TemporaryDirectory() as out, open(os.devnull, "w") as quiet:
         stdout, sys.stdout = sys.stdout, quiet
         try:
@@ -118,14 +131,8 @@ def _repro_digests() -> dict:
             sys.stdout = stdout
         if status:
             raise RuntimeError(f"ratapprox repro --seed 0 exited with {status}")
-        for path in sorted(Path(out).iterdir()):
-            lines = [line for line in path.read_text().splitlines(keepends=True) if not line.startswith("#")]
-            if path.name.endswith(".compare.txt"):
-                lo = lines[0].index(" fit [s]")
-                hi = lines[0].index(" eval [s]") + len(" eval [s]")
-                lines = [line[:lo] + line[hi:] for line in lines]
-            found[f"repro/{path.name}"] = {"file": hashlib.sha256("".join(lines).encode()).hexdigest()}
-    return found
+        return {f"repro/{name}": {"file": hashlib.sha256(text.encode()).hexdigest()}
+                for name, text in repro_texts(out).items()}
 
 
 def digests() -> dict:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import shlex
@@ -18,6 +19,8 @@ from ratapprox.cli import main
 from ratapprox.errors import PoleError, RatApproxError, SampleError
 from ratapprox.serialize import load_model, save_model
 from ratapprox.special import SERIES_RADIUS
+
+from digests import repro_texts
 
 
 def run(*argv):
@@ -185,6 +188,43 @@ class TestCompare:
         assert all(status[m] == "ok" for m in ("loewner", "rloewner", "vf"))
 
 
+class TestRepro:
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """The output directories of ``repro`` at seeds 0, 0 and 1, with a 20 x 10 oracle surface."""
+        outs = []
+        for seed in ("0", "0", "1"):
+            out = tmp_path_factory.mktemp("repro")
+            assert main(["repro", "--out-dir", str(out), "--seed", seed, "--nx", "20", "--ny", "10"]) == 0
+            outs.append(out)
+        return outs
+
+    def test_writes_six_files_whose_compare_rows_are_all_ok(self, runs):
+        sets = ("structured_2121", "uniform_2000")
+        assert sorted(p.name for p in runs[0].iterdir()) == sorted(
+            f"{name}.{kind}" for name in sets for kind in ("compare.csv", "compare.txt", "samples.csv"))
+        for name in sets:
+            lines = (runs[0] / f"{name}.compare.csv").read_text().splitlines()
+            rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+            assert [row["method"] for row in rows] == ["loewner", "rloewner", "aaa", "vf"]
+            assert all(row["status"] == "ok" for row in rows)
+            orders = {row["method"]: int(row["order"]) for row in rows}
+            assert (orders["loewner"], orders["rloewner"], orders["vf"]) == (11, 11, 12)
+            assert orders["aaa"] <= 30
+
+    def test_repeats_its_files_and_the_seed_moves_the_uniform_ones(self, runs):
+        first, again, seed_1 = (repro_texts(out) for out in runs)
+        assert again == first
+        for name, text in first.items():
+            moved = [line.replace(",", " ").split()[0]
+                     for line, other in zip(text.splitlines(), seed_1[name].splitlines()) if line != other]
+            if name.startswith("uniform_"):
+                assert moved, name
+            else:
+                # the seed also starts recursive Loewner's greedy selection on the structured grid
+                assert moved == (["rloewner"] if ".compare." in name else []), name
+
+
 class TestErrors:
     def test_nan_sample_reports_sample_error(self, tmp_path, capsys):
         sample = tmp_path / "s.csv"
@@ -343,6 +383,13 @@ def test_readme_command_lines_parse():
     assert {argv[1] for argv in commands} == set(cli._COMMANDS)
 
 
+# well-formed model documents, of which the malformed-file tests below alter one field
+_BARYCENTRIC = {"type": "barycentric", "order": 2, "support": [[1.0, 0.0], [2.0, 0.0]],
+                "values": [[1.0, 0.0], [3.0, 0.0]], "weights": [[0.6, 0.0], [0.8, 0.0]]}
+_POLE_RESIDUE = {"type": "pole_residue", "order": 1, "poles": [[-1.0, 0.0]], "residues": [[1.0, 0.0]],
+                 "d": 0.5, "h": 0.0}
+
+
 class TestSerialize:
     def test_unknown_type_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -396,6 +443,30 @@ class TestSerialize:
         assert json.loads(captured.err.strip())["error"] == "SampleError"
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[1, 2]", "a model document must be a JSON object, got list", id="list"),
+        pytest.param(json.dumps({**_BARYCENTRIC, "support": "abc"}),
+                     "barycentric model field 'support' must be a list of finite [re, im] number pairs",
+                     id="support-string"),
+        pytest.param(json.dumps({**_BARYCENTRIC, "support": [[1.0]]}),
+                     "barycentric model field 'support' must be a list of finite [re, im] number pairs",
+                     id="support-not-pairs"),
+        pytest.param(json.dumps({**_BARYCENTRIC, "weights": [[float("nan"), 0.0], [0.8, 0.0]]}),
+                     "barycentric model field 'weights' must be a list of finite [re, im] number pairs",
+                     id="nan-weight"),
+        pytest.param(json.dumps({**_POLE_RESIDUE, "d": "x"}),
+                     "pole_residue model field 'd' must be a finite number, got 'x'", id="d-string"),
+        pytest.param("{not json", "m.json is not a JSON document", id="not-json"),
+    ])
+    def test_a_model_file_of_the_wrong_form_exits_1_with_a_sample_error_naming_the_field(
+            self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert run("poles", "--model", str(path)) == 1
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["error"] == "SampleError"
+        assert message in error["message"]
 
     def test_state_space_round_trip_exact(self, tmp_path):
         from conftest import rational_samples

@@ -211,6 +211,20 @@ class TestGeneralizedEigenvalues:
         vals = finite_generalized_eigenvalues(q @ random_complex(rng, dim, dim) @ z, q @ n @ z)
         assert vals.size == dim - n_inf
 
+    @pytest.mark.parametrize("h", [0.0, 0.5])
+    def test_descriptor_zeros_are_the_roots_of_the_numerator(self, h):
+        # c (s - diag(p))^{-1} 1 + d + s h has the numerator
+        # (d + s h) prod_j (s - p_j) + sum_k c_k prod_{j != k} (s - p_j)
+        rng = np.random.default_rng(5)
+        p, c, d = random_complex(rng, 1, 4)[0], random_complex(rng, 1, 4)[0], 0.7
+        numerator = np.polyadd(np.polymul([h, d], np.poly(p)),
+                               sum(ck * np.poly(np.delete(p, k)) for k, ck in enumerate(c)))
+        got = linalg.descriptor_zeros(np.diag(p), np.eye(4), np.ones(4), c, d, h)
+        expected = np.roots(numerator)
+        assert got.size == expected.size == (5 if h else 4)
+        assert match_distance(got, expected) <= 1e-10
+        assert match_distance(expected, got) <= 1e-10
+
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))

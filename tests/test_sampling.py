@@ -136,6 +136,12 @@ class TestSampleSet:
         with pytest.raises(SampleError, match="shape"):
             SampleSet(points=np.array([1.0 + 0j, 2.0 + 0j]), values=np.array([1.0 + 0j]))
 
+    def test_points_of_more_than_one_axis_rejected(self):
+        with pytest.raises(SampleError, match=r"1-D array, got shape \(21, 5\)"):
+            sample_oracle(structured_grid(OMEGA, 21, 5).reshape(21, 5), h_of_s)
+        with pytest.raises(SampleError, match=r"got shape \(\)"):
+            SampleSet(points=1.0 + 0j, values=1.0 + 0j)
+
     def test_csv_round_trip_is_exact(self, tmp_path):
         samples = sample_oracle(uniform_random_grid(OMEGA, 25, seed=9), h_of_s)
         path = tmp_path / "samples.csv"

@@ -126,6 +126,11 @@ def test_j0_at_origin_is_exactly_one():
     assert bessel_j0(0.0) == 1.0 + 0.0j
 
 
+def test_tabulated_zeros_are_the_doubles_nearest_to_the_zeros_of_mpmath():
+    with mp.workdps(50):
+        assert BESSEL_J0_ZEROS == tuple(float(mp.besseljzero(0, k)) for k in range(1, 7))
+
+
 @pytest.mark.parametrize("zero", BESSEL_J0_ZEROS)
 def test_j0_vanishes_at_tabulated_zeros(zero):
     # the three zeros inside the benchmark rectangle come out an order better

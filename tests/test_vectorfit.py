@@ -71,6 +71,11 @@ class TestFit:
         with pytest.raises(SymmetryError):
             fit_vf(samples, order=2, n_iter=2, initial_poles=np.array([1.0 + 1.0j, 2.0 + 0j]))
 
+    def test_initial_poles_of_inexact_conjugate_closure_rejected(self):
+        samples, *_ = rational_samples(2, 4, n_pairs=12)
+        with pytest.raises(SymmetryError):
+            fit_vf(samples, order=2, n_iter=2, initial_poles=np.array([-1.0 + 1.0j, -1.0 - (1.0 + 1e-12) * 1j]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_a_non_finite_initial_pole_is_a_setting_error(self, bad):
         samples, *_ = rational_samples(4, 4, n_pairs=12)
@@ -201,8 +206,14 @@ class TestInitialPoles:
         assert np.sum(np.abs(poles.imag) < 1e-12) == 1
 
     def test_pair_ordering_gives_exact_conjugate_mates(self):
-        poles = order_conjugate_pairs([1.0 - (2.0 + 1e-12) * 1j, 3.0 + 1e-13j, 1.0 + 2.0j])
-        assert poles.tolist() == [3.0, 1.0 + 2.0j, 1.0 - 2.0j]
+        # closure must be exact: a near-real pole is not snapped, a near-mate not matched
+        with pytest.raises(SymmetryError):
+            order_conjugate_pairs([1.0 - (2.0 + 1e-12) * 1j, 3.0 + 1e-13j, 1.0 + 2.0j])
+        poles = order_conjugate_pairs([1.0 - 2.0j, complex(3.0, -0.0), 2.0 + 1.0j, -1.0 + 0j, 1.0 + 2.0j,
+                                       2.0 - 1.0j, 1.0 + 3.0j, 1.0 - 3.0j])
+        assert poles.tolist() == [-1.0, 3.0, 1.0 + 2.0j, 1.0 - 2.0j, 1.0 + 3.0j, 1.0 - 3.0j,
+                                  2.0 + 1.0j, 2.0 - 1.0j]
+        assert not np.signbit(poles.imag[:2]).any()
 
     def test_pair_ordering_rejects_stray(self):
         with pytest.raises(SymmetryError):
