@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import greedy, linalg
-from .errors import InsufficientDataError, SampleError, SettingError, StagnationError, check_count, check_shapes
+from .errors import (InsufficientDataError, SampleError, SettingError, StagnationError, SymmetryError, check_count,
+                     check_shapes)
 from .sampling import SampleSet, conjugate_mates, group_members
 
 #: The AAA fit's settings and their defaults, its row of ``analysis.FIT_DEFAULTS``.
@@ -243,39 +244,48 @@ def residues(model: BarycentricModel, poles: np.ndarray) -> np.ndarray:
     return num / dden
 
 
+def _real_mates(model: BarycentricModel) -> np.ndarray | None:
+    """Conjugate mates of a real-symmetric model's support points, else None.
+
+    A model is real-symmetric, as ``fit_aaa(real_mode=True)`` builds it, when its
+    support set is conjugate-closed and each mate's weight is exactly the conjugate weight.
+    """
+    try:
+        mates = conjugate_mates(model.support_points)
+    except SymmetryError:
+        return None
+    return mates if np.array_equal(model.weights[mates], model.weights.conj()) else None
+
+
 def cleanup(model: BarycentricModel, samples: SampleSet) -> BarycentricModel:
     """Remove spurious pole/zero doublets and re-solve the weights once.
 
     A pole is spurious when a zero sits within ``CLEANUP_TOL * (1 + |pole|)``
     of it, or when its residue magnitude is below ``CLEANUP_TOL`` times the
-    median residue magnitude.  For each spurious pole the nearest support
-    point is dropped; the weights are then recomputed by one least-squares
-    solve over all non-support samples.  A clean model is returned as is.
+    median residue magnitude.  Each spurious pole marks its nearest support
+    point.  Support points go by conjugate group: in a real-symmetric model
+    (see :func:`_real_mates`) a conjugate pair goes only when both its points
+    are marked, and otherwise a point goes when it is marked.  The weights are
+    then recomputed by one least-squares solve over all non-support samples,
+    in real mode for a real-symmetric model, so that it stays real.  A clean
+    model, or one that would keep no support point, is returned as is.
     """
     poles, zeros = barycentric_poles_zeros(model)
     if poles.size == 0:
         return model
     res = residues(model, poles)
     res_scale = np.median(np.abs(res)) if res.size else 0.0
-    spurious = []
+    marked = np.zeros(model.order, dtype=bool)
     for i, p in enumerate(poles):
         gap = np.min(np.abs(zeros - p)) if zeros.size else np.inf
         if gap <= CLEANUP_TOL * (1.0 + abs(p)) or abs(res[i]) <= CLEANUP_TOL * res_scale:
-            spurious.append(p)
-    if not spurious:
-        return model
-    drop = set()
-    for p in spurious:
-        order_near = np.argsort(np.abs(model.support_points - p))
-        for j in order_near:
-            if int(j) not in drop:
-                drop.add(int(j))
-                break
-    keep = [j for j in range(model.order) if j not in drop]
-    if not keep:
+            marked[np.argmin(np.abs(model.support_points - p))] = True
+    mates = _real_mates(model)
+    keep = ~(marked & marked[mates]) if mates is not None else ~marked
+    if keep.all() or not keep.any():
         return model
     zs = model.support_points[keep]
     fs = model.support_values[keep]
     rows = ~np.isin(samples.points, zs)
-    weights = _solve_weights(samples.points[rows], samples.values[rows], zs, fs, real_mode=False)
+    weights = _solve_weights(samples.points[rows], samples.values[rows], zs, fs, real_mode=mates is not None)
     return BarycentricModel(support_points=zs, support_values=fs, weights=weights)

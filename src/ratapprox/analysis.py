@@ -220,11 +220,11 @@ FIT_DEFAULTS: dict[str, dict] = {
 def _given_settings(method: str, settings: dict) -> dict:
     """The settings that are not None, after checking the method and their names."""
     if method not in FIT_DEFAULTS:
-        raise ValueError(f"unknown method {method!r}; pick one of {', '.join(FIT_DEFAULTS)}")
+        raise SettingError(f"unknown method {method!r}; pick one of {', '.join(FIT_DEFAULTS)}")
     unknown = sorted(set(settings) - set(FIT_DEFAULTS[method]))
     if unknown:
-        raise ValueError(f"{method} takes no setting {', '.join(unknown)}; "
-                         f"its settings are {', '.join(FIT_DEFAULTS[method])}")
+        raise SettingError(f"{method} takes no setting {', '.join(unknown)}; "
+                           f"its settings are {', '.join(FIT_DEFAULTS[method])}")
     return {name: value for name, value in settings.items() if value is not None}
 
 
@@ -233,7 +233,7 @@ def fit(method: str, samples: SampleSet, **settings):
 
     ``history`` is the fit's own record: the :class:`~ratapprox.loewner.LoewnerReduction`,
     the greedy steps, the AAA steps or the VF iterates.  An unknown method,
-    or a setting the method does not take, raises ``ValueError``.
+    or a setting the method does not take, raises ``SettingError``.
     """
     given = _given_settings(method, settings)
     s = FIT_DEFAULTS[method] | given
@@ -303,7 +303,7 @@ def compare_methods(samples: SampleSet, truth: OracleGrid, settings: dict[str, d
     """Fit all four methods on the same samples and tabulate their errors against ``truth``.
 
     ``settings`` maps a method to its overrides of :data:`FIT_DEFAULTS`; an
-    unknown method or setting name raises ``ValueError`` before any fit.
+    unknown method or setting name raises ``SettingError`` before any fit.
     ``truth`` holds the oracle on the dense grid (see :func:`oracle_grid`);
     one grid serves any number of comparisons on the same domain.  Poles
     are counted inside ``truth.domain``.  Methods that fail (too little

@@ -21,7 +21,10 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
+import numpy as np
+
+from . import __version__, analysis, loewner, sampling, serialize, special
+from .errors import SettingError
 
 #: The benchmark's sizes: the structured sample grid, the conjugate pairs
 #: of the uniform cloud, and the side of the dense error grid.
@@ -39,18 +42,14 @@ def _meta_line(args, seed=None) -> str:
 
 
 def _parse_domain(text):
-    from .sampling import Domain
-
     parts = [float(t) for t in text.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("domain must be x_min,x_max,y_min,y_max")
-    return Domain(*parts)
+    return sampling.Domain(*parts)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .analysis import CANCEL_TOL, FIT_DEFAULTS
-    from .loewner import PARTITION_SCHEMES
-
+    defaults, schemes = analysis.FIT_DEFAULTS, loewner.PARTITION_SCHEMES
     parser = argparse.ArgumentParser(prog="ratapprox", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ratapprox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,13 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a rational model to a sample CSV")
     # settings left out take analysis.FIT_DEFAULTS; one the method does not take is an error
-    p.add_argument("--method", choices=tuple(FIT_DEFAULTS), required=True)
+    p.add_argument("--method", choices=tuple(defaults), required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--order", type=int, help="model order; the order cap for aaa")
     p.add_argument("--tol", type=float, help="loewner: truncation tolerance; aaa: stopping tolerance")
     p.add_argument("--iters", type=int, help="vf pole-relocation iterations")
-    p.add_argument("--scheme", choices=PARTITION_SCHEMES, help="loewner partition scheme")
-    p.add_argument("--seed", type=int, default=FIT_DEFAULTS["rloewner"]["seed"],
+    p.add_argument("--scheme", choices=schemes, help="loewner partition scheme")
+    p.add_argument("--seed", type=int, default=defaults["rloewner"]["seed"],
                    help="rloewner start; aaa start with --seed-random")
     p.add_argument("--real-mode", action="store_true", default=None, help="aaa: enforce real symmetry")
     p.add_argument("--seed-random", action="store_true", help="aaa: random first support point")
@@ -90,19 +89,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--match-bessel", action="store_true",
                    help="report distances to the tabulated J0 zeros")
-    p.add_argument("--cancel-tol", type=float, default=CANCEL_TOL)
+    p.add_argument("--cancel-tol", type=float, default=analysis.CANCEL_TOL)
 
     p = sub.add_parser("project", help="projected interpolation points of a Loewner fit")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--order", type=int, default=FIT_DEFAULTS["loewner"]["order"])
-    p.add_argument("--scheme", choices=PARTITION_SCHEMES, default=FIT_DEFAULTS["loewner"]["scheme"])
+    p.add_argument("--order", type=int, default=defaults["loewner"]["order"])
+    p.add_argument("--scheme", choices=schemes, default=defaults["loewner"]["scheme"])
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("trajectories", help="projected points under grid densification")
     p.add_argument("--a", type=int, default=10)
     p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--order", type=int, default=FIT_DEFAULTS["loewner"]["order"])
-    p.add_argument("--scheme", choices=PARTITION_SCHEMES, default=FIT_DEFAULTS["loewner"]["scheme"])
+    p.add_argument("--order", type=int, default=defaults["loewner"]["order"])
+    p.add_argument("--scheme", choices=schemes, default=defaults["loewner"]["scheme"])
     p.add_argument("--domain", type=_parse_domain, default=None)
     p.add_argument("--out-prefix", required=True)
 
@@ -112,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, help="aaa stopping tolerance")
     p.add_argument("--nx", type=int, default=_DENSE)
     p.add_argument("--ny", type=int, default=_DENSE)
-    p.add_argument("--seed", type=int, default=FIT_DEFAULTS["rloewner"]["seed"], help="rloewner start")
+    p.add_argument("--seed", type=int, default=defaults["rloewner"]["seed"], help="rloewner start")
     p.add_argument("--out-prefix", default=None)
 
     p = sub.add_parser("repro", help="full benchmark: both grids, all four methods")
@@ -125,17 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
-    from .sampling import OMEGA, sample_oracle, structured_grid, uniform_random_grid
-    from .special import h_of_s
-
-    domain = args.domain or OMEGA
+    domain = args.domain or sampling.OMEGA
     if args.grid == "structured":
-        points = structured_grid(domain, args.nx, args.ny)
+        points = sampling.structured_grid(domain, args.nx, args.ny)
         seed = None
     else:
-        points = uniform_random_grid(domain, args.pairs, args.seed)
+        points = sampling.uniform_random_grid(domain, args.pairs, args.seed)
         seed = args.seed
-    samples = sample_oracle(points, h_of_s)
+    samples = sampling.sample_oracle(points, special.h_of_s)
     samples.to_csv(args.out, meta=_meta_line(args, seed))
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
@@ -146,20 +142,16 @@ def _side_path(out: str, suffix: str) -> str:
 
 
 def _cmd_fit(args) -> int:
-    from .analysis import fit
-    from .sampling import SampleSet, write_csv
-    from .serialize import save_model
-
-    samples = SampleSet.from_csv(args.infile)
+    samples = sampling.SampleSet.from_csv(args.infile)
     flags = {"order": args.order, "tol": args.tol, "iters": args.iters, "scheme": args.scheme,
              "real_mode": args.real_mode, "cleanup": args.cleanup,
              # --seed labels every run, and seeds the fit only where it picks a random start
              "seed": args.seed if args.method == "rloewner" or args.seed_random else None}
-    model, history = fit(args.method, samples, **{k: v for k, v in flags.items() if v is not None})
+    model, history = analysis.fit(args.method, samples, **{k: v for k, v in flags.items() if v is not None})
     meta_line = _meta_line(args, args.seed)
-    save_model(model, args.out, meta={"version": __version__, "seed": args.seed,
-                                      "command": _command_line(args), "method": args.method,
-                                      "source": args.infile, "order": model.order})
+    serialize.save_model(model, args.out, meta={"version": __version__, "seed": args.seed,
+                                                "command": _command_line(args), "method": args.method,
+                                                "source": args.infile, "order": model.order})
     done = f"{args.method} order {model.order}"
 
     if args.method == "loewner":
@@ -170,30 +162,30 @@ def _cmd_fit(args) -> int:
             matrix = f"{min(q, 2 * k)} singular values of [L, Ls]"
         else:
             matrix = f"{min(q, k)} singular values of x L - Ls at x = {history.shift:.17g}"
-        write_csv(sv_path, meta_line, "index,sigma,sigma_normalized",
-                  (f"{i + 1},{s:.17g},{s / sigma[0]:.17g}" for i, s in enumerate(sigma)),
-                  comments=[f"leading {sigma.size} of {matrix}"])
+        sampling.write_csv(sv_path, meta_line, "index,sigma,sigma_normalized",
+                           (f"{i + 1},{s:.17g},{s / sigma[0]:.17g}" for i, s in enumerate(sigma)),
+                           comments=[f"leading {sigma.size} of {matrix}"])
         print(f"{done}; model -> {args.out}, singular values -> {sv_path}")
         return 0
 
     hist_path = _side_path(args.out, "history.csv")
     outputs = f"model -> {args.out}, history -> {hist_path}"
     if args.method == "rloewner":
-        write_csv(hist_path, meta_line, "step,n_left,n_right,max_error,chosen_re,chosen_im", (
+        sampling.write_csv(hist_path, meta_line, "step,n_left,n_right,max_error,chosen_re,chosen_im", (
             f"{step.step},{step.n_left},{step.n_right},"
             f"{step.max_error:.17g},{point.real:.17g},{point.imag:.17g}"
             for step in history for point in step.chosen
         ))
         print(f"{done} in {len(history)} steps; {outputs}")
     elif args.method == "aaa":
-        write_csv(hist_path, meta_line, "order,max_error",
-                  (f"{step.order},{step.max_error:.17g}" for step in history))
+        sampling.write_csv(hist_path, meta_line, "order,max_error",
+                           (f"{step.order},{step.max_error:.17g}" for step in history))
         support_path = _side_path(args.out, "support.csv")
-        write_csv(support_path, meta_line, "re_s,im_s",
-                  (f"{z.real:.17g},{z.imag:.17g}" for z in model.support_points))
+        sampling.write_csv(support_path, meta_line, "re_s,im_s",
+                           (f"{z.real:.17g},{z.imag:.17g}" for z in model.support_points))
         print(f"{done}; {outputs}, support points -> {support_path}")
     else:
-        write_csv(hist_path, meta_line, "iter,max_pole_move,linearized_residual", (
+        sampling.write_csv(hist_path, meta_line, "iter,max_pole_move,linearized_residual", (
             f"{it.iteration},{it.max_pole_move:.17g},{it.linearized_residual:.17g}" for it in history
         ))
         flagged = sum(it.ill_conditioned for it in history)
@@ -203,14 +195,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .analysis import error_grid
-    from .sampling import OMEGA
-    from .serialize import load_model
-    from .special import h_of_s
-
-    model = load_model(args.model)
-    domain = args.domain or OMEGA
-    report = error_grid(model, h_of_s, domain, args.nx, args.ny, method_tag=Path(args.model).stem)
+    model = serialize.load_model(args.model)
+    domain = args.domain or sampling.OMEGA
+    report = analysis.error_grid(model, special.h_of_s, domain, args.nx, args.ny,
+                                 method_tag=Path(args.model).stem)
     csv_path = f"{args.out_prefix}.errors.csv"
     svg_path = f"{args.out_prefix}.heatmap.svg"
     summary_path = f"{args.out_prefix}.summary.json"
@@ -246,17 +234,11 @@ def _fmt_value(z: complex) -> str:
 
 
 def _cmd_poles(args) -> int:
-    import numpy as np
-
-    from .analysis import detect_cancellations, match_known_zeros
-    from .serialize import load_model
-    from .special import BESSEL_J0_ZEROS
-
-    model = load_model(args.model)
+    model = serialize.load_model(args.model)
     poles, zeros = model.poles_zeros()
     poles = np.sort_complex(poles)
     zeros = np.sort_complex(zeros)
-    pairs = detect_cancellations(poles, zeros, rel_tol=args.cancel_tol)
+    pairs = analysis.detect_cancellations(poles, zeros, rel_tol=args.cancel_tol)
     print(f"poles ({poles.size}):")
     for p in poles:
         print(f"  {_fmt_value(p)}")
@@ -272,22 +254,17 @@ def _cmd_poles(args) -> int:
         print(f"no pole/zero cancellations at tol {args.cancel_tol:g}")
     if args.match_bessel:
         print("nearest poles to the tabulated J0 zeros:")
-        for match_ in match_known_zeros(poles, BESSEL_J0_ZEROS):
+        for match_ in analysis.match_known_zeros(poles, special.BESSEL_J0_ZEROS):
             print(f"  {match_.reference:.14f} -> {_fmt_value(match_.nearest_pole)} "
                   f"(distance {match_.distance:.3e})")
     return 0
 
 
 def _cmd_project(args) -> int:
-    import numpy as np
-
-    from .loewner import build_pencil, partition, projected_points, truncate
-    from .sampling import SampleSet, write_csv
-
-    samples = SampleSet.from_csv(args.infile)
-    pencil = build_pencil(partition(samples, args.scheme))
-    red = truncate(pencil, order=args.order)
-    proj = projected_points(pencil, red.Y, red.X)
+    samples = sampling.SampleSet.from_csv(args.infile)
+    pencil = loewner.build_pencil(loewner.partition(samples, args.scheme))
+    red = loewner.truncate(pencil, order=args.order)
+    proj = loewner.projected_points(pencil, red.Y, red.X)
     print(f"right projected points ({proj.lambda_hat.size}):")
     for z in np.sort_complex(proj.lambda_hat):
         print(f"  {_fmt_value(z)}")
@@ -295,7 +272,7 @@ def _cmd_project(args) -> int:
     for z in np.sort_complex(proj.mu_hat):
         print(f"  {_fmt_value(z)}")
     if args.out:
-        write_csv(args.out, _meta_line(args), "side,re,im", (
+        sampling.write_csv(args.out, _meta_line(args), "side,re,im", (
             f"{side},{z.real:.17g},{z.imag:.17g}"
             for side, zs in (("right", proj.lambda_hat), ("left", proj.mu_hat)) for z in zs
         ))
@@ -305,17 +282,11 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_trajectories(args) -> int:
-    import numpy as np
-
-    from .loewner import trajectory_study
-    from .sampling import OMEGA, write_csv
-    from .special import h_of_s
-
-    domain = args.domain or OMEGA
-    steps = trajectory_study(h_of_s, domain, a=args.a, n_steps=args.steps,
-                             order=args.order, scheme=args.scheme)
+    domain = args.domain or sampling.OMEGA
+    steps = loewner.trajectory_study(special.h_of_s, domain, a=args.a, n_steps=args.steps,
+                                     order=args.order, scheme=args.scheme)
     path = f"{args.out_prefix}.trajectories.csv"
-    write_csv(path, _meta_line(args), "step,nx,ny,n_points,side,re,im", (
+    sampling.write_csv(path, _meta_line(args), "step,nx,ny,n_points,side,re,im", (
         f"{i},{step.nx},{step.ny},{step.n_points},{side},{z.real:.17g},{z.imag:.17g}"
         for i, step in enumerate(steps, start=1)
         for side, zs in (("right", step.projected.lambda_hat), ("left", step.projected.mu_hat))
@@ -332,22 +303,18 @@ def _cmd_trajectories(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .analysis import FIT_DEFAULTS, compare_methods, oracle_grid
-    from .errors import SettingError
-    from .sampling import OMEGA, SampleSet
-    from .special import h_of_s
-
-    samples = SampleSet.from_csv(args.infile)
+    samples = sampling.SampleSet.from_csv(args.infile)
     try:
         orders = [None] * 4 if args.orders is None else [int(t) for t in args.orders.split(",")]
     except ValueError:
         orders = []
     if len(orders) != 4:
         raise SettingError(f"--orders needs four comma-separated integers, got {args.orders!r}")
-    settings = {method: {"order": order} for method, order in zip(FIT_DEFAULTS, orders)}
+    settings = {method: {"order": order} for method, order in zip(analysis.FIT_DEFAULTS, orders)}
     settings["rloewner"]["seed"] = args.seed
     settings["aaa"]["tol"] = args.tol
-    table = compare_methods(samples, oracle_grid(h_of_s, OMEGA, args.nx, args.ny), settings)
+    truth = analysis.oracle_grid(special.h_of_s, sampling.OMEGA, args.nx, args.ny)
+    table = analysis.compare_methods(samples, truth, settings)
     print(table.to_text())
     if args.out_prefix:
         csv_path, txt_path = _write_compare(table, args.out_prefix, _meta_line(args, args.seed))
@@ -366,25 +333,21 @@ def _write_compare(table, prefix, meta: str) -> tuple[str, str]:
 
 
 def _cmd_repro(args) -> int:
-    from .analysis import compare_methods, oracle_grid
-    from .sampling import OMEGA, sample_oracle, structured_grid, uniform_random_grid
-    from .special import h_of_s
-
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # both sample grids are compared against one oracle surface
-    truth = oracle_grid(h_of_s, OMEGA, args.nx, args.ny)
+    truth = analysis.oracle_grid(special.h_of_s, sampling.OMEGA, args.nx, args.ny)
     settings = {"rloewner": {"seed": args.seed}}
-    cases = (
-        ("structured", sample_oracle(structured_grid(OMEGA, *_STRUCTURED), h_of_s), None),
-        ("uniform", sample_oracle(uniform_random_grid(OMEGA, _PAIRS, args.seed), h_of_s), args.seed),
-    )
-    for grid, samples, seed in cases:
+    structured = sampling.structured_grid(sampling.OMEGA, *_STRUCTURED)
+    uniform = sampling.uniform_random_grid(sampling.OMEGA, _PAIRS, args.seed)
+    # the structured samples do not depend on the seed; every comparison does, through rloewner
+    for grid, points, seed in (("structured", structured, None), ("uniform", uniform, args.seed)):
+        samples = sampling.sample_oracle(points, special.h_of_s)
         name = f"{grid}_{len(samples)}"
         sample_path = out / f"{name}.samples.csv"
         samples.to_csv(sample_path, meta=_meta_line(args, seed))
-        table = compare_methods(samples, truth, settings)
-        _write_compare(table, out / name, _meta_line(args, seed))
+        table = analysis.compare_methods(samples, truth, settings)
+        _write_compare(table, out / name, _meta_line(args, args.seed))
         print(f"== {name} ({len(samples)} samples) ==")
         print(table.to_text())
         print()

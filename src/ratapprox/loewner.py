@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import linalg
+from . import linalg, sampling
 from .errors import (PartitionError, PencilError, PoleError, RankError, SampleError, SettingError,
                      SymmetryError, check_count, check_shapes)
 from .sampling import Domain, SampleSet, conjugate_mates, group_members
@@ -772,8 +772,6 @@ def trajectory_study(
     ``n_steps`` or ``order`` that is not an integer of at least 1, or an
     unknown ``scheme`` raises ``SettingError`` before the oracle is called.
     """
-    from .sampling import sample_oracle, structured_grid
-
     check_count("a", a, 3)
     check_count("n_steps", n_steps, 1)
     check_count("order", order, 1)
@@ -784,7 +782,7 @@ def trajectory_study(
         ny = i * a
         if domain.y_symmetric and ny % 2 == 0:
             ny += 1
-        samples = sample_oracle(structured_grid(domain, nx, ny), oracle)
+        samples = sampling.sample_oracle(sampling.structured_grid(domain, nx, ny), oracle)
         pencil = build_pencil(partition(samples, scheme))
         reduction = truncate(pencil, order=order)
         proj = projected_points(pencil, reduction.Y, reduction.X)

@@ -37,9 +37,15 @@ SERIES_RADIUS = 20.0
 #: the three zeros inside the benchmark rectangle :func:`bessel_j0` gives
 #: |J0| below 1e-16, and at the zeros rounded to 15 digits at most 6e-14; the
 #: threshold admits both while sitting ten orders below |J0| at any
-#: benchmark grid point.  At the sixth zero, 18.07, the series itself is
-#: 1.5e-13 off (see ``SERIES_RADIUS``), so that zero is not caught.
+#: benchmark grid point.  Farther out the series' own rounding error is
+#: larger (1.5e-13 at the sixth zero, 18.07; see ``SERIES_RADIUS``), so
+#: :func:`h_of_s` raises below the larger of this and ``_SERIES_ROUNDOFF``
+#: times cosh|s|, the bound on the sum of the term magnitudes, I0(|s|).
+#: On the benchmark rectangle that bound stays below 7e-16.
 POLE_THRESHOLD = 1e-13
+
+#: Unit roundoff of the long double the series is summed in.
+_SERIES_ROUNDOFF = float(np.finfo(np.longdouble).eps) / 2
 
 _MAX_TERMS = 100
 _TERM_FLOOR = 1e-18
@@ -191,13 +197,15 @@ def h_of_s(s):
     Raises
     ------
     PoleError
-        If |J0(s)| < ``POLE_THRESHOLD`` at any requested point, i.e. the
-        caller is sampling exactly at a pole of H.
+        If at any requested point |J0(s)| lies below ``POLE_THRESHOLD`` or
+        the series' rounding error bound there, whichever is larger, i.e.
+        the caller is sampling exactly at a pole of H.
     """
     j = bessel_j0(s)
-    mag = np.abs(j)
-    if np.any(mag < POLE_THRESHOLD):
-        bad = complex(np.ravel(s)[np.argmin(mag)])
+    floor = np.maximum(POLE_THRESHOLD, _SERIES_ROUNDOFF * np.cosh(np.abs(s)))
+    below = np.abs(j) / floor
+    if np.any(below < 1):
+        bad = complex(np.ravel(s)[np.argmin(below)])
         raise PoleError(f"1/J0 has a pole at s = {bad}", point=bad)
     return 1.0 / j
 

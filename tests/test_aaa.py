@@ -15,7 +15,7 @@ from ratapprox import (
     fit_aaa,
 )
 from ratapprox import OMEGA, aaa
-from ratapprox.sampling import SampleSet, sample_oracle, structured_grid, uniform_random_grid
+from ratapprox.sampling import SampleSet, conjugate_mates, sample_oracle, structured_grid, uniform_random_grid
 from ratapprox.special import h_of_s
 
 mp.mp.dps = 40
@@ -314,3 +314,37 @@ class TestCleanup:
         monkeypatch.setattr(aaa, "CLEANUP_TOL", 1e-12)
         cleaned = cleanup(model, samples)
         assert cleaned is model
+
+    def test_two_spurious_poles_at_one_support_point_drop_that_point_only(self, monkeypatch):
+        samples, *_ = rational_samples(3, 12, n_pairs=18)
+        model, _ = fit_aaa(samples, max_order=6)
+        near = model.support_points[2]
+        doublets = near + np.array([1e-3, -1e-3j])
+        monkeypatch.setattr(aaa, "barycentric_poles_zeros", lambda m: (doublets, doublets))
+        cleaned = cleanup(model, samples)
+        assert cleaned.support_points.tolist() == np.delete(model.support_points, 2).tolist()
+
+    @staticmethod
+    def is_real_symmetric(model):
+        mates = conjugate_mates(model.support_points)
+        return np.array_equal(model.weights[mates], model.weights.conj())
+
+    def test_a_real_mode_model_keeps_a_pair_with_one_spurious_pole_next_to_it(self):
+        # a spurious pole on the real axis (to roundoff) lies next to one point of a conjugate pair;
+        # dropping that point alone would leave a model that is not real
+        samples = sample_oracle(uniform_random_grid(OMEGA, 1000, 2), h_of_s)
+        model, _ = fit_aaa(samples, real_mode=True)
+        cleaned = cleanup(model, samples)
+        assert cleaned.order == model.order == 14
+        assert np.array_equal(cleaned.weights, model.weights)
+        assert self.is_real_symmetric(cleaned)
+
+    def test_dropped_pairs_leave_a_real_mode_model_real(self, monkeypatch):
+        samples, f, *_ = rational_samples(3, 10, n_pairs=40, with_offset=True)
+        dirty, _ = fit_aaa(samples, tol=1e-16, max_order=12, real_mode=True)
+        monkeypatch.setattr(aaa, "CLEANUP_TOL", 1e-6)
+        cleaned = cleanup(dirty, samples)
+        assert cleaned.order <= dirty.order - 2
+        assert self.is_real_symmetric(dirty) and self.is_real_symmetric(cleaned)
+        fresh = np.linspace(0.2, 9.8, 40) + 0.3j
+        assert np.abs(eval_barycentric(cleaned, fresh) - f(fresh)).max() <= 1e-12

@@ -393,7 +393,7 @@ class TestFit:
         ("aaa", {"max_order": 9}),
     ])
     def test_unknown_method_or_setting_raises(self, method, settings, small_bessel_samples):
-        with pytest.raises(ValueError):
+        with pytest.raises(SettingError):
             fit(method, small_bessel_samples, **settings)
 
     @pytest.mark.parametrize("fit_call", [
@@ -410,7 +410,7 @@ class TestFit:
     def test_compare_config_rejects_what_fit_would(self, settings, small_bessel_samples, monkeypatch):
         # checked before the first fit
         monkeypatch.setattr(analysis, "fit", None)
-        with pytest.raises(ValueError):
+        with pytest.raises(SettingError):
             compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 10, 5), settings)
 
     def test_one_sample_gives_four_error_rows(self):

@@ -6,7 +6,9 @@ the module its caller reads it from) breaks the trace or leaves a layer
 reading zero.
 """
 
+import functools
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from conftest import SMALL_FIT_SETTINGS  # noqa: E402
 from layers import all_targets  # noqa: E402
 
-from ratapprox import OMEGA, aaa, greedy, loewner, vectorfit  # noqa: E402
+from ratapprox import OMEGA, aaa, analysis, cli, greedy, loewner, sampling, special, vectorfit  # noqa: E402
 from ratapprox.analysis import compare_methods, fit, model_error, oracle_grid  # noqa: E402
 from ratapprox.special import h_of_s  # noqa: E402
 
@@ -70,3 +72,18 @@ def test_calling_a_model_runs_the_eval_of_its_class(method, small_bessel_samples
     truth = oracle_grid(h_of_s, OMEGA, 10, 5)
     model_error(model, truth)
     assert calls == [pts.size, pts.size, truth.points.size]
+
+
+def test_repro_reads_the_oracle_sampler_and_comparison_off_their_modules(tmp_path, monkeypatch):
+    """The traced ``repro`` wraps these three where they are defined; ``cli`` must look them up there."""
+    called = Counter()
+    for owner, attr in ((special, "h_of_s"), (sampling, "sample_oracle"), (analysis, "compare_methods")):
+        @functools.wraps(getattr(owner, attr))  # keeps h_of_s.on_grid, as the trace's wrapper does
+        def spy(*args, _fn=getattr(owner, attr), _name=attr, **kwargs):
+            called[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, spy)
+    assert cli.main(["repro", "--out-dir", str(tmp_path), "--nx", "20", "--ny", "10"]) == 0
+    # the oracle is called by the sampler only: the dense surface takes its grid method
+    assert called == {"h_of_s": 2, "sample_oracle": 2, "compare_methods": 2}

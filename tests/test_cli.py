@@ -224,6 +224,13 @@ class TestRepro:
                 # the seed also starts recursive Loewner's greedy selection on the structured grid
                 assert moved == (["rloewner"] if ".compare." in name else []), name
 
+    def test_compare_files_of_both_grids_name_the_seed(self, runs):
+        meta = {path.name: path.read_text().splitlines()[0] for path in runs[2].glob("*.csv")}
+        # the structured samples are the same at every seed
+        assert meta["structured_2121.samples.csv"].split()[3] == "seed=none"
+        for name in ("structured_2121.compare.csv", "uniform_2000.compare.csv", "uniform_2000.samples.csv"):
+            assert meta[name].split()[3] == "seed=1", name
+
 
 class TestErrors:
     def test_nan_sample_reports_sample_error(self, tmp_path, capsys):
@@ -357,7 +364,7 @@ class TestErrors:
     def test_flag_the_method_does_not_use_is_rejected(self, small_csv, tmp_path, capsys, method, flags):
         out = tmp_path / "m.json"
         assert run("fit", "--method", method, "--in", str(small_csv), *flags, "--out", str(out)) == 1
-        assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "SettingError"
         assert not out.exists()
 
     @pytest.mark.parametrize("method, order", [("loewner", 4), ("rloewner", 4), ("aaa", 6), ("vf", 4)])

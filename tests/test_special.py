@@ -23,7 +23,8 @@ from ratapprox import (
     h_on_grid,
     oracle_grid,
 )
-from ratapprox.special import SERIES_RADIUS
+from ratapprox import special
+from ratapprox.special import POLE_THRESHOLD, SERIES_RADIUS
 
 mp.mp.dps = 40
 
@@ -219,6 +220,21 @@ def test_h_pole_error_identifies_point_in_arrays():
     with pytest.raises(PoleError) as info:
         h_of_s(pts)
     assert info.value.point == pytest.approx(2.40482555769577)
+
+
+@pytest.mark.parametrize("zero", BESSEL_J0_ZEROS)
+def test_h_raises_pole_error_at_each_tabulated_zero_and_not_next_to_it(zero):
+    # past |s| = 15 the series' rounding error, not POLE_THRESHOLD, decides (1.5e-13 at 18.07)
+    with pytest.raises(PoleError) as info:
+        h_of_s(np.array([1.0, zero, 3.0]))
+    assert info.value.point == zero
+    for nearby in (zero * (1 - 1e-9), zero * (1 + 1e-9)):
+        assert np.isfinite(h_of_s(nearby))
+
+
+def test_the_pole_rule_is_the_fixed_threshold_on_the_benchmark_rectangle():
+    corner = complex(OMEGA.x_max, OMEGA.y_max)
+    assert special._SERIES_ROUNDOFF * np.cosh(abs(corner)) < POLE_THRESHOLD / 100
 
 
 def grid_axes(domain, nx, ny):
