@@ -181,7 +181,9 @@ def fit_aaa(
         start = int(np.argmax(np.abs(values - values.mean())))
     else:
         start = int(np.random.default_rng(seed).integers(0, points.size))
-    mates = conjugate_mates(points) if real_mode else np.arange(points.size)
+    mates = samples.mates if real_mode else np.arange(points.size)
+    if mates.min() < 0:
+        raise SymmetryError(f"point {points[mates.argmin()]} has no conjugate mate in the set")
 
     support_idx: list[int] = []
     unused = np.ones(points.size, dtype=bool)
@@ -250,11 +252,8 @@ def _real_mates(model: BarycentricModel) -> np.ndarray | None:
     A model is real-symmetric, as ``fit_aaa(real_mode=True)`` builds it, when its
     support set is conjugate-closed and each mate's weight is exactly the conjugate weight.
     """
-    try:
-        mates = conjugate_mates(model.support_points)
-    except SymmetryError:
-        return None
-    return mates if np.array_equal(model.weights[mates], model.weights.conj()) else None
+    mates = conjugate_mates(model.support_points)
+    return mates if mates.min() >= 0 and np.array_equal(model.weights[mates], model.weights.conj()) else None
 
 
 def cleanup(model: BarycentricModel, samples: SampleSet) -> BarycentricModel:

@@ -323,12 +323,12 @@ def _cmd_compare(args) -> int:
 
 
 def _write_compare(table, prefix, meta: str) -> tuple[str, str]:
-    """Write ``<prefix>.compare.csv`` and ``<prefix>.compare.txt``; return both paths."""
+    """Write ``<prefix>.compare.csv`` and ``<prefix>.compare.txt``, each headed by ``# meta``; return both paths."""
     csv_path = f"{prefix}.compare.csv"
     txt_path = f"{prefix}.compare.txt"
     table.to_csv(csv_path, meta=meta)
     with open(txt_path, "w") as fh:
-        fh.write(table.to_text() + "\n")
+        fh.write(f"# {meta}\n{table.to_text()}\n")
     return csv_path, txt_path
 
 

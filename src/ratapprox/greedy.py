@@ -76,7 +76,7 @@ def fit_greedy(
                                     f"need at least {2 * order_target}")
     pts = samples.points
     vals = samples.values
-    mates, leads = conjugate_groups(pts)
+    mates, leads = conjugate_groups(samples)
 
     left, right = [], []
     unused = np.ones(pts.size, dtype=bool)

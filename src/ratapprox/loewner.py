@@ -23,9 +23,9 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg, sampling
-from .errors import (PartitionError, PencilError, PoleError, RankError, SampleError, SettingError,
-                     SymmetryError, check_count, check_shapes)
-from .sampling import Domain, SampleSet, conjugate_mates, group_members
+from .errors import (PartitionError, PencilError, PoleError, RankError, SampleError, SettingError, check_count,
+                     check_shapes)
+from .sampling import Domain, SampleSet, group_members
 
 PARTITION_SCHEMES = ("alternating", "half_split", "epsilon_paired")
 
@@ -456,7 +456,7 @@ def partition(samples: SampleSet, scheme: str = DEFAULTS["scheme"]) -> DataParti
     """
     _check_scheme(scheme)
     pts = samples.points
-    mates, leads = conjugate_groups(pts)
+    mates, leads = conjugate_groups(samples)
 
     position = np.arange(leads.size)
     if scheme == "epsilon_paired":
@@ -474,15 +474,15 @@ def partition(samples: SampleSet, scheme: str = DEFAULTS["scheme"]) -> DataParti
     return DataPartition(mu=pts[left], v=vals[left], lam=pts[right], w=vals[right])
 
 
-def conjugate_groups(points) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's mate (:func:`conjugate_mates`) and the lowest index of each conjugate group, in order.
+def conjugate_groups(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's mate (``samples.mates``) and the lowest index of each conjugate group, in order.
 
     ``PartitionError`` where the points are not conjugate-closed or form one group: neither splits in two.
     """
-    try:
-        mates = conjugate_mates(points)
-    except SymmetryError as exc:
-        raise PartitionError(f"cannot preserve conjugate closure: {exc}") from exc
+    mates = samples.mates
+    if mates.min() < 0:
+        raise PartitionError("cannot preserve conjugate closure: "
+                             f"point {samples.points[mates.argmin()]} has no conjugate mate in the set")
     leads = np.flatnonzero(mates >= np.arange(mates.size))
     if leads.size < 2:
         raise PartitionError(f"{leads.size} conjugate group(s) cannot be split across two sides")

@@ -8,7 +8,7 @@ all fitted models can be real-symmetric; :func:`sample_oracle` makes them a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,15 +69,17 @@ OMEGA = Domain(0.0, 10.0, -1.0, 1.0)
 
 @dataclass
 class SampleSet:
-    """Ordered sample points and their function values.
+    """Ordered sample points, their function values and each point's conjugate mate.
 
-    Points that are not a 1-D array, an empty set, a repeated point,
-    values of another shape than the points, or a point or value that is
-    NaN or infinite raises ``SampleError``.
+    ``mates`` is :func:`conjugate_mates` of the points, from the same sort
+    that finds a repeated point.  Points that are not a 1-D array, an empty
+    set, a repeated point, values of another shape than the points, or a
+    point or value that is NaN or infinite raises ``SampleError``.
     """
 
     points: np.ndarray
     values: np.ndarray
+    mates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
@@ -90,8 +92,7 @@ class SampleSet:
         if self.values.shape != self.points.shape:
             raise SampleError("values shape differs from points shape")
         _require_finite(self.values, "value(s)")
-        if len(np.unique(self.points)) != self.points.size:
-            raise SampleError("duplicate sample points")
+        self.mates = conjugate_mates(self.points)
 
     def __len__(self) -> int:
         return self.points.size
@@ -104,19 +105,23 @@ class SampleSet:
 
     @classmethod
     def from_csv(cls, path) -> "SampleSet":
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise SampleError(f"{path} is not a text file: {exc}") from exc
         rows = []
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#") or line.lower().startswith("re_s"):
-                    continue
-                try:
-                    row = [float(t) for t in line.split(",")]
-                except ValueError:
-                    row = []
-                if len(row) != 4:
-                    raise SampleError(f"{path}:{lineno}: expected four numbers {CSV_HEADER}, got {line!r}")
-                rows.append(row)
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#") or line.lower().startswith("re_s"):
+                continue
+            try:
+                row = [float(t) for t in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != 4:
+                raise SampleError(f"{path}:{lineno}: expected four numbers {CSV_HEADER}, got {line!r}")
+            rows.append(row)
         if not rows:
             raise SampleError(f"{path}: no sample rows")
         data = np.asarray(rows)
@@ -134,11 +139,10 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 
 
 def conjugate_mates(points) -> np.ndarray:
-    """Index of each point's exact conjugate in ``points``; a real point is its own mate.
+    """Index of each point's exact conjugate in ``points``, or -1 where it is not in the set.
 
-    One stable sort and a binary search.  Raises ``SymmetryError`` when a
-    point's conjugate is not in the set and ``SampleError`` when a point is
-    repeated.
+    A real point is its own mate.  One stable sort and a binary search;
+    a repeated point raises ``SampleError``.
     """
     points = np.asarray(points, dtype=complex)
     order = np.argsort(points, kind="stable")
@@ -147,10 +151,7 @@ def conjugate_mates(points) -> np.ndarray:
         raise SampleError("duplicate sample points")
     target = points.conj()
     mates = order[np.minimum(np.searchsorted(ranked, target), points.size - 1)]
-    stray = np.flatnonzero(points[mates] != target)
-    if stray.size:
-        raise SymmetryError(f"point {points[stray[0]]} has no conjugate mate in the set")
-    return mates
+    return np.where(points[mates] == target, mates, -1)
 
 
 def group_members(mates: np.ndarray, leads) -> np.ndarray:

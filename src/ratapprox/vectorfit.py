@@ -169,7 +169,10 @@ def fit_vf(
             f"need at least {2 * (order + 2)}"
         )
     points = samples.points
-    values = samples.values
+    # fit f / 2^e, with max |f| = m 2^e and 1/2 <= m < 1: the scaling is exact, so normal data keep
+    # their poles, and data near the ends of the double range neither overflow nor underflow
+    exponent = int(np.frexp(np.max(np.abs(samples.values)))[1])
+    values = np.ldexp(np.ascontiguousarray(samples.values).view(float), -exponent).view(complex)
 
     if initial_poles is None:
         poles = initial_poles_auto(points, order)
@@ -206,7 +209,7 @@ def fit_vf(
             VfIterate(
                 iteration=iteration,
                 max_pole_move=move,
-                linearized_residual=resid,
+                linearized_residual=float(np.ldexp(resid, exponent)),
                 condition=cond,
                 ill_conditioned=cond > ILL_CONDITION,
             )
@@ -219,7 +222,7 @@ def fit_vf(
 
     # residue identification with the final poles held fixed
     starts = linalg.pair_starts(poles.imag == 0.0)
-    solution, _, _ = _real_stacked_lstsq(_basis(points, poles, starts), values)
+    solution = np.ldexp(_real_stacked_lstsq(_basis(points, poles, starts), values)[0], exponent)
     model = PoleResidueModel(
         poles=poles,
         residues=linalg.pair_coefficients(solution[:order], starts),

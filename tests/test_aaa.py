@@ -87,7 +87,7 @@ class TestFit:
         # the fit starts at the real sample 3 and stops at order 1, so it never
         # promotes the stray point 1 + 1j
         samples = SampleSet(np.array([1.0 + 1.0j, 2.0, 3.0]), np.array([2.0, 2.0, 10.0]))
-        with pytest.raises(SymmetryError):
+        with pytest.raises(SymmetryError, match=r"^point \(1\+1j\) has no conjugate mate in the set$"):
             fit_aaa(samples, real_mode=True, max_order=1)
 
     @pytest.mark.parametrize("gap, promoted", [(1e-13, "low"), (1e-9, "high")])

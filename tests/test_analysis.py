@@ -413,6 +413,14 @@ class TestFit:
         with pytest.raises(SettingError):
             compare_methods(small_bessel_samples, oracle_grid(h_of_s, OMEGA, 10, 5), settings)
 
+    @pytest.mark.parametrize("exponent", [1000, -1000])
+    @pytest.mark.parametrize("method", list(FIT_DEFAULTS))
+    def test_values_near_the_ends_of_the_double_range_fit_as_well(self, method, exponent, small_bessel_samples):
+        scaled = SampleSet(small_bessel_samples.points, np.ldexp(1.0, exponent) * small_bessel_samples.values)
+        model, _ = fit(method, scaled)
+        miss = np.max(np.abs(model(scaled.points) - scaled.values)) / np.max(np.abs(scaled.values))
+        assert np.isfinite(miss) and miss <= 1e-10
+
     def test_one_sample_gives_four_error_rows(self):
         pts = np.array([2.0 + 0.5j])
         samples = SampleSet(pts, 1.0 / (pts + 1.0))

@@ -171,8 +171,9 @@ class TestCompare:
         assert run("compare", "--in", str(sample), "--orders", "8,6,12,6",
                    "--tol", "1e-10", "--nx", "40", "--ny", "15",
                    "--out-prefix", str(tmp_path / "cmp")) == 0
-        assert (tmp_path / "cmp.compare.csv").exists()
-        assert (tmp_path / "cmp.compare.txt").exists()
+        meta = (tmp_path / "cmp.compare.csv").read_text().splitlines()[0]
+        assert meta.startswith("# ratapprox v") and "cmd=\"compare " in meta
+        assert (tmp_path / "cmp.compare.txt").read_text().splitlines()[0] == meta
         out = capsys.readouterr().out
         assert "loewner" in out and "rloewner" in out and "aaa" in out and "vf" in out
 
@@ -224,6 +225,12 @@ class TestRepro:
                 # the seed also starts recursive Loewner's greedy selection on the structured grid
                 assert moved == (["rloewner"] if ".compare." in name else []), name
 
+    def test_compare_txt_starts_with_the_meta_line_of_its_csv(self, runs):
+        for name in ("structured_2121", "uniform_2000"):
+            meta = (runs[2] / f"{name}.compare.csv").read_text().splitlines()[0]
+            assert meta.startswith("# ratapprox v") and "seed=1 cmd=\"repro " in meta
+            assert (runs[2] / f"{name}.compare.txt").read_text().splitlines()[0] == meta
+
     def test_compare_files_of_both_grids_name_the_seed(self, runs):
         meta = {path.name: path.read_text().splitlines()[0] for path in runs[2].glob("*.csv")}
         # the structured samples are the same at every seed
@@ -248,6 +255,16 @@ class TestErrors:
                    "--order", "1", "--out", str(tmp_path / "x.json")) == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload == {"error": "SampleError", "message": "duplicate sample points"}
+
+    def test_a_sample_file_that_is_not_text_reports_a_sample_error_naming_it(self, tmp_path, capsys):
+        sample = tmp_path / "s.csv"
+        sample.write_bytes(b"re_s,im_s,re_f,im_f\n1,0,1,0\n# \xff\xfe\n2,0,0.5,0\n")
+        assert run("fit", "--method", "loewner", "--in", str(sample),
+                   "--order", "1", "--out", str(tmp_path / "x.json")) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "SampleError"
+        assert payload["message"].startswith(f"{sample} is not a text file: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
     def test_missing_file_reports_json(self, capsys):
         assert run("fit", "--method", "loewner", "--in", "no_such.csv",

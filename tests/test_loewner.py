@@ -84,7 +84,8 @@ class TestPartition:
 
     def test_unpaired_complex_point_impossible(self):
         samples = SampleSet(np.array([1.0 + 1.0j, 2.0 + 0j]), np.array([1.0 + 0j, 1.0 + 0j]))
-        with pytest.raises(PartitionError):
+        with pytest.raises(PartitionError, match=r"^cannot preserve conjugate closure: "
+                                                 r"point \(1\+1j\) has no conjugate mate in the set$"):
             partition(samples)
 
     def test_single_conjugate_pair_impossible(self):
@@ -97,14 +98,15 @@ class TestPartition:
             partition(SampleSet(np.array([3.0 + 0j]), np.array([1.0 + 0j])))
 
     def test_conjugate_groups_give_the_mates_and_the_leads_in_input_order(self):
-        mates, leads = loewner.conjugate_groups(np.array([2.0 - 1.0j, 3.0, 2.0 + 1.0j, 1.0]))
+        pts = np.array([2.0 - 1.0j, 3.0, 2.0 + 1.0j, 1.0])
+        mates, leads = loewner.conjugate_groups(SampleSet(pts, np.ones(4)))
         assert mates.tolist() == [2, 1, 0, 3]
         assert leads.tolist() == [0, 1, 3]
 
     @pytest.mark.parametrize("pts", [[1.0 + 1.0j, 2.0], [1.0 + 1.0j, 1.0 - 1.0j], [3.0]])
     def test_conjugate_groups_reject_points_not_closed_or_in_one_group(self, pts):
         with pytest.raises(PartitionError):
-            loewner.conjugate_groups(np.array(pts, dtype=complex))
+            loewner.conjugate_groups(SampleSet(pts, np.ones(len(pts))))
 
     def test_epsilon_paired_neighbours_on_opposite_sides(self):
         pts = np.arange(1.0, 9.0)  # 1..8 on the real axis

@@ -16,6 +16,7 @@ from ratapprox import (
     structured_grid,
     uniform_random_grid,
 )
+from ratapprox import aaa, greedy, loewner, sampling
 from ratapprox.sampling import conjugate_mates, group_members
 
 
@@ -217,17 +218,33 @@ class TestConjugateGroups:
         assert mates.tolist() == [2, 1, 0]
         assert group_members(mates, [0, 1]).tolist() == [0, 2, 1]
 
-    def test_stray_point_raises(self):
-        with pytest.raises(SymmetryError):
-            conjugate_mates(np.array([1.0 + 1.0j, 2.0 + 0j]))
-        with pytest.raises(SymmetryError):
-            conjugate_mates(np.array([1.0 + 1.0j, 1.0 - 1.0j, 3.0 - 0.5j]))
+    def test_stray_point_has_mate_minus_one(self):
+        assert conjugate_mates(np.array([1.0 + 1.0j, 2.0 + 0j])).tolist() == [-1, 1]
+        assert conjugate_mates(np.array([1.0 + 1.0j, 1.0 - 1.0j, 3.0 - 0.5j])).tolist() == [1, 0, -1]
+        assert conjugate_mates(np.array([3.0 + 0.5j])).tolist() == [-1]
 
     def test_repeated_point_raises(self):
         with pytest.raises(SampleError):
             conjugate_mates(np.array([1.0 + 1.0j, 1.0 - 1.0j, 1.0 + 1.0j]))
         with pytest.raises(SampleError):
             conjugate_mates(np.array([2.0 + 0j, complex(2.0, -0.0)]))
+
+    def test_sample_set_sorts_once_and_the_fits_read_its_mates(self, monkeypatch):
+        calls = []
+
+        def spy(points):
+            calls.append(len(points))
+            return conjugate_mates(points)
+
+        for module in (sampling, loewner, greedy, aaa):
+            monkeypatch.setattr(module, "conjugate_mates", spy, raising=False)
+        samples = sample_oracle(structured_grid(OMEGA, 21, 5), h_of_s)
+        assert calls == [105]
+        assert np.array_equal(samples.mates, conjugate_mates(samples.points))
+        loewner.partition(samples)
+        greedy.fit_greedy(samples, order_target=4, seed=0)
+        aaa.fit_aaa(samples, real_mode=True)
+        assert calls == [105]
 
     @settings(max_examples=200, deadline=None)
     @given(closed_sets())
