@@ -238,9 +238,8 @@ def fit(method: str, samples: SampleSet, **settings):
     given = _given_settings(method, settings)
     s = FIT_DEFAULTS[method] | given
     if method == "loewner":
-        pencil = loewner.build_pencil(loewner.partition(samples, s["scheme"]))
         order = s["order"] if s["tol"] is None else given.get("order")
-        reduction = loewner.truncate(pencil, order=order, tol=s["tol"])
+        reduction = loewner.fit_loewner(samples, order=order, tol=s["tol"], scheme=s["scheme"])
         return reduction.model, reduction
     if method == "rloewner":
         result = greedy.fit_greedy(samples, order_target=s["order"], seed=s["seed"])

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, loewner, sampling, serialize, special
+from . import __version__, analysis, loewner, sampling, serialize, special, vectorfit
 from .errors import SettingError
 
 #: The benchmark's sizes: the structured sample grid, the conjugate pairs
@@ -188,9 +188,12 @@ def _cmd_fit(args) -> int:
         sampling.write_csv(hist_path, meta_line, "iter,max_pole_move,linearized_residual", (
             f"{it.iteration},{it.max_pole_move:.17g},{it.linearized_residual:.17g}" for it in history
         ))
+        notes = [vectorfit.stop_reason(history) or "iteration cap"]
         flagged = sum(it.ill_conditioned for it in history)
-        note = f" ({flagged} ill-conditioned iterations)" if flagged else ""
-        print(f"{done} in {len(history)} iterations{note}; {outputs}")
+        if flagged:
+            notes.append(f"{flagged} ill-conditioned iterations")
+        cap = args.iters if args.iters is not None else analysis.FIT_DEFAULTS["vf"]["iters"]
+        print(f"{done} in {len(history)} of {cap} iterations ({'; '.join(notes)}); {outputs}")
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, RankError, check_count
-from .loewner import DataPartition, StateSpaceModel, build_pencil, conjugate_groups, truncate
+from .loewner import DataPartition, StateSpaceModel, build_pencil, conjugate_groups, scaled, truncate, unscaled
 from .sampling import SampleSet, group_members
 
 #: The recursive Loewner fit's settings and their defaults, its row of
@@ -62,7 +62,9 @@ def fit_greedy(
     orders them, and refits.  Stops when every measurement is used or when
     the selection error stagnates after the target order is reached, and
     returns the model fitted to the final sets.  The procedure is a pure
-    function of (samples, order_target, seed).
+    function of (samples, order_target, seed).  Each model is fitted to
+    values divided by a power of two and scaled back, as
+    :func:`~ratapprox.loewner.fit_loewner` does.
 
     An ``order_target`` that is not an integer of at least 1, or a ``seed``
     that is not an integer of at least 0, raises ``SettingError``; samples
@@ -131,13 +133,17 @@ def promote(sides, unused, mates, picks):
 
 
 def _fit_current(pts, vals, left_idx, right_idx, order_target):
-    part = DataPartition(mu=pts[left_idx], v=vals[left_idx], lam=pts[right_idx], w=vals[right_idx])
+    # fit the values divided by a power of two, as fit_loewner does, and scale the model back
+    part, exponent = scaled(DataPartition(mu=pts[left_idx], v=vals[left_idx], lam=pts[right_idx],
+                                          w=vals[right_idx]))
     pencil = build_pencil(part)
     order = min(order_target, len(left_idx), len(right_idx))
     try:
-        return truncate(pencil, order=order).model, order
+        model = truncate(pencil, order=order).model
     except RankError as exc:
         if exc.rank is None:
             raise
         # cap the interim order at the numerical rank so E stays invertible
-        return truncate(pencil, order=exc.rank).model, exc.rank
+        order = exc.rank
+        model = truncate(pencil, order=order).model
+    return unscaled(model, exponent)[0], order

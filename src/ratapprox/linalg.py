@@ -203,6 +203,23 @@ def pair_coefficients(params, starts) -> np.ndarray:
     return out
 
 
+def ldexp(z, exponent: int) -> np.ndarray:
+    """The complex array ``z`` (at least 1-D) times 2^exponent, by ``np.ldexp`` on its real and imaginary parts."""
+    return np.ldexp(np.ascontiguousarray(z, dtype=complex).view(float), exponent).view(complex)
+
+
+def power_of_two_scaled(values) -> tuple[np.ndarray, int]:
+    """``values`` / 2^e and e, where max |values| = m 2^e with 1/2 <= m < 1 (e = 0 where every value is 0).
+
+    The division is exact unless it underflows, so a fit of the scaled
+    values realizes the same function once scaled back, and data near the
+    ends of the double range give scaled values that neither overflow nor
+    underflow.
+    """
+    exponent = int(np.frexp(np.max(np.abs(values)))[1])
+    return ldexp(values, -exponent), exponent
+
+
 def finite_generalized_eigenvalues(m, n) -> np.ndarray:
     """All finite eigenvalues of the pencil (m, n): det(m - lam * n) = 0.
 

@@ -17,7 +17,7 @@ points that survive the compression.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -48,6 +48,12 @@ _SKETCH_SEED = 0
 #: projected_points() refuses reductions whose projected Sylvester
 #: identities have a larger relative residual.
 PROJECTION_RESIDUAL_TOL = 1e-8
+
+#: unscaled() scales the E and A of a model of data divided by 2^e back by
+#: 2^e only as far as |e| is at most this; B and C take the rest, so that data
+#: near the ends of the double range give a realization that neither
+#: overflows nor underflows.
+_UNSCALE_CAP = 512
 
 #: Rows per block in which build_pencil() fills L and Ls and truncate()
 #: writes x L - Ls over Ls; a block's work arrays hold this many rows of
@@ -637,6 +643,50 @@ def truncate(
     # -(Y* L X), not (-Y*) L X: the two differ in the sign of exact zeros
     model = StateSpaceModel(E=-Lh, A=-Lsh, B=Vh, C=Wh)
     return LoewnerReduction(model=model, singular_values=sigma, Y=Y, X=X, shift=shift)
+
+
+def fit_loewner(samples: SampleSet, order: int | None = None, tol: float | None = None,
+                scheme: str = DEFAULTS["scheme"]) -> LoewnerReduction:
+    """The Loewner fit: :func:`partition`, :func:`build_pencil` and :func:`truncate`, raising what they raise.
+
+    As :func:`~ratapprox.vectorfit.fit_vf` does, the fit divides the values
+    by the power of two at their largest modulus (:func:`scaled`), and the
+    reduction's model and singular values are scaled back by
+    :func:`unscaled`.  The division is exact, so data near the ends of the
+    double range neither overflow nor underflow, and other data give the
+    model of their unscaled fit.
+    """
+    part, exponent = scaled(partition(samples, scheme))
+    reduction = truncate(build_pencil(part), order=order, tol=tol)
+    model, k = unscaled(reduction.model, exponent)
+    return replace(reduction, model=model, singular_values=np.ldexp(reduction.singular_values, k))
+
+
+def scaled(part: DataPartition) -> tuple[DataPartition, int]:
+    """``part`` with v and w divided by 2^e, the power of two at their largest modulus, and e.
+
+    By :func:`linalg.power_of_two_scaled`; :func:`unscaled` scales a model
+    of the scaled data back.
+    """
+    values, exponent = linalg.power_of_two_scaled(np.concatenate([part.v, part.w]))
+    return DataPartition(mu=part.mu, v=values[:part.v.size], lam=part.lam, w=values[part.v.size:]), exponent
+
+
+def unscaled(model: StateSpaceModel, exponent: int) -> tuple[StateSpaceModel, int]:
+    """A realization of 2^exponent times ``model``'s transfer function, and the power k of two of its E and A.
+
+    E and A are scaled by 2^k, with k ``exponent`` capped at
+    +-``_UNSCALE_CAP``, and B and C share the rest of the factor.  Where the
+    cap does not bite, that is 2^exponent (E, A, B, C): the realization
+    that a fit of the unscaled data gives, bit for bit where each of the
+    fit's steps commutes with scaling by a power of two, as they do on the
+    sample sets of the digest ledger.
+    """
+    k = int(np.clip(exponent, -_UNSCALE_CAP, _UNSCALE_CAP))
+    rest = exponent - k
+    return StateSpaceModel(E=linalg.ldexp(model.E, k), A=linalg.ldexp(model.A, k),
+                           B=linalg.ldexp(model.B, k + rest // 2),
+                           C=linalg.ldexp(model.C, k + rest - rest // 2)), k
 
 
 def _checked_order(sigma: np.ndarray, order: int | None, tol: float | None, largest: int) -> int:

@@ -72,7 +72,10 @@ class SampleSet:
     """Ordered sample points, their function values and each point's conjugate mate.
 
     ``mates`` is :func:`conjugate_mates` of the points, from the same sort
-    that finds a repeated point.  Points that are not a 1-D array, an empty
+    that finds a repeated point.  ``symmetric`` says whether the values are
+    conjugate-symmetric to the bit: every point has a mate, and the value
+    at each point's mate is the conjugate of its value, so a real point
+    holds a real value.  Points that are not a 1-D array, an empty
     set, a repeated point, values of another shape than the points, or a
     point or value that is NaN or infinite raises ``SampleError``.
     """
@@ -80,6 +83,7 @@ class SampleSet:
     points: np.ndarray
     values: np.ndarray
     mates: np.ndarray = field(init=False, repr=False)
+    symmetric: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=complex)
@@ -93,6 +97,7 @@ class SampleSet:
             raise SampleError("values shape differs from points shape")
         _require_finite(self.values, "value(s)")
         self.mates = conjugate_mates(self.points)
+        self.symmetric = bool(self.mates.min() >= 0 and np.array_equal(self.values[self.mates], self.values.conj()))
 
     def __len__(self) -> int:
         return self.points.size

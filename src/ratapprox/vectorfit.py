@@ -26,6 +26,10 @@ from .errors import (DivergenceError, InsufficientDataError, PoleError, SettingE
 #: Iteration stops early once the largest relative pole movement drops below this.
 MOVE_TOL = 1e-10
 
+#: Iteration stops early once the linearized residual changes by less than this,
+#: relative to the step before.
+STALL_TOL = 1e-3
+
 #: Any pole magnitude beyond this aborts the iteration as divergent.
 DIVERGENCE_RADIUS = 1e6
 
@@ -100,14 +104,32 @@ def _basis(points: np.ndarray, poles: np.ndarray, starts: np.ndarray) -> np.ndar
     return np.column_stack([cols, np.ones(points.size), points])
 
 
-def _real_stacked_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Column-equilibrated real least squares; returns (x, residual, condition).
+def _rows(samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """The samples whose equations a fit step stacks, and the weights of their rows.
 
+    On values conjugate-symmetric to the bit (``samples.symmetric``) the
+    equations at a point's mate are the conjugates of its own, so only the
+    lead of each conjugate group enters, a non-real one with weight sqrt(2):
+    the weighted least-squares problem, and its residual, are those of all
+    the samples.  Other samples all enter with weight 1.
+    """
+    index = np.arange(len(samples))
+    if not samples.symmetric:
+        return index, np.ones(index.size)
+    leads = np.flatnonzero(samples.mates >= index)
+    return leads, np.where(samples.mates[leads] == leads, 1.0, np.sqrt(2.0))
+
+
+def _real_stacked_lstsq(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Column-equilibrated real least squares of ``a x = b``, each row times its weight; (x, residual, condition).
+
+    Each complex row gives two real rows, its real and its imaginary part.
     Unit-norm column scaling keeps the pole-relocation step well conditioned
     when basis columns differ by orders of magnitude.
     """
-    stacked = np.vstack([a.real, a.imag])
-    rhs = np.concatenate([b.real, b.imag])
+    both = np.concatenate([weights, weights])
+    stacked = np.vstack([a.real, a.imag]) * both[:, None]
+    rhs = np.concatenate([b.real, b.imag]) * both
     col_scale = np.linalg.norm(stacked, axis=0)
     col_scale[col_scale == 0.0] = 1.0
     x, sigma = linalg.least_squares(stacked / col_scale, rhs)
@@ -142,10 +164,12 @@ def fit_vf(
 ) -> tuple[PoleResidueModel, list[VfIterate]]:
     """Vector Fitting of the given order.
 
-    Runs up to ``n_iter`` pole-relocation steps (stopping early when the
-    largest relative pole movement falls below ``MOVE_TOL``), then solves a
-    final least-squares pass for the residues, d and h with the poles held
-    fixed.
+    Runs up to ``n_iter`` pole-relocation steps, stopping early where
+    :func:`stop_reason` gives a reason: the poles have settled or the
+    linearized residual has stalled.  Then solves a final least-squares
+    pass for the residues, d and h with the poles held fixed.  Each
+    least-squares system stacks the rows of :func:`_rows`: on
+    conjugate-symmetric values, one weighted row per conjugate group.
 
     Raises
     ------
@@ -168,11 +192,12 @@ def fit_vf(
             f"{len(samples)} samples cannot determine order {order}; "
             f"need at least {2 * (order + 2)}"
         )
-    points = samples.points
+    rows, weights = _rows(samples)
+    points = samples.points[rows]
     # fit f / 2^e, with max |f| = m 2^e and 1/2 <= m < 1: the scaling is exact, so normal data keep
     # their poles, and data near the ends of the double range neither overflow nor underflow
-    exponent = int(np.frexp(np.max(np.abs(samples.values)))[1])
-    values = np.ldexp(np.ascontiguousarray(samples.values).view(float), -exponent).view(complex)
+    scaled, exponent = linalg.power_of_two_scaled(samples.values)
+    values = scaled[rows]
 
     if initial_poles is None:
         poles = initial_poles_auto(points, order)
@@ -190,7 +215,7 @@ def fit_vf(
         starts = linalg.pair_starts(real)
         basis = _basis(points, poles, starts)
         system = np.hstack([basis, -basis[:, :order] * values[:, None]])
-        solution, resid, cond = _real_stacked_lstsq(system, values)
+        solution, resid, cond = _real_stacked_lstsq(system, values, weights)
 
         # zeros of sigma(s) = sum cb_n/(s - a_n) + 1, via the real companion
         # form: eigenvalues of diag-block(poles) - b cb^T stay exactly
@@ -217,12 +242,12 @@ def fit_vf(
         worst = float(np.max(np.abs(poles)))
         if worst > DIVERGENCE_RADIUS:
             raise DivergenceError(f"pole magnitude {worst:.3e} exceeds {DIVERGENCE_RADIUS:g}")
-        if move < MOVE_TOL:
+        if stop_reason(history):
             break
 
     # residue identification with the final poles held fixed
     starts = linalg.pair_starts(poles.imag == 0.0)
-    solution = np.ldexp(_real_stacked_lstsq(_basis(points, poles, starts), values)[0], exponent)
+    solution = np.ldexp(_real_stacked_lstsq(_basis(points, poles, starts), values, weights)[0], exponent)
     model = PoleResidueModel(
         poles=poles,
         residues=linalg.pair_coefficients(solution[:order], starts),
@@ -230,6 +255,23 @@ def fit_vf(
         h=float(solution[order + 1]),
     )
     return model, history
+
+
+def stop_reason(history: list[VfIterate]) -> str | None:
+    """Why the relocation of :func:`fit_vf` stops after ``history``, or None where it goes on.
+
+    ``"poles settled"`` once the largest relative pole movement is below
+    ``MOVE_TOL``; ``"residual stalled"`` once the linearized residual has
+    changed by less than ``STALL_TOL`` (relative) from the step before.  A
+    fit whose history ends with neither stopped at its iteration cap.
+    """
+    if history and history[-1].max_pole_move < MOVE_TOL:
+        return "poles settled"
+    if len(history) > 1:
+        before, last = history[-2].linearized_residual, history[-1].linearized_residual
+        if abs(last - before) < STALL_TOL * before:
+            return "residual stalled"
+    return None
 
 
 def eval_pole_residue(model: PoleResidueModel, s):

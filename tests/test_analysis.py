@@ -421,6 +421,23 @@ class TestFit:
         miss = np.max(np.abs(model(scaled.points) - scaled.values)) / np.max(np.abs(scaled.values))
         assert np.isfinite(miss) and miss <= 1e-10
 
+    @pytest.mark.parametrize("method", list(FIT_DEFAULTS))
+    def test_values_at_the_top_of_the_double_range_fit_to_roundoff(self, method, small_bessel_samples):
+        # 2^1015 times values of up to about 21: the unscaled Loewner pencil would overflow
+        scaled = SampleSet(small_bessel_samples.points, np.ldexp(1.0, 1015) * small_bessel_samples.values)
+        model, _ = fit(method, scaled)
+        miss = np.max(np.abs(model(scaled.points) - scaled.values)) / np.max(np.abs(scaled.values))
+        assert miss <= 2e-12
+
+    @pytest.mark.parametrize("method", list(FIT_DEFAULTS))
+    def test_subnormal_values_give_a_finite_model_or_a_typed_error(self, method, small_bessel_samples):
+        scaled = SampleSet(small_bessel_samples.points, np.ldexp(1.0, -1060) * small_bessel_samples.values)
+        try:
+            model, _ = fit(method, scaled)
+        except RatApproxError:
+            return
+        assert np.all(np.isfinite(model(scaled.points)))
+
     def test_one_sample_gives_four_error_rows(self):
         pts = np.array([2.0 + 0.5j])
         samples = SampleSet(pts, 1.0 / (pts + 1.0))

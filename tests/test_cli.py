@@ -130,6 +130,20 @@ class TestFitEvalPolesProject:
         model = load_model(model_path)
         assert abs(model.eval(4.0 + 0.3j)) > 0
 
+    @pytest.mark.parametrize("flags, cap, reason", [([], 20, "residual stalled"),
+                                                    (["--iters", "3"], 3, "iteration cap")])
+    def test_vf_says_why_it_stopped(self, sample_csv, tmp_path, capsys, flags, cap, reason):
+        model_path = tmp_path / "vf.json"
+        assert run("fit", "--method", "vf", "--in", str(sample_csv), "--order", "8", *flags,
+                   "--out", str(model_path)) == 0
+        line = capsys.readouterr().out.strip()
+        with open(tmp_path / "vf.history.csv") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert line.startswith(f"vf order 8 in {len(rows)} of {cap} iterations ({reason}")
+        history = [vectorfit.VfIterate(int(row["iter"]), float(row["max_pole_move"]),
+                                       float(row["linearized_residual"]), 0.0, False) for row in rows]
+        assert (vectorfit.stop_reason(history) or "iteration cap") == reason
+
     def test_fit_deterministic_bytes(self, sample_csv, tmp_path, monkeypatch):
         dirs = []
         for name in ("run1", "run2"):

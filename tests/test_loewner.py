@@ -191,6 +191,30 @@ class TestPencil:
         assert r2 <= 1e-10
 
 
+class TestScaledFit:
+    @pytest.mark.parametrize("exponent", [0, 40, -40])
+    def test_fit_loewner_keeps_the_bytes_of_the_unscaled_steps(self, small_bessel_samples, exponent):
+        samples = SampleSet(small_bessel_samples.points, np.ldexp(1.0, exponent) * small_bessel_samples.values)
+        scaled = loewner.fit_loewner(samples, order=8)
+        plain = truncate(build_pencil(partition(samples)), order=8)
+        for name in ("E", "A", "B", "C"):
+            assert getattr(scaled.model, name).tobytes() == getattr(plain.model, name).tobytes()
+        for name in ("singular_values", "Y", "X"):
+            assert getattr(scaled, name).tobytes() == getattr(plain, name).tobytes()
+
+    @pytest.mark.parametrize("exponent, k", [(9, 9), (1020, 512), (-1000, -512)])
+    def test_unscaled_realizes_the_transfer_function_times_the_power_of_two(self, small_bessel_samples,
+                                                                              exponent, k):
+        model = loewner.fit_loewner(small_bessel_samples, order=8).model
+        back, power = loewner.unscaled(model, exponent)
+        assert power == k
+        assert back.E.tobytes() == np.ldexp(model.E.view(float), k).tobytes()
+        assert all(np.all(np.isfinite(m)) for m in (back.E, back.A, back.B, back.C))
+        points = np.array([4.0 + 0.3j, 7.5 - 0.2j])
+        assert np.allclose(np.ldexp(back.solve(points).view(float), -exponent).view(complex), model.solve(points),
+                           rtol=1e-14, atol=0.0)
+
+
 class TestTruncate:
     def test_degree_one_recovery(self):
         f = lambda s: 1.0 / (s + 1.0)

@@ -167,6 +167,17 @@ class TestSampleSet:
         with pytest.raises(SampleError):
             SampleSet(points=np.array([1.0, complex(bad, 0.0)]), values=np.array([1.0, 1.0]))
 
+    def test_symmetric_means_conjugate_values_to_the_bit_at_every_mate(self):
+        grid = sample_oracle(structured_grid(OMEGA, 21, 5), h_of_s)
+        assert grid.symmetric
+        values = grid.values.copy()
+        values[7] = complex(values[7].real, np.nextafter(values[7].imag, np.inf))
+        assert not SampleSet(grid.points, values).symmetric
+        assert not SampleSet(grid.points[1:], grid.values[1:]).symmetric
+        # a real point is its own mate, so its value must be real
+        assert SampleSet(np.array([1.0 + 0j, 2.0 + 1j, 2.0 - 1j]), np.array([3.0, 1j, -1j])).symmetric
+        assert not SampleSet(np.array([1.0 + 0j]), np.array([3.0 + 1e-300j])).symmetric
+
     def test_csv_with_nan_value_or_short_row_rejected(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("re_s,im_s,re_f,im_f\n1,0,0.5,0\n2,0,nan,0\n")

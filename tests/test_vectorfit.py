@@ -3,12 +3,15 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import conjugate_closed, rational_samples
 from ratapprox import (
     InsufficientDataError,
     PoleError,
     PoleResidueModel,
+    SampleSet,
     SettingError,
     SymmetryError,
     eval_pole_residue,
@@ -16,7 +19,9 @@ from ratapprox import (
     linalg,
     pr_poles_zeros,
 )
-from ratapprox.vectorfit import initial_poles_auto, order_conjugate_pairs
+from ratapprox import vectorfit
+from ratapprox.vectorfit import (VfIterate, _basis, _real_stacked_lstsq, _rows, initial_poles_auto,
+                                 order_conjugate_pairs, stop_reason)
 
 mp.mp.dps = 40
 
@@ -101,6 +106,93 @@ class TestFit:
         monkeypatch.setattr(linalg, "svd", lambda a: calls.append(a.shape) or svd(a))
         _, history = fit_vf(samples, order=3, n_iter=4)
         assert len(calls) == len(history) + 1
+
+
+class TestLeadRows:
+    @staticmethod
+    def stacked_rows(samples, monkeypatch, order=4):
+        rows = []
+        least_squares = linalg.least_squares
+        monkeypatch.setattr(linalg, "least_squares", lambda a, b: rows.append(a.shape[0]) or least_squares(a, b))
+        _, history = fit_vf(samples, order=order, n_iter=3)
+        assert len(rows) == len(history) + 1
+        return set(rows)
+
+    def test_a_symmetric_set_stacks_two_rows_per_conjugate_group(self, monkeypatch, small_bessel_samples):
+        pairs, *_ = rational_samples(4, 7)
+        assert pairs.symmetric and self.stacked_rows(pairs, monkeypatch) == {len(pairs)}
+        # the 21 x 5 grid has 21 real points, each a group of one
+        leads = np.count_nonzero(small_bessel_samples.mates >= np.arange(len(small_bessel_samples)))
+        assert leads == 21 * 3
+        assert small_bessel_samples.symmetric
+        assert self.stacked_rows(small_bessel_samples, monkeypatch, order=8) == {2 * leads}
+
+    def test_values_one_ulp_off_symmetry_stack_every_row(self, monkeypatch):
+        samples, *_ = rational_samples(4, 7)
+        values = samples.values.copy()
+        values[5] = complex(np.nextafter(values[5].real, np.inf), values[5].imag)
+        off = SampleSet(samples.points, values)
+        assert not off.symmetric and self.stacked_rows(off, monkeypatch) == {2 * len(off)}
+
+    def test_points_that_are_not_conjugate_closed_stack_every_row(self, monkeypatch):
+        samples, *_ = rational_samples(4, 7)
+        open_set = SampleSet(samples.points[1:], samples.values[1:])
+        assert not open_set.symmetric and self.stacked_rows(open_set, monkeypatch) == {2 * len(open_set)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(degree=st.integers(1, 8), seed=st.integers(0, 2**16), offset=st.booleans(), lower=st.booleans())
+    def test_a_weighted_leads_step_solves_the_least_squares_of_every_row(self, degree, seed, offset, lower):
+        # a relocation step and a residue step at the automatic start, of the order of the data (consistent
+        # systems, residual at roundoff) or one lower (a residual of the size of the data)
+        samples, *_ = rational_samples(degree, seed, with_offset=offset)
+        order = max(1, degree - lower)
+        poles = initial_poles_auto(samples.points, order)
+        basis = _basis(samples.points, poles, linalg.pair_starts(poles.imag == 0.0))
+        rows, weights = _rows(samples)
+        assert rows.size == len(samples) // 2 and np.all(weights == np.sqrt(2.0))
+        scale = np.linalg.norm(samples.values)
+        for system in (np.hstack([basis, -basis[:, :order] * samples.values[:, None]]), basis):
+            x, resid, cond = _real_stacked_lstsq(system, samples.values, np.ones(len(samples)))
+            x_leads, resid_leads, cond_leads = _real_stacked_lstsq(system[rows], samples.values[rows], weights)
+            # 1e-12 relative, times the condition number, as the perturbation bounds of least squares scale
+            assert np.linalg.norm(x_leads - x) <= 1e-12 * cond * np.linalg.norm(x)
+            assert abs(resid_leads - resid) <= 1e-12 * cond * scale
+            assert cond_leads == pytest.approx(cond, rel=1e-6)
+
+
+class TestStop:
+    @staticmethod
+    def iterate(move, residual):
+        return VfIterate(iteration=0, max_pole_move=move, linearized_residual=residual, condition=1.0,
+                         ill_conditioned=False)
+
+    def test_reasons(self):
+        step = self.iterate
+        assert stop_reason([]) is None
+        assert stop_reason([step(1e-11, 1.0)]) == "poles settled"
+        assert stop_reason([step(0.1, 1.0)]) is None
+        assert stop_reason([step(0.1, 1.0), step(0.1, 1.0 + 0.99e-3)]) == "residual stalled"
+        assert stop_reason([step(0.1, 1.0), step(0.1, 1.0 - 0.99e-3)]) == "residual stalled"
+        assert stop_reason([step(0.1, 1.0), step(0.1, 1.0 + 1.01e-3)]) is None
+        assert stop_reason([step(0.1, 1.0), step(1e-11, 1.0)]) == "poles settled"
+
+    def test_the_relocation_stops_at_the_first_stalled_residual(self, small_bessel_samples):
+        _, history = fit_vf(small_bessel_samples, order=8)
+        assert stop_reason(history) == "residual stalled" and len(history) < vectorfit.DEFAULTS["iters"]
+        assert all(stop_reason(history[:k]) is None for k in range(1, len(history)))
+
+    @pytest.mark.parametrize("n_iter", [1, 2, 3])
+    def test_iters_caps_the_iterates(self, small_bessel_samples, n_iter):
+        _, history = fit_vf(small_bessel_samples, order=8, n_iter=n_iter)
+        assert len(history) == n_iter
+
+    def test_recovers_the_poles_of_random_rationals_in_a_few_steps(self):
+        for degree in range(2, 9):
+            for seed in range(10):
+                samples, _, true_poles, *_ = rational_samples(degree, seed, with_offset=seed % 2 == 1)
+                model, history = fit_vf(samples, order=degree)
+                assert match_distance(true_poles, model.poles) <= 1e-8, (degree, seed)
+                assert len(history) <= 3, (degree, seed)
 
 
 class TestEval:
