@@ -43,6 +43,7 @@ from .loewner import (
     ProjectedPoints,
     StateSpaceModel,
     build_pencil,
+    fit_loewner,
     partition,
     poles,
     projected_points,
@@ -105,6 +106,7 @@ __all__ = [
     "eval_pole_residue",
     "fit_aaa",
     "fit_greedy",
+    "fit_loewner",
     "fit_vf",
     "h_of_s",
     "h_on_grid",
