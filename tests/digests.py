@@ -7,7 +7,9 @@ Each entry is a sample set and a fit: the four methods at their defaults and
 real-mode AAA.  The default fits on the sets of ``SURFACE_SETS`` also keep the
 digest of their 500 x 500 ``model_error`` surface, whose points inside the
 state-space models' discs take the LU solve, so the surface digests pin the
-disc radii too.  The ``repro/`` entries hold the files of ``ratapprox repro
+disc radii too.  The ``<set>/project`` entries hold the projected points of
+each set's Loewner pencil at order 11, formed as ``ratapprox project`` forms
+them.  The ``repro/`` entries hold the files of ``ratapprox repro
 --seed 0`` without their meta lines and without the time columns of
 ``compare.txt``.  OpenBLAS picks its kernels by CPU core and splits its sums by
 thread, so the digests hold for the environment recorded in the file and one
@@ -31,7 +33,7 @@ import numpy as np
 import scipy
 
 from ratapprox import OMEGA, h_of_s, sample_oracle, structured_grid, uniform_random_grid
-from ratapprox import cli
+from ratapprox import cli, loewner
 from ratapprox.analysis import FIT_DEFAULTS, fit, model_error, oracle_grid
 from ratapprox.serialize import model_to_dict
 
@@ -137,7 +139,8 @@ def _repro_digests() -> dict:
 
 def digests() -> dict:
     """{"<sample set>/<fit>": {"model": sha256 of the model JSON, "history": sha256 of the history,
-    and for the default fits on ``SURFACE_SETS`` "surface": sha256 of the error surface}}, then the
+    and for the default fits on ``SURFACE_SETS`` "surface": sha256 of the error surface}}, with
+    {"<sample set>/project": {"points": sha256 of the projected points}} for each set, then the
     ``repro/`` entries."""
     found = {}
     truth = oracle_grid(h_of_s, OMEGA, SURFACE, SURFACE)
@@ -151,6 +154,10 @@ def digests() -> dict:
             }
             if set_name in SURFACE_SETS and not settings:
                 entry["surface"] = _sha256(model_error(model, truth).errors)
+        pencil = loewner.build_pencil(loewner.partition(samples))
+        reduction = loewner.truncate(pencil, order=11)
+        points = loewner.projected_points(pencil, reduction.Y, reduction.X)
+        found[f"{set_name}/project"] = {"points": _sha256(points)}
     return {**found, **_repro_digests()}
 
 
