@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, RankError, check_count
-from .loewner import DataPartition, StateSpaceModel, build_pencil, conjugate_groups, scaled, truncate, unscaled
+from .loewner import DataPartition, StateSpaceModel, build_pencil, conjugate_groups, truncate
 from .sampling import SampleSet, group_members
 
 #: The recursive Loewner fit's settings and their defaults, its row of
@@ -62,9 +62,7 @@ def fit_greedy(
     orders them, and refits.  Stops when every measurement is used or when
     the selection error stagnates after the target order is reached, and
     returns the model fitted to the final sets.  The procedure is a pure
-    function of (samples, order_target, seed).  Each model is fitted to
-    values divided by a power of two and scaled back, as
-    :func:`~ratapprox.loewner.fit_loewner` does.
+    function of (samples, order_target, seed).
 
     An ``order_target`` that is not an integer of at least 1, or a ``seed``
     that is not an integer of at least 0, raises ``SettingError``; samples
@@ -133,10 +131,7 @@ def promote(sides, unused, mates, picks):
 
 
 def _fit_current(pts, vals, left_idx, right_idx, order_target):
-    # fit the values divided by a power of two, as fit_loewner does, and scale the model back
-    part, exponent = scaled(DataPartition(mu=pts[left_idx], v=vals[left_idx], lam=pts[right_idx],
-                                          w=vals[right_idx]))
-    pencil = build_pencil(part)
+    pencil = build_pencil(DataPartition(mu=pts[left_idx], v=vals[left_idx], lam=pts[right_idx], w=vals[right_idx]))
     order = min(order_target, len(left_idx), len(right_idx))
     try:
         model = truncate(pencil, order=order).model
@@ -146,4 +141,4 @@ def _fit_current(pts, vals, left_idx, right_idx, order_target):
         # cap the interim order at the numerical rank so E stays invertible
         order = exc.rank
         model = truncate(pencil, order=order).model
-    return unscaled(model, exponent)[0], order
+    return model, order

@@ -17,7 +17,7 @@ points that survive the compression.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -90,11 +90,13 @@ class DataPartition:
 
 @dataclass
 class LoewnerPencil:
-    """The pencil (L, Ls) with its defining data.
+    """The pencil (L, Ls) of the values divided by 2^exponent, with its defining data.
 
-    Direction vectors are all ones in the scalar (SISO) setting; they appear
-    only in the Sylvester identities of :func:`sylvester_residual` and
-    :func:`projected_points`.
+    V and W hold the partition's v and w divided by 2^exponent, and L and Ls
+    their divided differences (see :func:`build_pencil`); :func:`truncate`
+    scales its model back.  Direction vectors are all ones in the scalar
+    (SISO) setting; they appear only in the Sylvester identities of
+    :func:`sylvester_residual` and :func:`projected_points`.
     """
 
     L: np.ndarray
@@ -103,6 +105,7 @@ class LoewnerPencil:
     W: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
+    exponent: int
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -433,7 +436,9 @@ class LoewnerReduction:
     (``order + 20`` of them with ``order=``), or all ``min(q, k)`` where
     that matrix is small enough for a full SVD.  ``shift`` is None for a
     pencil small enough for the full SVD of the row concatenation [L, Ls];
-    then ``singular_values`` are all of that matrix's.
+    then ``singular_values`` are all of that matrix's.  The model and the
+    singular values are scaled back from the pencil's values by
+    :func:`unscaled`.
     Y and X are the retained left/right projection blocks, kept so
     projected interpolation points can be formed later.
     """
@@ -503,6 +508,12 @@ def _check_scheme(scheme) -> None:
 def build_pencil(part: DataPartition) -> LoewnerPencil:
     """Assemble the Loewner pencil from a partition by the divided-difference formulas.
 
+    The pencil is built from v and w divided by 2^e, the power of two at
+    their largest modulus (:func:`linalg.power_of_two_scaled`), and records
+    e as its ``exponent``.  The division is exact, so data near the ends of
+    the double range neither overflow nor underflow, and other data give a
+    pencil whose every entry is that of the unscaled data over 2^e.
+
     L and Ls are filled in blocks of rows, so the only pencil-sized arrays
     are L and Ls themselves.  :func:`truncate` uses the pencil's ``Ls`` as
     its work buffer and rebuilds it from ``(mu, V, lam, W)`` before it
@@ -516,12 +527,13 @@ def build_pencil(part: DataPartition) -> LoewnerPencil:
         j = int(np.argmax(coincident))
         i = int(np.argmax(part.lam == part.mu[j]))
         raise PencilError(f"coincident points: mu[{j}] == lam[{i}] == {part.mu[j]}")
+    values, exponent = linalg.power_of_two_scaled(np.concatenate([part.v, part.w]))
+    v, w = values[:part.v.size], values[part.v.size:]
     q, k = part.mu.size, part.lam.size
     L = np.empty((q, k), dtype=complex)
     Ls = np.empty((q, k), dtype=complex)
-    _divided_differences(part.mu, part.v, part.lam, part.w, Ls, L)
-    return LoewnerPencil(L=L, Ls=Ls, V=part.v.copy(), W=part.w.copy(), mu=part.mu.copy(),
-                         lam=part.lam.copy())
+    _divided_differences(part.mu, v, part.lam, w, Ls, L)
+    return LoewnerPencil(L=L, Ls=Ls, V=v, W=w, mu=part.mu.copy(), lam=part.lam.copy(), exponent=exponent)
 
 
 def _divided_differences(mu, v, lam, w, Ls: np.ndarray, L: np.ndarray | None = None) -> None:
@@ -570,7 +582,9 @@ def truncate(
     r with ``sigma_{r+1}/sigma_1 <= tol``, sigma taken from the matrix that
     gives the projection, below) must be given.  With projectors Y (q x r)
     and X (k x r) the realization is E = -Y* L X, A = -Y* Ls X, B = Y* V,
-    C = W X.
+    C = W X, scaled back by :func:`unscaled` to the pencil's ``exponent``, as
+    are the singular values: where the cap of :func:`unscaled` does not
+    bite, the model and the singular values of the unscaled data.
 
     A pencil is sketched where :func:`linalg.leading_svd` of [L, Ls] would
     not take the full SVD at the sketch's first width (``order + 20`` with
@@ -641,35 +655,14 @@ def truncate(
         Y, X = shifted.U[:, :order], shifted.V[:, :order]
     Lh, Lsh, Vh, Wh = _project(pencil, Y, X)
     # -(Y* L X), not (-Y*) L X: the two differ in the sign of exact zeros
-    model = StateSpaceModel(E=-Lh, A=-Lsh, B=Vh, C=Wh)
-    return LoewnerReduction(model=model, singular_values=sigma, Y=Y, X=X, shift=shift)
+    model, k = unscaled(StateSpaceModel(E=-Lh, A=-Lsh, B=Vh, C=Wh), pencil.exponent)
+    return LoewnerReduction(model=model, singular_values=np.ldexp(sigma, k), Y=Y, X=X, shift=shift)
 
 
 def fit_loewner(samples: SampleSet, order: int | None = None, tol: float | None = None,
                 scheme: str = DEFAULTS["scheme"]) -> LoewnerReduction:
-    """The Loewner fit: :func:`partition`, :func:`build_pencil` and :func:`truncate`, raising what they raise.
-
-    As :func:`~ratapprox.vectorfit.fit_vf` does, the fit divides the values
-    by the power of two at their largest modulus (:func:`scaled`), and the
-    reduction's model and singular values are scaled back by
-    :func:`unscaled`.  The division is exact, so data near the ends of the
-    double range neither overflow nor underflow, and other data give the
-    model of their unscaled fit.
-    """
-    part, exponent = scaled(partition(samples, scheme))
-    reduction = truncate(build_pencil(part), order=order, tol=tol)
-    model, k = unscaled(reduction.model, exponent)
-    return replace(reduction, model=model, singular_values=np.ldexp(reduction.singular_values, k))
-
-
-def scaled(part: DataPartition) -> tuple[DataPartition, int]:
-    """``part`` with v and w divided by 2^e, the power of two at their largest modulus, and e.
-
-    By :func:`linalg.power_of_two_scaled`; :func:`unscaled` scales a model
-    of the scaled data back.
-    """
-    values, exponent = linalg.power_of_two_scaled(np.concatenate([part.v, part.w]))
-    return DataPartition(mu=part.mu, v=values[:part.v.size], lam=part.lam, w=values[part.v.size:]), exponent
+    """The Loewner fit: :func:`partition`, :func:`build_pencil` and :func:`truncate`, raising what they raise."""
+    return truncate(build_pencil(partition(samples, scheme)), order=order, tol=tol)
 
 
 def unscaled(model: StateSpaceModel, exponent: int) -> tuple[StateSpaceModel, int]:
@@ -678,9 +671,9 @@ def unscaled(model: StateSpaceModel, exponent: int) -> tuple[StateSpaceModel, in
     E and A are scaled by 2^k, with k ``exponent`` capped at
     +-``_UNSCALE_CAP``, and B and C share the rest of the factor.  Where the
     cap does not bite, that is 2^exponent (E, A, B, C): the realization
-    that a fit of the unscaled data gives, bit for bit where each of the
-    fit's steps commutes with scaling by a power of two, as they do on the
-    sample sets of the digest ledger.
+    that :func:`truncate` would give for a pencil of the unscaled data, bit
+    for bit where each of its steps commutes with scaling by a power of
+    two, as they do on the sample sets of the digest ledger.
     """
     k = int(np.clip(exponent, -_UNSCALE_CAP, _UNSCALE_CAP))
     rest = exponent - k

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from ratapprox import aaa, cli, linalg, loewner, vectorfit
 from ratapprox.cli import main
 from ratapprox.errors import PoleError, RatApproxError, SampleError
+from ratapprox.sampling import SampleSet
 from ratapprox.serialize import load_model, save_model
 from ratapprox.special import SERIES_RADIUS
 
@@ -111,6 +112,29 @@ class TestFitEvalPolesProject:
         assert run("project", "--in", str(sample_csv), "--order", "8") == 0
         out = capsys.readouterr().out
         assert "compression: 105 -> 16" in out
+
+    def scaled_csv(self, sample_csv, tmp_path, exponent):
+        samples = SampleSet.from_csv(sample_csv)
+        path = tmp_path / f"scaled{exponent}.csv"
+        SampleSet(samples.points, np.ldexp(1.0, exponent) * samples.values).to_csv(path)
+        return path
+
+    @pytest.mark.parametrize("scheme", loewner.PARTITION_SCHEMES)
+    def test_project_of_values_at_the_top_of_the_double_range_keeps_the_bytes(self, sample_csv, tmp_path, capsys,
+                                                                              scheme):
+        # 2^1015 times values of up to about 21: the unscaled divided differences would overflow
+        outputs = []
+        for path in (sample_csv, self.scaled_csv(sample_csv, tmp_path, 1015)):
+            out = tmp_path / f"{path.stem}.points.csv"
+            assert run("project", "--in", str(path), "--order", "8", "--scheme", scheme, "--out", str(out)) == 0
+            outputs.append((capsys.readouterr().out, out.read_text().splitlines()[1:]))  # without the meta line
+        assert outputs[0] == outputs[1]
+
+    def test_project_of_subnormal_values_gives_finite_points(self, sample_csv, tmp_path):
+        out = tmp_path / "points.csv"
+        assert run("project", "--in", str(self.scaled_csv(sample_csv, tmp_path, -1060)), "--out", str(out)) == 0
+        points = np.loadtxt(out, delimiter=",", comments="#", skiprows=2, usecols=(1, 2))
+        assert points.shape == (22, 2) and np.all(np.isfinite(points))
 
     @pytest.mark.parametrize("method", ["rloewner", "aaa", "vf"])
     def test_other_methods_write_history(self, sample_csv, tmp_path, method):

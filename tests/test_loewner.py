@@ -120,15 +120,15 @@ class TestPencil:
     def test_single_entry_formulas(self):
         part = DataPartition(mu=[2.0], v=[3.0], lam=[0.0], w=[1.0])
         pencil = build_pencil(part)
-        assert pencil.L[0, 0] == pytest.approx(1.0)
-        assert pencil.Ls[0, 0] == pytest.approx(3.0)
+        assert linalg.ldexp(pencil.L, pencil.exponent)[0, 0] == pytest.approx(1.0)
+        assert linalg.ldexp(pencil.Ls, pencil.exponent)[0, 0] == pytest.approx(3.0)
 
     def test_entries_against_direct_formula_with_oracle(self):
         mu, lam = np.array([1.0 + 0j]), np.array([2.0 + 0j])
         v, w = h_of_s(mu), h_of_s(lam)
         pencil = build_pencil(DataPartition(mu=mu, v=v, lam=lam, w=w))
-        assert pencil.L[0, 0] == (v[0] - w[0]) / (mu[0] - lam[0])
-        assert pencil.Ls[0, 0] == (mu[0] * v[0] - lam[0] * w[0]) / (mu[0] - lam[0])
+        assert linalg.ldexp(pencil.L, pencil.exponent)[0, 0] == (v[0] - w[0]) / (mu[0] - lam[0])
+        assert linalg.ldexp(pencil.Ls, pencil.exponent)[0, 0] == (mu[0] * v[0] - lam[0] * w[0]) / (mu[0] - lam[0])
 
     @pytest.mark.parametrize("field, bad", [("v", np.nan), ("w", np.inf), ("mu", complex(np.nan, 1.0)),
                                             ("lam", -np.inf)])
@@ -168,9 +168,10 @@ class TestPencil:
         w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         pencil = build_pencil(DataPartition(mu=mu, v=v, lam=lam, w=w))
         diff = mu[:, None] - lam[None, :]
-        assert np.allclose(pencil.L * diff, v[:, None] - w[None, :], atol=1e-12)
+        assert np.allclose(linalg.ldexp(pencil.L, pencil.exponent) * diff, v[:, None] - w[None, :], atol=1e-12)
         assert np.allclose(
-            pencil.Ls * diff, mu[:, None] * v[:, None] - lam[None, :] * w[None, :], atol=1e-12
+            linalg.ldexp(pencil.Ls, pencil.exponent) * diff, mu[:, None] * v[:, None] - lam[None, :] * w[None, :],
+            atol=1e-12
         )
 
     def test_sylvester_residual_keeps_the_outer_product_floats(self, structured_pencil):
@@ -192,14 +193,16 @@ class TestPencil:
 
 
 class TestScaledFit:
-    @pytest.mark.parametrize("exponent", [0, 40, -40])
-    def test_fit_loewner_keeps_the_bytes_of_the_unscaled_steps(self, small_bessel_samples, exponent):
-        samples = SampleSet(small_bessel_samples.points, np.ldexp(1.0, exponent) * small_bessel_samples.values)
+    @pytest.mark.parametrize("k", [40, -40])
+    def test_the_fit_of_the_values_times_a_power_of_two_is_the_fit_times_that_power(self, small_bessel_samples,
+                                                                                      k):
+        plain = loewner.fit_loewner(small_bessel_samples, order=8)
+        samples = SampleSet(small_bessel_samples.points, np.ldexp(1.0, k) * small_bessel_samples.values)
         scaled = loewner.fit_loewner(samples, order=8)
-        plain = truncate(build_pencil(partition(samples)), order=8)
         for name in ("E", "A", "B", "C"):
-            assert getattr(scaled.model, name).tobytes() == getattr(plain.model, name).tobytes()
-        for name in ("singular_values", "Y", "X"):
+            assert getattr(scaled.model, name).tobytes() == linalg.ldexp(getattr(plain.model, name), k).tobytes()
+        assert scaled.singular_values.tobytes() == np.ldexp(plain.singular_values, k).tobytes()
+        for name in ("Y", "X"):
             assert getattr(scaled, name).tobytes() == getattr(plain, name).tobytes()
 
     @pytest.mark.parametrize("exponent, k", [(9, 9), (1020, 512), (-1000, -512)])
@@ -321,7 +324,7 @@ def two_sided_truncation(pencil, order=None, tol=None):
     svd_cols = linalg.leading_svd(np.hstack([pencil.L.conj().T, pencil.Ls.conj().T]),
                                   order + loewner._OVERSAMPLE, rng)
     Y, X = svd_rows.U[:, :order], svd_cols.U[:, :order]
-    return projection(pencil, Y, X) + (sigma, Y, X)
+    return projection(pencil, Y, X) + (np.ldexp(sigma, pencil.exponent), Y, X)
 
 
 def shifted_truncation(pencil, shift, order=None, tol=None):
@@ -337,18 +340,19 @@ def shifted_truncation(pencil, shift, order=None, tol=None):
         width *= 2
     order = loewner._checked_order(sigma, order, tol, min(pencil.shape))  # with its rank guard
     Y, X = res.U[:, :order], res.V[:, :order]
-    return projection(pencil, Y, X) + (sigma, Y, X)
+    return projection(pencil, Y, X) + (np.ldexp(sigma, pencil.exponent), Y, X)
 
 
 def projection(pencil, Y, X):
-    """E, A, B and C of truncate()'s realization.
+    """E, A, B and C of truncate()'s realization, scaled back to the pencil's exponent.
 
     E and A negate the projected blocks: (-Y*) L X would give -0.0 where
     -(Y* L X) gives 0.0, and the x = 0 projection of the benchmark pencil
     has exact zeros.
     """
     Yh = Y.conj().T
-    return -(Yh @ pencil.L @ X), -(Yh @ pencil.Ls @ X), Yh @ pencil.V, pencil.W @ X
+    blocks = -(Yh @ pencil.L @ X), -(Yh @ pencil.Ls @ X), Yh @ pencil.V, pencil.W @ X
+    return tuple(linalg.ldexp(block, pencil.exponent) for block in blocks)
 
 
 def reduction_bytes(red):
@@ -366,6 +370,7 @@ class TestSketchedTruncation:
 
     def test_leading_singular_values_match_full_svd(self, structured_pencil, structured_11):
         full = linalg.svd(structured_11.shift * structured_pencil.L - structured_pencil.Ls).singular_values
+        full = np.ldexp(full, structured_pencil.exponent)
         sigma = structured_11.singular_values
         assert np.abs(sigma[:12] - full[:12]).max() <= 1e-13 * full[0]
 
@@ -1053,3 +1058,11 @@ class TestTrajectoryStudy:
         )
         assert steps[0].n_points == 42
         assert steps[1].nx == 12 and steps[1].ny == 13
+
+    def test_values_at_the_top_of_the_double_range_keep_the_points(self):
+        # 2^1015 times values of up to about 83 on the 10 x 11 grid
+        big = trajectory_study(lambda s: np.ldexp(1.0, 1015) * h_of_s(s), OMEGA, a=5, n_steps=2, order=8)
+        plain = trajectory_study(h_of_s, OMEGA, a=5, n_steps=2, order=8)
+        for got, want in zip(big, plain, strict=True):
+            assert got.projected.lambda_hat.tobytes() == want.projected.lambda_hat.tobytes()
+            assert got.projected.mu_hat.tobytes() == want.projected.mu_hat.tobytes()
