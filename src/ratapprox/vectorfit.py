@@ -22,6 +22,7 @@ import numpy as np
 from . import linalg
 from .errors import (DivergenceError, InsufficientDataError, PoleError, SettingError, SymmetryError,
                      check_count, check_shapes)
+from .sampling import SampleSet
 
 #: Iteration stops early once the largest relative pole movement drops below this.
 MOVE_TOL = 1e-10
